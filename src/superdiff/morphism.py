@@ -40,7 +40,13 @@ from .errors import (
 )
 from .grassmann import GrassmannMorphism
 from .substitution import UnderlyingMorphism
-from .superfn import Polynomial, Superfunction, map_external, substitute_generators
+from .superfn import (
+    Polynomial,
+    Superfunction,
+    _SubstitutionPlan,
+    map_external,
+    substitute_generators,
+)
 
 IndexTuple = tuple[int, ...]
 FieldFamily = dict[IndexTuple, SuperDerivation]
@@ -167,13 +173,12 @@ class SuperMorphism:
         """self after inner, external generators shared and held fixed."""
         if (self.m, self.n, self.p) != (inner.m, inner.n, inner.p):
             raise DimensionError("cannot compose maps of different domains or ranks")
-        return SuperMorphism(
-            self.m,
-            self.n,
-            self.p,
-            [self.apply_extended(g) for g in inner.images_x],
-            [self.apply_extended(g) for g in inner.images_th],
-        )
+        plan = _SubstitutionPlan(self.m, self.n, self.p, self.images_x, self.images_th)
+        images = [
+            substitute_generators(g, self.images_x, self.images_th, _plan=plan)
+            for g in inner.images_x + inner.images_th
+        ]
+        return SuperMorphism(self.m, self.n, self.p, images[: self.m], images[self.m :])
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError, ParityError
-from .superfn import Polynomial, Superfunction, substitute_generators
+from .superfn import Polynomial, Superfunction, _SubstitutionPlan, substitute_generators
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
@@ -47,9 +47,11 @@ class UnderlyingMorphism:
 
     `inverse`, when present, is a certificate: both composites were
     verified to fix every coordinate exactly when it was attached.
+    The images never change after construction, so the substitution
+    plan built for each external rank is kept and reused.
     """
 
-    __slots__ = ("m", "n", "images_x", "images_th", "inverse")
+    __slots__ = ("m", "n", "images_x", "images_th", "inverse", "_plans")
 
     def __init__(
         self,
@@ -81,6 +83,7 @@ class UnderlyingMorphism:
         self.images_x = images_x
         self.images_th = images_th
         self.inverse = inverse
+        self._plans: dict[int, _SubstitutionPlan] = {}
 
     @classmethod
     def identity(cls, m: int, n: int) -> "UnderlyingMorphism":
@@ -107,13 +110,16 @@ class UnderlyingMorphism:
             raise DimensionError(
                 f"element lives on {f.m}|{f.n}, morphism on {self.m}|{self.n}"
             )
-        if f.p == 0:
-            return substitute_generators(f, self.images_x, self.images_th)
-        return substitute_generators(
-            f,
-            [g.lift(f.p) for g in self.images_x],
-            [g.lift(f.p) for g in self.images_th],
-        )
+        plan = self._plans.get(f.p)
+        if plan is None:
+            plan = self._plans[f.p] = _SubstitutionPlan(
+                self.m,
+                self.n,
+                f.p,
+                [g.lift(f.p) for g in self.images_x],
+                [g.lift(f.p) for g in self.images_th],
+            )
+        return substitute_generators(f, plan.x_images, plan.th_images, _plan=plan)
 
     def compose(self, inner: "UnderlyingMorphism") -> "UnderlyingMorphism":
         """self after inner, i.e. substitute self's images into inner's."""
@@ -156,6 +162,9 @@ class UnderlyingMorphism:
         backward = UnderlyingMorphism(
             candidate.m, candidate.n, candidate.images_x, candidate.images_th
         )
+        # same images, so the plans built by the check carry over
+        forward._plans = self._plans
+        backward._plans = candidate._plans
         forward.inverse = backward
         backward.inverse = forward
         return forward

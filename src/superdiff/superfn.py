@@ -22,12 +22,29 @@ are exact rationals throughout.
 The nilpotent filtration used by the higher layers counts th factors
 only: `j_degree` is the minimum len(K) over the stored terms, and
 products of more than n odd coordinates vanish identically.
+
+`substitute_generators` replaces the coordinates by given images, as
+a morphism of superdomains does.  An even image is its body b (the
+coefficient of the unit monomial, a `Polynomial`) plus a nilpotent
+rest N, and a coefficient polynomial is evaluated by Taylor expansion
+in the nilpotent part::
+
+    poly(b + N) = sum_k  (d^k poly / k!)(b) * N^k.
+
+Every term of N has at least two odd factors, so N^k = 0 once
+2|k| > n + p: the sum has only |k| <= (n+p)//2.  The terms over one odd
+block th[K] are summed before the block's image th(K) is multiplied in
+once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
+The caches for one set of images live in a private plan; morphisms
+build theirs once (per external rank) and keep it, since their images
+never change.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, ParityError
@@ -492,10 +509,187 @@ class Superfunction:
         return f"Superfunction({self.m}|{self.n};{self.p}, {self.terms!r})"
 
 
+class _SubstitutionPlan:
+    """Coordinate images prepared for any number of substitutions.
+
+    Each x-image is split into its body b_i, the coefficient of the unit
+    monomial, and its nilpotent rest N_i.  Every term of N_i is even and
+    carries th or t factors, so at least two odd ones, and the products
+    N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.  Body powers
+    and monomials (as `Polynomial`s), the surviving N^k and the odd
+    blocks th(K) (products of th-images) are cached on first use, so a
+    plan holds only what its substitutions needed.  The images are
+    checked once, here.
+    """
+
+    __slots__ = (
+        "m",
+        "n",
+        "p",
+        "x_images",
+        "th_images",
+        "_bound",
+        "_nilpotent",
+        "_body_powers",
+        "_body_monomials",
+        "_nil_powers",
+        "_odd_blocks",
+    )
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        p: int,
+        x_images: Sequence[Superfunction],
+        th_images: Sequence[Superfunction],
+    ):
+        x_images, th_images = tuple(x_images), tuple(th_images)
+        for g in x_images + th_images:
+            if (g.m, g.n, g.p) != (m, n, p):
+                raise DimensionError("replacement elements live on different domains")
+        for g in x_images:
+            if g.parity() != 0:
+                raise ParityError("replacement for an even coordinate must be even")
+        for g in th_images:
+            if not g.is_zero() and g.parity() != 1:
+                raise ParityError("replacement for an odd coordinate must be odd")
+        self.m, self.n, self.p = m, n, p
+        self.x_images, self.th_images = x_images, th_images
+        self._bound = (n + p) // 2
+        self._nilpotent = [
+            Superfunction(m, n, p, {key: c for key, c in g.terms.items() if key != ((), ())})
+            for g in x_images
+        ]
+        zero = (0,) * len(x_images)
+        one = Polynomial.const(1, m)
+        self._body_powers = [[one, g.body_polynomial()] for g in x_images]
+        self._body_monomials = {zero: one}
+        unit = Superfunction.scalar(1, m, n, p)
+        self._nil_powers = {zero: unit}
+        self._odd_blocks = {(): unit}
+
+    def _body_monomial(self, exps: Exponents) -> Polynomial:
+        """b^exps, from body powers built one factor at a time."""
+        found = self._body_monomials.get(exps)
+        if found is None:
+            for i, e in enumerate(exps):
+                if e:
+                    powers = self._body_powers[i]
+                    while len(powers) <= e:
+                        powers.append(powers[-1] * powers[1])
+                    found = powers[e] if found is None else found * powers[e]
+            self._body_monomials[exps] = found
+        return found
+
+    def _nil_power(self, k: Exponents) -> Superfunction:
+        found = self._nil_powers.get(k)
+        if found is None:
+            i = next(i for i, j in enumerate(k) if j)
+            lower = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            found = self._nilpotent[i]
+            if any(lower):
+                found = self._nil_power(lower) * found
+            self._nil_powers[k] = found
+        return found
+
+    def _expansion(self, exps: Exponents) -> list:
+        """Taylor data of x^exps: (k, b^(exps-k), prod C(exps_i, k_i)).
+
+        k runs over exps' lower multi-indices with |k| <= (n+p)//2 whose
+        N^k and body monomial are nonzero, so the list has the same
+        length for every large exponent.
+        """
+        ks: list[Exponents] = [()]
+        for i, e in enumerate(exps):
+            top = min(e, self._bound) if self._nilpotent[i].terms else 0
+            ks = [k + (j,) for k in ks for j in range(top + 1) if sum(k) + j <= self._bound]
+        found = []
+        for k in ks:
+            body = self._body_monomial(tuple(e - j for e, j in zip(exps, k)))
+            if body.terms and self._nil_power(k).terms:
+                mult = math.prod(math.comb(e, j) for e, j in zip(exps, k))
+                found.append((k, body, mult))
+        return found
+
+    def _odd_block(self, theta_key: IndexTuple) -> Superfunction:
+        found = self._odd_blocks.get(theta_key)
+        if found is None:
+            found = self.th_images[theta_key[-1] - 1]
+            if len(theta_key) > 1:
+                found = self._odd_block(theta_key[:-1]) * found
+            self._odd_blocks[theta_key] = found
+        return found
+
+    def substitute(self, f: Superfunction) -> Superfunction:
+        m, n, p = self.m, self.n, self.p
+        by_block: dict[IndexTuple, list[tuple[IndexTuple, Polynomial]]] = {}
+        for (theta_key, tau_key), poly in f.terms.items():
+            by_block.setdefault(theta_key, []).append((tau_key, poly))
+        acc: dict[TermKey, dict[Exponents, Fraction]] = {}
+        expansions: dict[Exponents, list] = {}
+        zero = (0,) * len(self.x_images)
+        for theta_key, entries in by_block.items():
+            odd = self._odd_block(theta_key)
+            if not odd.terms:
+                continue
+            # S_K = sum_J (-1)^(|K||J|) poly_J(images) t^J, then S_K * th(K)
+            target = {} if theta_key else acc
+            for tau_key, poly in entries:
+                negate = len(theta_key) % 2 and len(tau_key) % 2
+                # poly(b + N) = sum_k P_k N^k, P_k = sum_e c_e prod C(e_i, k_i) b^(e-k);
+                # N^0 = 1, so P_0 is summed in place
+                parts = {zero: target.setdefault(((), tau_key), {})}
+                for exps, coeff in poly.terms.items():
+                    if negate:
+                        coeff = -coeff
+                    expansion = expansions.get(exps)
+                    if expansion is None:
+                        expansion = expansions[exps] = self._expansion(exps)
+                    for k, body, mult in expansion:
+                        scale = coeff * mult if mult != 1 else coeff
+                        bucket = parts.get(k)
+                        if bucket is None:
+                            bucket = parts[k] = {}
+                        for e2, c2 in body.terms.items():
+                            value = scale * c2
+                            bucket[e2] = bucket[e2] + value if e2 in bucket else value
+                del parts[zero]
+                for k, part in parts.items():
+                    for (k2, j2), q in self._nil_powers[k].terms.items():
+                        merged = merge_indices(j2, tau_key)
+                        if merged is None:
+                            continue
+                        sign, j_out = merged
+                        bucket = target.setdefault((k2, j_out), {})
+                        for ea, ca in part.items():
+                            if not ca:
+                                continue
+                            if sign < 0:
+                                ca = -ca
+                            for eb, cb in q.terms.items():
+                                e2 = tuple(map(add, ea, eb))
+                                value = ca * cb
+                                bucket[e2] = bucket[e2] + value if e2 in bucket else value
+            if theta_key:
+                block = Superfunction(
+                    m, n, p, {key: Polynomial(m, b) for key, b in target.items()}
+                )
+                for key, poly in (block * odd).terms.items():
+                    bucket = acc.setdefault(key, {})
+                    for e2, c2 in poly.terms.items():
+                        bucket[e2] = bucket[e2] + c2 if e2 in bucket else c2
+        return Superfunction(
+            m, n, p, {key: Polynomial(m, bucket) for key, bucket in acc.items()}
+        )
+
+
 def substitute_generators(
     f: Superfunction,
     x_images: Sequence[Superfunction],
     th_images: Sequence[Superfunction],
+    *,
+    _plan: Optional[_SubstitutionPlan] = None,
 ) -> Superfunction:
     """Evaluate f with each coordinate replaced by the given element.
 
@@ -504,13 +698,26 @@ def substitute_generators(
     external t generators of f are carried along unchanged, so f's
     external rank must match the images' rank.  This is the unique
     algebra-map extension of the assignment.
+
+    Each x-image is body plus nilpotent part, b_i + N_i, and a
+    coefficient polynomial is expanded by Taylor's formula
+
+        poly(b + N) = sum_k  (d^k poly / k!)(b) * N^k,
+
+    where N^k = 0 once 2|k| > n + p (every term of N_i has at least two
+    odd factors), so the sum is short however large the exponents.  The
+    terms over one odd block th[K] are summed first, t factors moved to
+    the left past the block image th(K) with sign (-1)^(|K||J|), and
+    multiplied by th(K) once.  `_plan` is a prepared `_SubstitutionPlan`
+    of exactly these images; morphisms keep theirs so that repeated
+    applications share its caches.
     """
     if len(x_images) != f.m or len(th_images) != f.n:
         raise DimensionError(
             f"need {f.m} even and {f.n} odd replacements, "
             f"got {len(x_images)} and {len(th_images)}"
         )
-    images = list(x_images) + list(th_images)
+    images = (*x_images, *th_images)
     if not images:
         return f
     m2, n2, p2 = images[0].m, images[0].n, images[0].p
@@ -518,81 +725,9 @@ def substitute_generators(
         raise DimensionError(
             f"external rank mismatch: element has {f.p}, images have {p2}"
         )
-    for g in images:
-        if (g.m, g.n, g.p) != (m2, n2, p2):
-            raise DimensionError("replacement elements live on different domains")
-    for g in x_images:
-        if g.parity() not in (0,):
-            raise ParityError("replacement for an even coordinate must be even")
-    for g in th_images:
-        if not g.is_zero() and g.parity() != 1:
-            raise ParityError("replacement for an odd coordinate must be odd")
-
-    one = Superfunction.scalar(1, m2, n2, p2)
-    power_cache: dict[tuple[int, int], Superfunction] = {}
-
-    def x_power(i: int, e: int) -> Superfunction:
-        key = (i, e)
-        if key not in power_cache:
-            if e == 0:
-                power_cache[key] = one
-            else:
-                power_cache[key] = x_power(i, e - 1) * x_images[i]
-        return power_cache[key]
-
-    mono_cache: dict[Exponents, Superfunction] = {}
-
-    def x_monomial(exps: Exponents) -> Superfunction:
-        if exps not in mono_cache:
-            term = one
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * x_power(i, e)
-                    if term.is_zero():
-                        break
-            mono_cache[exps] = term
-        return mono_cache[exps]
-
-    odd_cache: dict[IndexTuple, Superfunction] = {}
-
-    def odd_monomial(theta_key: IndexTuple) -> Superfunction:
-        if theta_key not in odd_cache:
-            block = one
-            for j in theta_key:
-                block = block * th_images[j - 1]
-                if block.is_zero():
-                    break
-            odd_cache[theta_key] = block
-        return odd_cache[theta_key]
-
-    acc: dict[TermKey, dict[Exponents, Fraction]] = {}
-    for (theta_key, tau_key), poly in f.terms.items():
-        odd_block = odd_monomial(theta_key)
-        if odd_block.is_zero():
-            continue
-        for exps, coeff in poly.terms.items():
-            block = x_monomial(exps)
-            if block.is_zero():
-                continue
-            if odd_block is not one:
-                block = block * odd_block
-            # append the carried t factors with the sign of reordering
-            for (k2, j2), inner in block.terms.items():
-                if tau_key:
-                    merged = merge_indices(j2, tau_key)
-                    if merged is None:
-                        continue
-                    sign, j_out = merged
-                    scale = coeff if sign > 0 else -coeff
-                else:
-                    j_out, scale = j2, coeff
-                bucket = acc.setdefault((k2, j_out), {})
-                for e2, c2 in inner.terms.items():
-                    value = scale * c2
-                    bucket[e2] = bucket[e2] + value if e2 in bucket else value
-    return Superfunction(
-        m2, n2, p2, {key: Polynomial(m2, bucket) for key, bucket in acc.items()}
-    )
+    if _plan is None:
+        _plan = _SubstitutionPlan(m2, n2, p2, x_images, th_images)
+    return _plan.substitute(f)
 
 
 def map_external(f: Superfunction, morphism: GrassmannMorphism) -> Superfunction:

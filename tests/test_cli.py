@@ -63,6 +63,14 @@ def test_apply_verb(tmp_path, capsys):
     assert out.strip() == "x1^2 + 2*x1*th[1]*t[1]"
 
 
+def test_apply_verb_large_exponent(tmp_path, capsys):
+    phi = write(tmp_path, "phi.txt", "x1 -> x1 + th[1,2]\nth1 -> th[1]\nth2 -> th[2]\n")
+    f = write(tmp_path, "f.txt", "x1^1500\n")
+    code, out, _ = run_cli(capsys, "apply", phi, f, "--m", "1", "--n", "2")
+    assert code == 0
+    assert out.strip() == "x1^1500 + 1500*x1^1499*th[1,2]"
+
+
 def test_bracket_verb(tmp_path, capsys):
     left = write(tmp_path, "a.txt", "d/dth1")
     right = write(tmp_path, "b.txt", "th[1]*d/dx1")

@@ -299,3 +299,19 @@ def test_factorize_body_mismatch_raises():
     if phi.underlying() != wrong:
         with pytest.raises(DomainError):
             factorize(phi, wrong)
+
+
+def test_plan_cache_matches_fresh_morphisms():
+    rng = random.Random(41)
+    body = random_body(rng, 2, 2)
+    assert body.inverse is not None
+    for phi in (body, body.inverse):
+        for p in (0, 3, 0):
+            f = random_superfunction(rng, 2, 2, p, degree=3, terms=5)
+            fresh = UnderlyingMorphism(2, 2, phi.images_x, phi.images_th)
+            assert phi.apply(f) == fresh.apply(f)
+    outer = random_morphism(rng, 2, 2, 3, degree=1)
+    for inner in (random_morphism(rng, 2, 2, 3, degree=1), outer):
+        for _ in range(2):
+            fresh = SuperMorphism(2, 2, 3, outer.images_x, outer.images_th)
+            assert outer.compose(inner) == fresh.compose(inner)

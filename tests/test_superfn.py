@@ -7,10 +7,12 @@ import pytest
 from superdiff import Polynomial, Superfunction, map_external, substitute_generators
 from superdiff.errors import DimensionError, ParityError
 from superdiff.sampling import (
+    random_fraction,
     random_grassmann_morphism,
     random_polynomial,
     random_superfunction,
 )
+from superdiff.superfn import _SubstitutionPlan
 
 
 def sf(text_m, n, p, terms):
@@ -228,6 +230,81 @@ def test_substitution_parity_checks():
             [Superfunction.coordinate(1, 1, 1, 0)],
             [Superfunction.coordinate(1, 1, 1, 0)],
         )
+
+
+def _naive_substitute(f, x_imgs, th_imgs):
+    """Reference substitution: each monomial rebuilt by repeated products."""
+    m, n, p = x_imgs[0].m, x_imgs[0].n, x_imgs[0].p
+    total = Superfunction.zero(m, n, p)
+    for (theta_key, tau_key), poly in f.terms.items():
+        t_block = Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), tau_key)
+        for exps, coeff in poly.terms.items():
+            term = Superfunction.scalar(coeff, m, n, p)
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    term = term * x_imgs[i]
+            for j in theta_key:
+                term = term * th_imgs[j - 1]
+            total = total + term * t_block
+    return total
+
+
+def _random_images(rng, m, n, p, trial):
+    """x-images with affine, non-affine or no body; some th-images zero."""
+    x_imgs = []
+    for i in range(m):
+        nil = random_superfunction(rng, m, n, p, parity=0, terms=4)
+        nil = nil - Superfunction.from_polynomial(nil.body_polynomial(), n, p)
+        kind = (i + trial) % 3
+        if kind == 0:
+            body = Polynomial.variable(i + 1, m) + Polynomial.const(random_fraction(rng), m)
+        elif kind == 1:
+            body = Polynomial.variable(i + 1, m) ** 2 + random_polynomial(rng, m, terms=3)
+        else:
+            body = Polynomial.zero(m)
+        x_imgs.append(Superfunction.from_polynomial(body, n, p) + nil)
+    th_imgs = [
+        Superfunction.zero(m, n, p)
+        if (j + trial) % 4 == 0
+        else random_superfunction(rng, m, n, p, parity=1, terms=3)
+        for j in range(n)
+    ]
+    return x_imgs, th_imgs
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 0, 0), (1, 2, 1), (2, 2, 3), (3, 1, 2), (2, 3, 0)])
+def test_substitution_matches_naive_reference(m, n, p):
+    rng = random.Random(f"substitute {m}|{n};{p}")
+    for trial in range(24):
+        x_imgs, th_imgs = _random_images(rng, m, n, p, trial)
+        f = random_superfunction(rng, m, n, p, degree=3, terms=6)
+        if p:
+            poly = random_polynomial(rng, m, degree=3) + Polynomial.const(1, m)
+            f = f + Superfunction.monomial(m, n, p, poly, (), (p,))
+        assert substitute_generators(f, x_imgs, th_imgs) == _naive_substitute(
+            f, x_imgs, th_imgs
+        )
+
+
+def test_substitution_of_a_large_power():
+    m, n = 1, 2
+    th1, th2 = Superfunction.theta(1, m, n), Superfunction.theta(2, m, n)
+    x_imgs = [Superfunction.coordinate(1, m, n) + th1 * th2]
+    f = Superfunction.from_polynomial(Polynomial(m, {(1500,): 1}), n)
+    result = substitute_generators(f, x_imgs, [th1, th2])
+    assert result == Superfunction(
+        m,
+        n,
+        0,
+        {
+            ((), ()): Polynomial(m, {(1500,): 1}),
+            ((1, 2), ()): Polynomial(m, {(1499,): 1500}),
+        },
+    )
+    assert str(result) == "x1^1500 + 1500*x1^1499*th[1,2]"
+    # the Taylor sum stops at the nilpotency bound whatever the exponent
+    plan = _SubstitutionPlan(m, n, 0, x_imgs, [th1, th2])
+    assert [k for k, _, _ in plan._expansion((1500,))] == [(0,), (1,)]
 
 
 def test_map_external_is_linear_over_internal():
