@@ -8,7 +8,7 @@ Fraction coefficients, so every computation here is exact.
 
 from fractions import Fraction
 
-from superdiff import GrassmannElement, GrassmannMorphism, eps, gr_apply
+from superdiff import GrassmannElement, GrassmannMorphism, eps
 
 # two generators anticommute: t1*t2 = -t2*t1, and squares vanish
 t1 = GrassmannElement.generator(1, 3)
@@ -37,4 +37,4 @@ relabel = GrassmannMorphism(
 )
 b = t1 * t2 + t2 * t3
 print("b          =", b)
-print("relabel(b) =", gr_apply(relabel, b))
+print("relabel(b) =", relabel.apply(b))

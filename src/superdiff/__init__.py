@@ -19,8 +19,6 @@ from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
     eps,
-    gr_apply,
-    gr_compose,
     merge_indices,
     unit_embed,
 )
@@ -102,8 +100,6 @@ __all__ = [
     "factorize",
     "functor_action",
     "functor_map",
-    "gr_apply",
-    "gr_compose",
     "gr_push",
     "hom_apply",
     "invert",

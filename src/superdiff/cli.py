@@ -31,7 +31,6 @@ from .sdiff import (
     SDiffPoint,
     compose,
     compose_factored,
-    differential_action,
     functor_map,
     invert,
     recombine,
@@ -68,7 +67,7 @@ def _load_point(text: str, args: argparse.Namespace) -> SDiffPoint:
         forced = getattr(args, "p", None)
         if forced is not None and forced != morphism.p:
             morphism = _lift_morphism(morphism, forced)
-        return SDiffPoint.from_morphism(morphism)
+        return SDiffPoint(morphism)
     raise ParseError(0, (), f"expected a morphism or factored form, found {kind}")
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import DimensionError, DomainError, InvertibilityError, ParityError
 from .substitution import UnderlyingMorphism
@@ -261,10 +261,6 @@ class SuperDerivation:
         return f"SuperDerivation({self.m}|{self.n};{self.p})"
 
 
-def bracket(a: SuperDerivation, b: SuperDerivation) -> SuperDerivation:
-    return a.bracket(b)
-
-
 # -- index combinatorics ------------------------------------------------
 
 
@@ -379,6 +375,36 @@ def pushforward(phi0: UnderlyingMorphism, field: SuperDerivation) -> SuperDeriva
 # -- exponential and logarithm -------------------------------------------
 
 
+_Term = TypeVar("_Term", Superfunction, SuperDerivation)
+
+
+def _series(
+    step: Callable[[_Term], _Term], first: _Term, coeff: Callable[[int], Fraction]
+) -> _Term:
+    """first + sum_{k>=1} coeff(k) * step^k(first), up to the first zero term.
+
+    The one terminating series of the group layer: `step` raises a
+    nilpotent filtration (th factors, or external t factors), so some
+    power of it vanishes.  Works on superfunctions and on fields alike.
+    """
+    total = term = first
+    k = 1
+    while True:
+        term = step(term)
+        if term.is_zero():
+            return total
+        total = total + term.scale(coeff(k))
+        k += 1
+
+
+def _exp_coeff(k: int) -> Fraction:
+    return Fraction(1, math.factorial(k))
+
+
+def _log_coeff(k: int) -> Fraction:
+    return Fraction((-1) ** (k + 1), k)
+
+
 def exp_nilpotent(field: SuperDerivation) -> UnderlyingMorphism:
     """Exponentiate an even field of filtration degree at least 2.
 
@@ -393,31 +419,15 @@ def exp_nilpotent(field: SuperDerivation) -> UnderlyingMorphism:
         raise ParityError("exponential requires an even field")
     if field.filtration_degree() < 2:
         raise DomainError("exponential requires filtration degree at least 2")
-
-    def series(x: SuperDerivation, gen: Superfunction) -> Superfunction:
-        total = gen
-        term = gen
-        k = 1
-        while True:
-            term = x.apply(term)
-            if term.is_zero():
-                return total
-            total = total + term.scale(Fraction(1, math.factorial(k)))
-            k += 1
-
-    m, n = field.m, field.n
-    fwd = UnderlyingMorphism(
-        m,
-        n,
-        [series(field, Superfunction.coordinate(i, m, n)) for i in range(1, m + 1)],
-        [series(field, Superfunction.theta(j, m, n)) for j in range(1, n + 1)],
-    )
-    neg = -field
-    bwd = UnderlyingMorphism(
-        m,
-        n,
-        [series(neg, Superfunction.coordinate(i, m, n)) for i in range(1, m + 1)],
-        [series(neg, Superfunction.theta(j, m, n)) for j in range(1, n + 1)],
+    ident = UnderlyingMorphism.identity(field.m, field.n)
+    fwd, bwd = (
+        UnderlyingMorphism(
+            field.m,
+            field.n,
+            [_series(x.apply, g, _exp_coeff) for g in ident.images_x],
+            [_series(x.apply, g, _exp_coeff) for g in ident.images_th],
+        )
+        for x in (field, -field)
     )
     return fwd.with_inverse(bwd)
 
@@ -431,25 +441,12 @@ def log_unipotent(phi: UnderlyingMorphism) -> SuperDerivation:
     """
     if not phi.is_unipotent():
         raise DomainError("logarithm requires a unipotent substitution")
-
-    def series(gen: Superfunction) -> Superfunction:
-        total = Superfunction.zero(phi.m, phi.n)
-        term = phi.apply(gen) - gen
-        l = 1
-        while not term.is_zero():
-            total = total + term.scale(Fraction((-1) ** (l + 1), l))
-            term = phi.apply(term) - term
-            l += 1
-        return total
-
-    m, n = phi.m, phi.n
-    field = SuperDerivation(
-        m,
-        n,
-        0,
-        [series(Superfunction.coordinate(i, m, n)) for i in range(1, m + 1)],
-        [series(Superfunction.theta(j, m, n)) for j in range(1, n + 1)],
+    ident = UnderlyingMorphism.identity(phi.m, phi.n)
+    x_coeffs, th_coeffs = (
+        [_series(lambda f: phi.apply(f) - f, g, _log_coeff) - g for g in images]
+        for images in (ident.images_x, ident.images_th)
     )
+    field = SuperDerivation(phi.m, phi.n, 0, x_coeffs, th_coeffs)
     if field.parity() != 0:
         raise ParityError("logarithm produced a field of mixed parity")
     return field

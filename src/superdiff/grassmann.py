@@ -127,11 +127,6 @@ class GrassmannElement:
         parities = {len(k) % 2 for k in self.terms}
         return parities.pop() if len(parities) == 1 else None
 
-    def homogeneous_part(self, parity: int) -> "GrassmannElement":
-        return GrassmannElement(
-            self.n, {k: c for k, c in self.terms.items() if len(k) % 2 == parity}
-        )
-
     # -- arithmetic --------------------------------------------------
 
     def _check_compatible(self, other: "GrassmannElement") -> None:
@@ -304,11 +299,3 @@ class GrassmannMorphism:
     def __repr__(self) -> str:
         return f"GrassmannMorphism({self.source_n}->{self.target_n})"
 
-
-def gr_apply(morphism: GrassmannMorphism, a: GrassmannElement) -> GrassmannElement:
-    return morphism.apply(a)
-
-
-def gr_compose(outer: GrassmannMorphism, inner: GrassmannMorphism) -> GrassmannMorphism:
-    """Composite outer ∘ inner (inner applied first)."""
-    return outer.compose(inner)

@@ -21,14 +21,15 @@ the candidate is checked exactly on every coordinate.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .derivation import (
     SuperDerivation,
+    _exp_coeff,
+    _series,
     exp_nilpotent,
     log_unipotent,
+    pushforward,
     symmetrize_apply,
     unordered_partitions,
 )
@@ -43,6 +44,7 @@ from .substitution import UnderlyingMorphism
 from .superfn import (
     Polynomial,
     Superfunction,
+    _check_images,
     _SubstitutionPlan,
     map_external,
     substitute_generators,
@@ -77,28 +79,10 @@ class SuperMorphism:
         images_th: Sequence[Superfunction],
         inverse_hint: Optional[UnderlyingMorphism] = None,
     ):
-        images_x = tuple(images_x)
-        images_th = tuple(images_th)
-        if len(images_x) != m or len(images_th) != n:
-            raise DimensionError(
-                f"expected {m} even and {n} odd images, "
-                f"got {len(images_x)} and {len(images_th)}"
-            )
-        for i, g in enumerate(images_x, start=1):
-            if (g.m, g.n, g.p) != (m, n, p):
-                raise DimensionError(f"image of x{i} lives on the wrong domain")
-            if g.parity() != 0:
-                raise ParityError(f"image of x{i} must be even")
-        for j, g in enumerate(images_th, start=1):
-            if (g.m, g.n, g.p) != (m, n, p):
-                raise DimensionError(f"image of th{j} lives on the wrong domain")
-            if not g.is_zero() and g.parity() != 1:
-                raise ParityError(f"image of th{j} must be odd")
         self.m = m
         self.n = n
         self.p = p
-        self.images_x = images_x
-        self.images_th = images_th
+        self.images_x, self.images_th = _check_images(images_x, images_th, m, n, p)
         # optional user-supplied inverse for the underlying part; checked
         # exactly before anything relies on it
         self.inverse_hint = inverse_hint
@@ -300,20 +284,6 @@ def _family_operator(
     return total
 
 
-def _exp_apply(op: SuperDerivation, h: Superfunction, negate: bool = False) -> Superfunction:
-    """Evaluate exp(op) (or exp(-op)) on h; terminates by external nilpotency."""
-    total = h
-    term = h
-    k = 1
-    while True:
-        term = op.apply(term)
-        if term.is_zero():
-            return total
-        factor = Fraction((-1) ** k if negate else 1, math.factorial(k))
-        total = total + term.scale(factor)
-        k += 1
-
-
 def expand_factored(
     body: UnderlyingMorphism,
     fields: Mapping[IndexTuple, SuperDerivation],
@@ -323,82 +293,20 @@ def expand_factored(
     m, n = body.m, body.n
     family = _validate_family(m, n, p, fields)
     op = _family_operator(m, n, p, family)
-    images_x = [_exp_apply(op, g.lift(p)) for g in body.images_x]
-    images_th = [_exp_apply(op, g.lift(p)) for g in body.images_th]
+    images_x = [_series(op.apply, g.lift(p), _exp_coeff) for g in body.images_x]
+    images_th = [_series(op.apply, g.lift(p), _exp_coeff) for g in body.images_th]
     return SuperMorphism(m, n, p, images_x, images_th)
 
 
-def _twisted_eval(
-    values_x: Sequence[Superfunction],
-    values_th: Sequence[Superfunction],
-    base: UnderlyingMorphism,
-    f: Superfunction,
-    p: int,
-) -> Superfunction:
-    """Evaluate the even base-twisted derivation V on a t-free element.
-
-    V is determined by its coordinate values through the twisted rule
-    V(gh) = V(g) base(h) + base(g) V(h); evenness of V means no signs
-    appear when it walks past odd factors.
-    """
-    m, n = base.m, base.n
-    result = Superfunction.zero(m, n, p)
-    base_x = [g.lift(p) for g in base.images_x]
-    base_th = [g.lift(p) for g in base.images_th]
-    one = Superfunction.scalar(1, m, n, p)
-    for (theta_key, tau_key), poly in f.terms.items():
-        if tau_key:
-            raise DimensionError("twisted evaluation expects a t-free element")
-        # image of the odd block under base, as running prefixes
-        for exps, coeff in poly.terms.items():
-            # derivative of the x block: sum_i e_i base(x_i)^(e_i - 1) V(x_i) * rest
-            x_full = one
-            for i, e in enumerate(exps):
-                if e:
-                    x_full = x_full * base_x[i] ** e
-            theta_full = one
-            for j in theta_key:
-                theta_full = theta_full * base_th[j - 1]
-            # x-part contributions
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                partial = one.scale(e)
-                for i2, e2 in enumerate(exps):
-                    power = e2 - 1 if i2 == i else e2
-                    if power:
-                        partial = partial * base_x[i2] ** power
-                contribution = partial * values_x[i] * theta_full
-                result = result + contribution.scale(coeff)
-            # th-part contributions, keeping the original factor order
-            for pos in range(len(theta_key)):
-                prefix = one
-                for j in theta_key[:pos]:
-                    prefix = prefix * base_th[j - 1]
-                suffix = one
-                for j in theta_key[pos + 1 :]:
-                    suffix = suffix * base_th[j - 1]
-                contribution = x_full * prefix * values_th[theta_key[pos] - 1] * suffix
-                result = result + contribution.scale(coeff)
-    return result
-
-
-def factorize(
+def _certified_body(
     phi: SuperMorphism, body: Optional[UnderlyingMorphism] = None
-) -> tuple[UnderlyingMorphism, FieldFamily]:
-    """Recover the unique factored form of a family of morphisms.
+) -> UnderlyingMorphism:
+    """The underlying part of phi with a certified inverse.
 
-    Works one external index set at a time, smallest first: the part of
-    each coordinate image sitting over t[I], minus the contributions of
-    already known fields through symmetrized compositions, determines
-    (t[I] X_I) o body on coordinates; transporting back along the
-    certified inverse of the body isolates X_I itself.
-
-    A certified body may be passed in (it must equal the underlying
-    part); otherwise certification runs here and an InvertibilityError
-    signals an underlying part that no route can invert.
+    A supplied body must equal the underlying part and carry a
+    certificate; otherwise certification runs here and an
+    InvertibilityError signals an underlying part no route can invert.
     """
-    m, n, p = phi.m, phi.n, phi.p
     raw = phi.underlying()
     if body is None:
         body = certify_inverse(raw, phi.inverse_hint)
@@ -411,28 +319,38 @@ def factorize(
             raise DomainError("supplied body does not match the underlying part")
         if body.inverse is None:
             raise InvertibilityError("supplied body carries no certified inverse")
-    inv = body.inverse
-    assert inv is not None
+    return body
 
-    coords = [Superfunction.coordinate(i, m, n) for i in range(1, m + 1)] + [
-        Superfunction.theta(j, m, n) for j in range(1, n + 1)
-    ]
-    images = list(phi.images_x) + list(phi.images_th)
-    body_images = [g.lift(p) for g in list(body.images_x) + list(body.images_th)]
+
+def factorize(
+    phi: SuperMorphism, body: Optional[UnderlyingMorphism] = None
+) -> tuple[UnderlyingMorphism, FieldFamily]:
+    """Recover the unique factored form of a family of morphisms.
+
+    Works one external index set at a time, smallest first: the part of
+    each coordinate image sitting over t[I], minus the contributions of
+    already known fields through symmetrized compositions, determines
+    V = (t[I] X_I) o body on coordinates.  D = body^{-1} o V is then an
+    ordinary even derivation, and t[I] X_I = body o D o body^{-1} is its
+    `pushforward` along the certified inverse of the body, from which
+    X_I is read off over t[I].
+
+    A certified body may be passed in (it must equal the underlying
+    part); otherwise certification runs here and an InvertibilityError
+    signals an underlying part that no route can invert.
+    """
+    m, n, p = phi.m, phi.n, phi.p
+    body = _certified_body(phi, body)
+    inverse = body.inverse
+    assert inverse is not None
+    body_images = [g.lift(p) for g in body.images_x + body.images_th]
 
     fields: FieldFamily = {}
     for index_set in subsets_of_rank(p):
         values: list[Superfunction] = []
-        for g_pos in range(len(coords)):
+        for image, body_image in zip(phi.images_x + phi.images_th, body_images):
             target = Superfunction(
-                m,
-                n,
-                p,
-                {
-                    key: poly
-                    for key, poly in images[g_pos].terms.items()
-                    if key[1] == index_set
-                },
+                m, n, p, {key: c for key, c in image.terms.items() if key[1] == index_set}
             )
             for partition in unordered_partitions(index_set):
                 if len(partition.blocks) < 2:
@@ -445,17 +363,16 @@ def factorize(
                         m, n, p, Polynomial.const(1, m), (), block
                     )
                     ops.append((prefix, fields[block]))
-                target = target - symmetrize_apply(ops, body_images[g_pos])
-            values.append(target)
-        values_x = values[:m]
-        values_th = values[m:]
-        coeffs = []
-        for coord in coords:
-            pulled = _twisted_eval(
-                values_x, values_th, body, inv.apply(coord), p
-            )
-            coeffs.append(pulled.external_coefficient(index_set))
-        candidate = SuperDerivation(m, n, 0, coeffs[:m], coeffs[m:])
+                target = target - symmetrize_apply(ops, body_image)
+            values.append(inverse.apply(target))
+        pushed = pushforward(inverse, SuperDerivation(m, n, p, values[:m], values[m:]))
+        candidate = SuperDerivation(
+            m,
+            n,
+            0,
+            [g.external_coefficient(index_set) for g in pushed.x_coeffs],
+            [g.external_coefficient(index_set) for g in pushed.th_coeffs],
+        )
         if candidate.is_zero():
             continue
         if candidate.parity() != len(index_set) % 2:

@@ -478,6 +478,29 @@ def _as_superfunction(value: Value, dims: Dimensions) -> Superfunction:
     return value
 
 
+def _t_free(value: Value, dims: Dimensions, where: str, offset: int) -> Superfunction:
+    g = _as_superfunction(value, dims)
+    if g.external_support() not in ([], [()]):
+        raise ParseError(offset, (), f"{where} must be free of t generators")
+    return g.restrict_rank(0)
+
+
+def _inverse_hint(
+    inverse: _MorphismData, dims: Dimensions, m: int, n: int, offset: int
+) -> UnderlyingMorphism:
+    """An `inverse:` block as a substitution hint on m|n, free of t generators."""
+    x_images, th_images = (
+        [
+            _t_free(v, dims, "inverse block", offset)
+            for v in _require_contiguous(images, label)
+        ]
+        for images, label in ((inverse.x_images, "x"), (inverse.th_images, "th"))
+    )
+    return UnderlyingMorphism(
+        m, n, [g.embed(m, n, 0) for g in x_images], [g.embed(m, n, 0) for g in th_images]
+    )
+
+
 MorphismResult = Union[SuperMorphism, GrassmannMorphism]
 
 
@@ -556,23 +579,7 @@ def parse_morphism(
     if inverse is not None:
         if inverse.t_images:
             raise ParseError(0, (), "inverse block cannot remap t generators")
-        inv_x = [
-            _as_superfunction(v, dims)
-            for v in _require_contiguous(inverse.x_images, "x")
-        ]
-        inv_th = [
-            _as_superfunction(v, dims)
-            for v in _require_contiguous(inverse.th_images, "th")
-        ]
-        for g in inv_x + inv_th:
-            if g.external_support() not in ([], [()]):
-                raise ParseError(0, (), "inverse block must be free of t generators")
-        hint = UnderlyingMorphism(
-            mm,
-            nn,
-            [g.restrict_rank(0).embed(mm, nn, 0) for g in inv_x],
-            [g.restrict_rank(0).embed(mm, nn, 0) for g in inv_th],
-        )
+        hint = _inverse_hint(inverse, dims, mm, nn, 0)
     return SuperMorphism(mm, nn, pp, x_images, th_images, inverse_hint=hint)
 
 
@@ -606,39 +613,18 @@ def parse_factored(
             parser.expect("{")
             main, inverse = _parse_statements(parser, stop_at_brace=True)
             parser.expect("}")
-            def flatten(value: Value, where: str) -> Superfunction:
-                g = _as_superfunction(value, dims)
-                if g.external_support() not in ([], [()]):
-                    raise ParseError(
-                        tok.offset, (), f"{where} must be free of t generators"
-                    )
-                return g.restrict_rank(0)
-
             x_images = [
-                flatten(v, "phi0 block")
+                _t_free(v, dims, "phi0 block", tok.offset)
                 for v in _require_contiguous(main.x_images, "x")
             ]
             th_images = [
-                flatten(v, "phi0 block")
+                _t_free(v, dims, "phi0 block", tok.offset)
                 for v in _require_contiguous(main.th_images, "th")
             ]
             mm, nn = len(x_images), len(th_images)
             hint = None
             if inverse is not None:
-                inv_x = [
-                    flatten(v, "inverse block")
-                    for v in _require_contiguous(inverse.x_images, "x")
-                ]
-                inv_th = [
-                    flatten(v, "inverse block")
-                    for v in _require_contiguous(inverse.th_images, "th")
-                ]
-                hint = UnderlyingMorphism(
-                    mm,
-                    nn,
-                    [g.embed(mm, nn, 0) for g in inv_x],
-                    [g.embed(mm, nn, 0) for g in inv_th],
-                )
+                hint = _inverse_hint(inverse, dims, mm, nn, tok.offset)
             body = SuperMorphism(
                 mm,
                 nn,

@@ -18,17 +18,15 @@ factored form.  The group operations all stay exact:
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .derivation import SuperDerivation, pushforward
-from .errors import DimensionError, DomainError, InvertibilityError
+from .derivation import SuperDerivation, _exp_coeff, _series, pushforward
+from .errors import DimensionError, InvertibilityError
 from .grassmann import GrassmannMorphism
 from .morphism import (
     FieldFamily,
     SuperMorphism,
-    _exp_apply,
+    _certified_body,
     _family_operator,
     _validate_family,
     certify_inverse,
@@ -71,20 +69,8 @@ class SDiffPoint:
     __slots__ = ("morphism", "body", "_fields")
 
     def __init__(self, morphism: SuperMorphism, body: Optional[UnderlyingMorphism] = None):
-        raw = morphism.underlying()
-        if body is None:
-            body = certify_inverse(raw, morphism.inverse_hint)
-            if body is None:
-                raise InvertibilityError(
-                    "the underlying substitution has no certified inverse"
-                )
-        else:
-            if body != raw:
-                raise DomainError("supplied body does not match the underlying part")
-            if body.inverse is None:
-                raise InvertibilityError("supplied body carries no certified inverse")
         self.morphism = morphism
-        self.body = body
+        self.body = _certified_body(morphism, body)
         self._fields: Optional[FieldFamily] = None
 
     @property
@@ -129,10 +115,6 @@ class SDiffPoint:
         # the components are unique, so the inputs are already the answer
         point._fields = _validate_family(body.m, body.n, p, fields)
         return point
-
-    @classmethod
-    def from_morphism(cls, morphism: SuperMorphism) -> "SDiffPoint":
-        return cls(morphism)
 
     def is_identity(self) -> bool:
         return self.morphism == SuperMorphism.identity(self.m, self.n, self.p)
@@ -180,9 +162,8 @@ def compose_factored(outer: SDiffPoint, inner: SDiffPoint) -> SuperMorphism:
     base = outer.body.compose(inner.body)
     images = []
     for g in list(base.images_x) + list(base.images_th):
-        value = _exp_apply(op_inner, g.lift(p))
-        value = _exp_apply(op_outer, value)
-        images.append(value)
+        value = _series(op_inner.apply, g.lift(p), _exp_coeff)
+        images.append(_series(op_outer.apply, value, _exp_coeff))
     return SuperMorphism(m, n, p, images[:m], images[m:])
 
 
@@ -192,12 +173,12 @@ def invert(point: SDiffPoint) -> SDiffPoint:
     inv_body = point.body.inverse
     if inv_body is None:
         raise InvertibilityError("point carries no certified inverse")
-    op = _family_operator(m, n, p, point.fields)
+    op = -_family_operator(m, n, p, point.fields)
     ident = SuperMorphism.identity(m, n, p)
-    images = []
-    for gen in list(ident.images_x) + list(ident.images_th):
-        value = _exp_apply(op, gen, negate=True)
-        images.append(inv_body.apply(value))
+    images = [
+        inv_body.apply(_series(op.apply, gen, _exp_coeff))
+        for gen in ident.images_x + ident.images_th
+    ]
     return SDiffPoint(SuperMorphism(m, n, p, images[:m], images[m:]), inv_body)
 
 
@@ -239,13 +220,5 @@ def differential_action(point: SDiffPoint, field: SuperDerivation) -> SuperDeriv
     if (field.m, field.n, field.p) != (point.m, point.n, point.p):
         raise DimensionError("field lives on the wrong domain for this point")
     base = pushforward(point.body, field)
-    op = _family_operator(point.m, point.n, point.p, point.fields)
-    total = base
-    term = base
-    k = 1
-    while True:
-        term = op.bracket(term)
-        if term.is_zero():
-            return total
-        total = total + term.scale(Fraction((-1) ** k, math.factorial(k)))
-        k += 1
+    op = -_family_operator(point.m, point.n, point.p, point.fields)
+    return _series(op.bracket, base, _exp_coeff)

@@ -16,8 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionError, DomainError, ParityError
-from .superfn import Polynomial, Superfunction, _SubstitutionPlan, substitute_generators
+from .errors import DimensionError, DomainError
+from .superfn import (
+    Polynomial,
+    Superfunction,
+    _check_images,
+    _SubstitutionPlan,
+    substitute_generators,
+)
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
@@ -61,28 +67,12 @@ class UnderlyingMorphism:
         images_th: Sequence[Superfunction],
         inverse: Optional["UnderlyingMorphism"] = None,
     ):
-        images_x = tuple(images_x)
-        images_th = tuple(images_th)
-        if len(images_x) != m or len(images_th) != n:
-            raise DimensionError(
-                f"expected {m} even and {n} odd images, "
-                f"got {len(images_x)} and {len(images_th)}"
-            )
-        for i, g in enumerate(images_x, start=1):
-            if (g.m, g.n, g.p) != (m, n, 0):
-                raise DimensionError(f"image of x{i} lives on the wrong domain")
-            if g.parity() != 0:
-                raise ParityError(f"image of x{i} must be even")
-        for j, g in enumerate(images_th, start=1):
-            if (g.m, g.n, g.p) != (m, n, 0):
-                raise DimensionError(f"image of th{j} lives on the wrong domain")
-            if not g.is_zero() and g.parity() != 1:
-                raise ParityError(f"image of th{j} must be odd")
         self.m = m
         self.n = n
-        self.images_x = images_x
-        self.images_th = images_th
+        self.images_x, self.images_th = _check_images(images_x, images_th, m, n, 0)
         self.inverse = inverse
+        if inverse is not None and inverse.inverse is None:
+            inverse.inverse = self  # a two-sided inverse certifies both ways
         self._plans: dict[int, _SubstitutionPlan] = {}
 
     @classmethod
@@ -212,67 +202,15 @@ class UnderlyingMorphism:
                 if poly.degree() > 0:
                     return None  # th coefficient depends on x: not constant
                 matrix_th[j][theta_key[0] - 1] = poly.terms.get((0,) * m, Fraction(0))
-        inv_x = invert_matrix(matrix_x) if m else []
-        inv_th = invert_matrix(matrix_th) if n else []
-        if (m and inv_x is None) or (n and inv_th is None):
+        inv_x, inv_th = invert_matrix(matrix_x), invert_matrix(matrix_th)
+        if inv_x is None or inv_th is None:
             return None
-        # forward affine map
-        fwd_x = [
-            Superfunction.from_polynomial(
-                Polynomial(
-                    m,
-                    {
-                        **{
-                            tuple(1 if t == k else 0 for t in range(m)): matrix_x[i][k]
-                            for k in range(m)
-                        },
-                        (0,) * m: shift[i],
-                    },
-                ),
-                n,
-            )
-            for i in range(m)
+        # exact inverse: x -> Ainv (x - shift), th -> Cinv th
+        inv_shift = [
+            -sum((row[k] * shift[k] for k in range(m)), Fraction(0)) for row in inv_x
         ]
-        fwd_th = [
-            Superfunction(
-                m,
-                n,
-                0,
-                {((l + 1,), ()): Polynomial.const(matrix_th[j][l], m) for l in range(n)},
-            )
-            for j in range(n)
-        ]
-        # exact inverse: x -> Binv (x - shift), th -> Cinv th
-        assert inv_x is not None and inv_th is not None
-        bwd_x = []
-        for i in range(m):
-            const = -sum((inv_x[i][k] * shift[k] for k in range(m)), Fraction(0))
-            bwd_x.append(
-                Superfunction.from_polynomial(
-                    Polynomial(
-                        m,
-                        {
-                            **{
-                                tuple(1 if t == k else 0 for t in range(m)): inv_x[i][k]
-                                for k in range(m)
-                            },
-                            (0,) * m: const,
-                        },
-                    ),
-                    n,
-                )
-            )
-        bwd_th = [
-            Superfunction(
-                m,
-                n,
-                0,
-                {((l + 1,), ()): Polynomial.const(inv_th[j][l], m) for l in range(n)},
-            )
-            for j in range(n)
-        ]
-        forward = UnderlyingMorphism(m, n, fwd_x, fwd_th)
-        backward = UnderlyingMorphism(m, n, bwd_x, bwd_th)
+        forward = _affine(m, n, matrix_x, shift, matrix_th)
+        backward = _affine(m, n, inv_x, inv_shift, inv_th)
         forward.inverse = backward
         backward.inverse = forward
         return forward
@@ -293,3 +231,27 @@ class UnderlyingMorphism:
     def __repr__(self) -> str:
         tag = " with inverse" if self.inverse is not None else ""
         return f"UnderlyingMorphism({self.m}|{self.n}{tag})"
+
+
+def _affine(
+    m: int,
+    n: int,
+    matrix_x: Sequence[Sequence[Fraction]],
+    shift: Sequence[Fraction],
+    matrix_th: Sequence[Sequence[Fraction]],
+) -> UnderlyingMorphism:
+    """The substitution x -> A x + shift, th -> C th."""
+    units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
+    images_x = [
+        Superfunction.from_polynomial(
+            Polynomial(m, {**dict(zip(units, row)), (0,) * m: const}), n
+        )
+        for row, const in zip(matrix_x, shift)
+    ]
+    images_th = [
+        Superfunction(
+            m, n, 0, {((l + 1,), ()): Polynomial.const(c, m) for l, c in enumerate(row)}
+        )
+        for row in matrix_th
+    ]
+    return UnderlyingMorphism(m, n, images_x, images_th)

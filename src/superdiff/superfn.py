@@ -280,18 +280,6 @@ class Superfunction:
         parities = {(len(k) + len(j)) % 2 for k, j in self.terms}
         return parities.pop() if len(parities) == 1 else None
 
-    def homogeneous_part(self, parity: int) -> "Superfunction":
-        return Superfunction(
-            self.m,
-            self.n,
-            self.p,
-            {
-                key: poly
-                for key, poly in self.terms.items()
-                if (len(key[0]) + len(key[1])) % 2 == parity
-            },
-        )
-
     def j_degree(self) -> Union[int, float]:
         """Minimal number of th factors in any term; +inf for zero."""
         return min((len(k) for k, _ in self.terms), default=math.inf)
@@ -480,16 +468,6 @@ class Superfunction:
         support = {j for _, j in self.terms}
         return sorted(support, key=lambda j: (len(j), j))
 
-    def times_tau(self, tau_key: Iterable[int]) -> "Superfunction":
-        """Left multiplication by the monomial t[J]."""
-        tau_key = tuple(tau_key)
-        if not tau_key:
-            return self
-        factor = Superfunction.monomial(
-            self.m, self.n, self.p, Polynomial.const(1, self.m), (), tau_key
-        )
-        return factor * self
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Superfunction)
@@ -509,6 +487,37 @@ class Superfunction:
         return f"Superfunction({self.m}|{self.n};{self.p}, {self.terms!r})"
 
 
+def _check_images(
+    x_images: Iterable[Superfunction],
+    th_images: Iterable[Superfunction],
+    m: int,
+    n: int,
+    p: int,
+    source: Optional[tuple[int, int]] = None,
+) -> tuple[tuple[Superfunction, ...], tuple[Superfunction, ...]]:
+    """The coordinate images of a map from R^source into the ring on m|n;p.
+
+    There must be one image per coordinate of the source domain (m|n
+    unless given), each living on m|n with p external generators, even
+    for an x and odd or zero for a th; otherwise DimensionError or
+    ParityError names the first bad image.  Returns them as tuples.
+    """
+    x_images, th_images = tuple(x_images), tuple(th_images)
+    count = source if source is not None else (m, n)
+    if (len(x_images), len(th_images)) != count:
+        raise DimensionError(
+            f"expected {count[0]} even and {count[1]} odd images, "
+            f"got {len(x_images)} and {len(th_images)}"
+        )
+    for label, images, parity in (("x", x_images, 0), ("th", th_images, 1)):
+        for i, g in enumerate(images, start=1):
+            if (g.m, g.n, g.p) != (m, n, p):
+                raise DimensionError(f"image of {label}{i} lives on the wrong domain")
+            if not g.is_zero() and g.parity() != parity:
+                raise ParityError(f"image of {label}{i} must be {('even', 'odd')[parity]}")
+    return x_images, th_images
+
+
 class _SubstitutionPlan:
     """Coordinate images prepared for any number of substitutions.
 
@@ -518,8 +527,8 @@ class _SubstitutionPlan:
     N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.  Body powers
     and monomials (as `Polynomial`s), the surviving N^k and the odd
     blocks th(K) (products of th-images) are cached on first use, so a
-    plan holds only what its substitutions needed.  The images are
-    checked once, here.
+    plan holds only what its substitutions needed.  The images must
+    already have passed `_check_images`.
     """
 
     __slots__ = (
@@ -544,18 +553,8 @@ class _SubstitutionPlan:
         x_images: Sequence[Superfunction],
         th_images: Sequence[Superfunction],
     ):
-        x_images, th_images = tuple(x_images), tuple(th_images)
-        for g in x_images + th_images:
-            if (g.m, g.n, g.p) != (m, n, p):
-                raise DimensionError("replacement elements live on different domains")
-        for g in x_images:
-            if g.parity() != 0:
-                raise ParityError("replacement for an even coordinate must be even")
-        for g in th_images:
-            if not g.is_zero() and g.parity() != 1:
-                raise ParityError("replacement for an odd coordinate must be odd")
         self.m, self.n, self.p = m, n, p
-        self.x_images, self.th_images = x_images, th_images
+        self.x_images, self.th_images = tuple(x_images), tuple(th_images)
         self._bound = (n + p) // 2
         self._nilpotent = [
             Superfunction(m, n, p, {key: c for key, c in g.terms.items() if key != ((), ())})
@@ -712,20 +711,15 @@ def substitute_generators(
     of exactly these images; morphisms keep theirs so that repeated
     applications share its caches.
     """
-    if len(x_images) != f.m or len(th_images) != f.n:
-        raise DimensionError(
-            f"need {f.m} even and {f.n} odd replacements, "
-            f"got {len(x_images)} and {len(th_images)}"
-        )
-    images = (*x_images, *th_images)
-    if not images:
-        return f
-    m2, n2, p2 = images[0].m, images[0].n, images[0].p
-    if p2 != f.p:
-        raise DimensionError(
-            f"external rank mismatch: element has {f.p}, images have {p2}"
-        )
     if _plan is None:
+        m2, n2, p2 = next(
+            ((g.m, g.n, g.p) for g in (*x_images, *th_images)), (f.m, f.n, f.p)
+        )
+        x_images, th_images = _check_images(x_images, th_images, m2, n2, p2, (f.m, f.n))
+        if p2 != f.p:
+            raise DimensionError(
+                f"external rank mismatch: element has {f.p}, images have {p2}"
+            )
         _plan = _SubstitutionPlan(m2, n2, p2, x_images, th_images)
     return _plan.substitute(f)
 

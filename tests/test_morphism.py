@@ -301,6 +301,18 @@ def test_factorize_body_mismatch_raises():
             factorize(phi, wrong)
 
 
+def test_factorize_with_body_certified_at_construction():
+    # a certificate passed to the constructor holds both ways, so
+    # factorize can transport along the inverse of the body
+    rng = random.Random(50)
+    phi = random_morphism(rng, 2, 2, 2, degree=1)
+    body, family = factorize(phi)
+    inverse = UnderlyingMorphism(2, 2, body.inverse.images_x, body.inverse.images_th)
+    given = UnderlyingMorphism(2, 2, body.images_x, body.images_th, inverse=inverse)
+    assert inverse.inverse is given
+    assert factorize(phi, given)[1] == family
+
+
 def test_plan_cache_matches_fresh_morphisms():
     rng = random.Random(41)
     body = random_body(rng, 2, 2)

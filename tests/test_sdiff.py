@@ -44,7 +44,7 @@ def test_constructing_uninvertible_point_raises():
     sq = Superfunction.coordinate(1, m, n, p) ** 2
     th1 = Superfunction.theta(1, m, n, p)
     with pytest.raises(InvertibilityError):
-        SDiffPoint.from_morphism(SuperMorphism(m, n, p, [sq], [th1]))
+        SDiffPoint(SuperMorphism(m, n, p, [sq], [th1]))
 
 
 def test_group_axioms():

@@ -232,6 +232,16 @@ def test_substitution_parity_checks():
         )
 
 
+def test_substitution_into_a_larger_domain():
+    # the image count follows f's domain (1|1), the images may live on 2|2
+    f = Superfunction.coordinate(1, 1, 1, 0) ** 2 * Superfunction.theta(1, 1, 1, 0)
+    x_imgs = [Superfunction.coordinate(1, 2, 2, 0)]
+    result = substitute_generators(f, x_imgs, [Superfunction.theta(2, 2, 2, 0)])
+    assert str(result) == "x1^2*th[2]"
+    with pytest.raises(DimensionError):
+        substitute_generators(f, x_imgs, [Superfunction.theta(1, 1, 1, 0)])
+
+
 def _naive_substitute(f, x_imgs, th_imgs):
     """Reference substitution: each monomial rebuilt by repeated products."""
     m, n, p = x_imgs[0].m, x_imgs[0].n, x_imgs[0].p
