@@ -56,8 +56,8 @@ def _parse_args_dims(args: argparse.Namespace) -> tuple[Optional[int], Optional[
     )
 
 
-def _load_point(text: str, args: argparse.Namespace) -> SDiffPoint:
-    kind, value = fmt.parse_any(text)
+def _load_point(kind: str, value: object, args: argparse.Namespace) -> SDiffPoint:
+    """The group element of a parsed morphism or factored document."""
     if kind == "factored":
         body, fields, p = value  # type: ignore[misc]
         return SDiffPoint.from_factored(body, fields, p)
@@ -113,39 +113,15 @@ def _point_morphism(point: SDiffPoint) -> SuperMorphism:
     return phi
 
 
-def _images_doc(images_x: Sequence[Superfunction], images_th: Sequence[Superfunction]) -> dict:
-    images = {}
-    for i, g in enumerate(images_x, 1):
-        images[f"x{i}"] = fmt.format_superfunction(g)
-    for j, g in enumerate(images_th, 1):
-        images[f"th{j}"] = fmt.format_superfunction(g)
-    return images
-
-
-def _morphism_doc(phi: SuperMorphism) -> dict:
-    doc: dict = {
-        "kind": "morphism",
-        "m": phi.m,
-        "n": phi.n,
-        "p": phi.p,
-        "images": _images_doc(phi.images_x, phi.images_th),
-    }
-    if phi.inverse_hint is not None:
-        doc["inverse"] = _images_doc(
-            phi.inverse_hint.images_x, phi.inverse_hint.images_th
-        )
-    return doc
-
-
-def _underlying_doc(u: UnderlyingMorphism) -> dict:
-    doc: dict = {
-        "kind": "substitution",
-        "m": u.m,
-        "n": u.n,
-        "images": _images_doc(u.images_x, u.images_th),
-    }
-    if u.inverse is not None:
-        doc["inverse"] = _images_doc(u.inverse.images_x, u.inverse.images_th)
+def _doc(phi: SuperMorphism | UnderlyingMorphism) -> dict:
+    """The JSON document of a morphism or a substitution, inverse included."""
+    if isinstance(phi, SuperMorphism):
+        doc, inverse = {"kind": "morphism", "p": phi.p}, phi.inverse_hint
+    else:
+        doc, inverse = {"kind": "substitution"}, phi.inverse
+    doc.update(m=phi.m, n=phi.n, images=dict(fmt.image_pairs(phi)))
+    if inverse is not None:
+        doc["inverse"] = dict(fmt.image_pairs(inverse))
     return doc
 
 
@@ -157,7 +133,7 @@ def _factored_doc(point: SDiffPoint) -> dict:
     return {
         "kind": "factored",
         "p": point.p,
-        "body": _underlying_doc(point.body),
+        "body": _doc(point.body),
         "fields": fields,
     }
 
@@ -171,15 +147,15 @@ def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
 
 def _emit_point(args: argparse.Namespace, point: SDiffPoint) -> None:
     phi = _point_morphism(point)
-    _emit(args, fmt.format_morphism(phi), _morphism_doc(phi))
+    _emit(args, fmt.format_morphism(phi), _doc(phi))
 
 
 # -- verbs -------------------------------------------------------------------
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    outer = _load_point(_read(args.outer), args)
-    inner = _load_point(_read(args.inner), args)
+    outer = _load_point(*fmt.parse_any(_read(args.outer)), args)
+    inner = _load_point(*fmt.parse_any(_read(args.inner)), args)
     outer, inner = _align(outer, inner)
     result = compose(outer, inner)
     if args.check_factored:
@@ -192,13 +168,13 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
-    point = _load_point(_read(args.input), args)
+    point = _load_point(*fmt.parse_any(_read(args.input)), args)
     _emit_point(args, invert(point))
     return 0
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
-    point = _load_point(_read(args.input), args)
+    point = _load_point(*fmt.parse_any(_read(args.input)), args)
     text = fmt.format_factored(point.body, point.fields, point.p)
     _emit(args, text, _factored_doc(point))
     return 0
@@ -208,14 +184,12 @@ def cmd_expand(args: argparse.Namespace) -> int:
     kind, value = fmt.parse_any(_read(args.input))
     if kind != "factored":
         raise ParseError(0, (), f"expected a factored form, found {kind}")
-    body, fields, p = value  # type: ignore[misc]
-    point = SDiffPoint.from_factored(body, fields, p)
-    _emit_point(args, point)
+    _emit_point(args, _load_point(kind, value, args))
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    point = _load_point(_read(args.input), args)
+    point = _load_point(*fmt.parse_any(_read(args.input)), args)
     parts = split(point)
     if recombine(parts) != point:
         print("split failed to recombine", file=sys.stderr)
@@ -233,8 +207,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     )
     doc = {
         "kind": "split",
-        "kernel": _morphism_doc(kernel_phi),
-        "body": _underlying_doc(parts.body),
+        "kernel": _doc(kernel_phi),
+        "body": _doc(parts.body),
     }
     _emit(args, text, doc)
     return 0
@@ -245,7 +219,7 @@ def cmd_push(args: argparse.Namespace) -> int:
     if kind != "grassmann_morphism":
         raise ParseError(0, (), f"expected a Grassmann morphism, found {kind}")
     assert isinstance(relabel, GrassmannMorphism)
-    point = _load_point(_read(args.input), args)
+    point = _load_point(*fmt.parse_any(_read(args.input)), args)
     if point.p != relabel.source_n:
         point = SDiffPoint(
             _lift_morphism(point.morphism, relabel.source_n), point.body
@@ -259,9 +233,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     m, n, p = _parse_args_dims(args)
     f = fmt.parse_superfunction(_read(args.argument), m, n, p)
     if kind == "factored":
-        body, fields, rank = op  # type: ignore[misc]
-        point = SDiffPoint.from_factored(body, fields, rank)
-        op, kind = point.morphism, "morphism"
+        op, kind = _load_point(kind, op, args).morphism, "morphism"
     if kind == "morphism":
         assert isinstance(op, SuperMorphism)
         if (f.m, f.n) != (op.m, op.n):
@@ -317,7 +289,7 @@ def cmd_exp(args: argparse.Namespace) -> int:
     m, n, p = _parse_args_dims(args)
     field = fmt.parse_derivation(_read(args.input), m, n, p)
     morphism = exp_nilpotent(field)
-    _emit(args, fmt.format_underlying(morphism), _underlying_doc(morphism))
+    _emit(args, fmt.format_underlying(morphism), _doc(morphism))
     return 0
 
 

@@ -9,13 +9,28 @@ Grammar sketch (whitespace insensitive, newlines separate statements)::
                  | d/dx<k> | d/dth<k> | '(' expression ')'
     rational    := INT ['/' INT]
 
-    statement   := lhs '->' expression
-    morphism    := statement (';'|newline statement)* ['inverse:' statements]
-    factored    := 'p:' INT 'phi0:' '{' morphism '}' ('X[i,...]:' expression)*
+    block       := item ((';' | newline) item)*
+    item        := lhs '->' expression | header
+    header      := 'p:' INT | 'target:' INT | 'inverse:' block
+                 | 'phi0:' '{' block '}' | 'X[i,...]:' expression
+    morphism    := block
+    factored    := block
+
+An `inverse:` block runs to the end of the block that holds it.  Each
+kind of block allows its own headers, each at most once (`X[I]:` once
+per I); any other header is a parse error at its offset:
+
+    morphism       x/th images with optional `p:` and `inverse:`, or
+                   t images (a Grassmann morphism) with optional `target:`
+    inverse block  x/th images free of t generators, no headers
+    phi0 block     x/th images free of t generators, optional `inverse:`
+    factored form  `p:`, one `phi0:` block and `X[I]:` lines, no images
 
 A differential atom may only stand last in a product; sums never mix
 functions with operators.  Every parse error carries the byte offset of
 the offending token and the set of token kinds that were acceptable.
+Each document is tokenized once and read by one statement loop; every
+statement fault is reported before any dimension fault.
 
 Printers emit one canonical spelling per object (terms sorted, signs
 absorbed into the joining operator, coefficient 1 suppressed); parsing
@@ -26,7 +41,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .derivation import SuperDerivation
 from .errors import DimensionError, ParseError
@@ -46,7 +61,9 @@ class Token(NamedTuple):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ddx>d/dx(?P<ddx_i>\d+))
+    (?P<ws>[ \t\r]+)
+  | (?P<newline>\n)
+  | (?P<ddx>d/dx(?P<ddx_i>\d+))
   | (?P<ddth>d/dth(?P<ddth_i>\d+))
   | (?P<xvar>x(?P<x_i>\d+))
   | (?P<thvar>th(?P<th_i>\d+))
@@ -61,47 +78,38 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_WS_RE = re.compile(r"[ \t\r]+")
+# Token kind of each group of _TOKEN_RE and the group holding its integer
+# value; without one, the matched text is the value (and an op its kind).
+_TOKEN_KINDS = {
+    "newline": ("newline", None),
+    "ddx": ("d_dx", "ddx_i"),
+    "ddth": ("d_dth", "ddth_i"),
+    "xvar": ("xvar", "x_i"),
+    "thvar": ("thvar", "th_i"),
+    "tvar": ("tvar", "t_i"),
+    "th": ("th", None),
+    "t": ("t", None),
+    "ident": ("ident", None),
+    "int": ("int", "int"),
+    "arrow": ("arrow", None),
+    "op": (None, None),
+}
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
     while pos < len(text):
-        if text[pos] == "\n":
-            tokens.append(Token("newline", "\n", pos))
-            pos += 1
-            continue
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            pos = ws.end()
-            continue
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
-        kind = match.lastgroup
-        if kind == "ddx":
-            tokens.append(Token("d_dx", int(match.group("ddx_i")), pos))
-        elif kind == "ddth":
-            tokens.append(Token("d_dth", int(match.group("ddth_i")), pos))
-        elif kind == "xvar":
-            tokens.append(Token("xvar", int(match.group("x_i")), pos))
-        elif kind == "thvar":
-            tokens.append(Token("thvar", int(match.group("th_i")), pos))
-        elif kind == "tvar":
-            tokens.append(Token("tvar", int(match.group("t_i")), pos))
-        elif kind == "th":
-            tokens.append(Token("th", "th", pos))
-        elif kind == "t":
-            tokens.append(Token("t", "t", pos))
-        elif kind == "ident":
-            tokens.append(Token("ident", match.group("ident"), pos))
-        elif kind == "int":
-            tokens.append(Token("int", int(match.group("int")), pos))
-        elif kind == "arrow":
-            tokens.append(Token("arrow", "->", pos))
-        else:
-            tokens.append(Token(match.group("op"), match.group("op"), pos))
+        group = match.lastgroup
+        if group != "ws":
+            kind, digits = _TOKEN_KINDS[group]  # type: ignore[index]
+            value = match.group(group)
+            tokens.append(
+                Token(kind or value, int(match.group(digits)) if digits else value, pos)
+            )
         pos = match.end()
     tokens.append(Token("end", None, len(text)))
     return tokens
@@ -329,11 +337,17 @@ class _Parser:
         )
 
 
-def _finish(parser: _Parser) -> None:
+def _expression(
+    tokens: Sequence[Token], m: Optional[int], n: Optional[int], p: Optional[int]
+) -> Value:
+    parser = _Parser(tokens, _infer_dimensions(tokens, m, n, p))
+    parser.skip_newlines()
+    value = parser.parse_expression()
     parser.skip_newlines()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.offset, ("end",), f"trailing {tok.kind} after expression")
+    return value
 
 
 def parse_expression_text(
@@ -342,13 +356,7 @@ def parse_expression_text(
     n: Optional[int] = None,
     p: Optional[int] = None,
 ) -> Value:
-    tokens = tokenize(text)
-    dims = _infer_dimensions(tokens, m, n, p)
-    parser = _Parser(tokens, dims)
-    parser.skip_newlines()
-    value = parser.parse_expression()
-    _finish(parser)
-    return value
+    return _expression(tokenize(text), m, n, p)
 
 
 def parse_superfunction(
@@ -357,7 +365,7 @@ def parse_superfunction(
     n: Optional[int] = None,
     p: Optional[int] = None,
 ) -> Superfunction:
-    value = parse_expression_text(text, m, n, p)
+    value = _expression(tokenize(text), m, n, p)
     if isinstance(value, SuperDerivation):
         raise ParseError(0, (), "expected a superfunction, found an operator")
     return value
@@ -369,7 +377,7 @@ def parse_derivation(
     n: Optional[int] = None,
     p: Optional[int] = None,
 ) -> SuperDerivation:
-    value = parse_expression_text(text, m, n, p)
+    value = _expression(tokenize(text), m, n, p)
     if isinstance(value, SuperDerivation):
         return value
     if value.is_zero():
@@ -377,80 +385,115 @@ def parse_derivation(
     raise ParseError(0, (), "expected a differential operator")
 
 
+def _grassmann(value: Superfunction, n: int, offset: int) -> GrassmannElement:
+    """A superfunction in the t generators alone, as an element of Λ_n."""
+    terms = {}
+    for (theta_key, tau_key), poly in value.terms.items():
+        if theta_key or any(sum(e) for e in poly.terms):
+            raise ParseError(offset, (), "Grassmann images may only use t generators")
+        terms[tau_key] = poly.terms.get((0,) * value.m, Fraction(0))
+    return GrassmannElement(n, terms)
+
+
 def parse_grassmann(text: str, n: Optional[int] = None) -> GrassmannElement:
-    value = parse_expression_text(text, m=0, n=0, p=n)
+    value = _expression(tokenize(text), 0, 0, n)
     if isinstance(value, SuperDerivation):
         raise ParseError(0, (), "expected a Grassmann element, found an operator")
-    terms = {}
-    for (_, tau_key), poly in value.terms.items():
-        terms[tau_key] = poly.terms.get((), Fraction(0))
-    return GrassmannElement(value.p, terms)
+    return _grassmann(value, value.p, 0)
 
 
-# -- morphisms ---------------------------------------------------------------
+# -- statements --------------------------------------------------------------
+
+# The spelling of each header, and the headers each kind of block allows.
+_HEADERS = {
+    "p": "p:", "target": "target:", "inverse": "inverse:", "phi0": "phi0:", "X": "X[...]:"
+}
+_ALLOWED = {
+    "morphism": ("p", "target", "inverse"),
+    "inverse block": (),
+    "phi0 block": ("inverse",),
+    "factored form": ("p", "phi0", "X"),
+}
+_IMAGE_SLOTS = {"xvar": "x", "thvar": "th", "tvar": "t"}
 
 
-class _MorphismData:
-    """Mutable accumulator for one block of image statements."""
+class _Block:
+    """The statements of one block: images, headers and component fields."""
 
-    def __init__(self) -> None:
-        self.x_images: dict[int, Value] = {}
-        self.th_images: dict[int, Value] = {}
-        self.t_images: dict[int, Value] = {}
-        self.target: Optional[int] = None
-        self.rank: Optional[int] = None
+    def __init__(self, kind: str, offset: int):
+        self.kind = kind
+        self.offset = offset  # where faults of the block as a whole are reported
+        self.images: dict[str, dict[int, Value]] = {"x": {}, "th": {}, "t": {}}
+        self.headers: dict[str, Any] = {}
+        self.offsets: dict[str, int] = {}
+        self.fields: dict[IndexTuple, Value] = {}
+
+    def reject(self, name: str, where: str) -> None:
+        if name in self.offsets:
+            raise _misplaced(self.offsets[name], name, where)
 
 
-def _parse_statements(
-    parser: _Parser, stop_at_brace: bool = False
-) -> tuple[_MorphismData, Optional[_MorphismData]]:
-    main = _MorphismData()
-    inverse: Optional[_MorphismData] = None
-    current = main
+def _misplaced(offset: int, name: str, where: str) -> ParseError:
+    return ParseError(offset, (), f"{where} takes no {_HEADERS[name]} header")
+
+
+def _statements(parser: _Parser, block: _Block, close: str = "end") -> _Block:
+    """Read the statements of `block` up to `close` or the end of the text."""
     while True:
         parser.skip_newlines()
         tok = parser.peek()
-        if tok.kind == "end" or (stop_at_brace and tok.kind == "}"):
-            break
+        if tok.kind in ("end", close):
+            return block
         if tok.kind == ";":
             parser.advance()
             continue
-        if tok.kind == "ident" and tok.value == "inverse":
+        if tok.kind == "ident" and tok.value in _HEADERS:
+            name = str(tok.value)
+            if name not in _ALLOWED[block.kind]:
+                raise _misplaced(tok.offset, name, block.kind)
+            if name in block.offsets:
+                raise ParseError(tok.offset, (), f"duplicate {_HEADERS[name]} header")
             parser.advance()
+            if name == "X":
+                key = parser.parse_index_list()
+                parser.expect(":")
+                value = parser.parse_expression()
+                if key in block.fields:
+                    raise ParseError(tok.offset, (), "duplicate X[...]: header")
+                if isinstance(value, Superfunction) and not value.is_zero():
+                    raise ParseError(tok.offset, (), "component must be an operator")
+                block.fields[key] = value
+                continue
             parser.expect(":")
-            if inverse is not None:
-                raise ParseError(tok.offset, (), "duplicate inverse block")
-            inverse = _MorphismData()
-            current = inverse
+            if name == "inverse":
+                block.headers[name] = _statements(
+                    parser, _Block("inverse block", block.offset), close
+                )
+            elif name == "phi0":
+                parser.skip_newlines()
+                parser.expect("{")
+                block.headers[name] = _statements(
+                    parser, _Block("phi0 block", tok.offset), "}"
+                )
+                parser.expect("}")
+            else:
+                block.headers[name] = int(parser.expect("int").value)  # type: ignore[arg-type]
+            block.offsets[name] = tok.offset
             continue
-        if tok.kind == "ident" and tok.value == "target":
-            parser.advance()
-            parser.expect(":")
-            current.target = int(parser.expect("int").value)  # type: ignore[arg-type]
-            continue
-        if tok.kind == "ident" and tok.value == "p":
-            parser.advance()
-            parser.expect(":")
-            current.rank = int(parser.expect("int").value)  # type: ignore[arg-type]
-            continue
-        # image statement
+        if block.kind == "factored form":
+            raise ParseError(
+                tok.offset, ("ident",), f"expected p:, phi0: or X[...]:, found {tok.kind}"
+            )
         lhs = parser.advance()
-        if lhs.kind == "xvar":
-            slot, index = current.x_images, int(lhs.value)  # type: ignore[arg-type]
-        elif lhs.kind == "thvar":
-            slot, index = current.th_images, int(lhs.value)  # type: ignore[arg-type]
-        elif lhs.kind == "tvar":
-            slot, index = current.t_images, int(lhs.value)  # type: ignore[arg-type]
-        elif lhs.kind == "th":
+        if lhs.kind in _IMAGE_SLOTS:
+            slot = block.images[_IMAGE_SLOTS[lhs.kind]]
+            index = int(lhs.value)  # type: ignore[arg-type]
+        elif lhs.kind in ("th", "t"):
             key = parser.parse_index_list()
             if len(key) != 1:
-                raise ParseError(lhs.offset, (), "left side must name one coordinate")
-            slot, index = current.th_images, key[0]
-        elif lhs.kind == "t":
-            key = parser.parse_index_list()
-            if len(key) != 1:
-                raise ParseError(lhs.offset, (), "left side must name one generator")
-            slot, index = current.t_images, key[0]
+                noun = "coordinate" if lhs.kind == "th" else "generator"
+                raise ParseError(lhs.offset, (), f"left side must name one {noun}")
+            slot, index = block.images[lhs.kind], key[0]
         else:
             raise ParseError(
                 lhs.offset,
@@ -461,47 +504,96 @@ def _parse_statements(
             raise ParseError(lhs.offset, (), "duplicate image assignment")
         parser.expect("arrow")
         slot[index] = parser.parse_expression()
-    return main, inverse
 
 
-def _require_contiguous(images: dict[int, Value], label: str) -> list[Value]:
-    count = max(images, default=0)
-    missing = [i for i in range(1, count + 1) if i not in images]
-    if missing:
-        raise ParseError(0, (), f"missing image for {label}{missing[0]}")
-    return [images[i] for i in range(1, count + 1)]
+def _image_list(block: _Block, kind: str) -> list[Superfunction]:
+    """The images of one kind of coordinate in order: no gaps, no operators."""
+    images = block.images[kind]
+    indices = range(1, max(images, default=0) + 1)
+    for i in indices:
+        if i not in images:
+            raise ParseError(block.offset, (), f"missing image for {kind}{i}")
+    ordered = [images[i] for i in indices]
+    if any(isinstance(g, SuperDerivation) for g in ordered):
+        raise ParseError(block.offset, (), "operator not allowed in a morphism image")
+    return ordered  # type: ignore[return-value]
 
 
-def _as_superfunction(value: Value, dims: Dimensions) -> Superfunction:
-    if isinstance(value, SuperDerivation):
-        raise ParseError(0, (), "operator not allowed in a morphism image")
-    return value
-
-
-def _t_free(value: Value, dims: Dimensions, where: str, offset: int) -> Superfunction:
-    g = _as_superfunction(value, dims)
-    if g.external_support() not in ([], [()]):
-        raise ParseError(offset, (), f"{where} must be free of t generators")
-    return g.restrict_rank(0)
-
-
-def _inverse_hint(
-    inverse: _MorphismData, dims: Dimensions, m: int, n: int, offset: int
+def _substitution(
+    block: _Block, m: Optional[int] = None, n: Optional[int] = None
 ) -> UnderlyingMorphism:
-    """An `inverse:` block as a substitution hint on m|n, free of t generators."""
-    x_images, th_images = (
-        [
-            _t_free(v, dims, "inverse block", offset)
-            for v in _require_contiguous(images, label)
-        ]
-        for images, label in ((inverse.x_images, "x"), (inverse.th_images, "th"))
-    )
-    return UnderlyingMorphism(
-        m, n, [g.embed(m, n, 0) for g in x_images], [g.embed(m, n, 0) for g in th_images]
-    )
+    """An image block as a substitution of m|n, free of t generators.
+
+    m and n default to the numbers of images.  A nested `inverse:` block
+    is read on the same m|n and attached after the exact check.
+    """
+    if block.images["t"]:
+        raise ParseError(block.offset, (), f"{block.kind} cannot remap t generators")
+    x_images, th_images = _image_list(block, "x"), _image_list(block, "th")
+    _check_t_free(x_images + th_images, block.offset, block.kind)
+    m = len(x_images) if m is None else m
+    n = len(th_images) if n is None else n
+    inverse = block.headers.get("inverse")
+    hint = None if inverse is None else _substitution(inverse, m, n)
+    body = UnderlyingMorphism(m, n, _rank0(x_images, m, n), _rank0(th_images, m, n))
+    return body if hint is None else body.with_inverse(hint)
+
+
+def _check_t_free(values: Sequence[Superfunction], offset: int, what: str) -> None:
+    if any(g.external_support() not in ([], [()]) for g in values):
+        raise ParseError(offset, (), f"{what} must be free of t generators")
+
+
+def _rank0(values: Sequence[Superfunction], m: int, n: int) -> list[Superfunction]:
+    """t-free values at external rank 0 on m|n."""
+    return [g.restrict_rank(0).embed(m, n, 0) for g in values]
 
 
 MorphismResult = Union[SuperMorphism, GrassmannMorphism]
+
+
+def _morphism(
+    tokens: Sequence[Token], m: Optional[int], n: Optional[int], p: Optional[int]
+) -> MorphismResult:
+    dims = _infer_dimensions(tokens, m, n, p)
+    main = _statements(_Parser(tokens, dims), _Block("morphism", 0))
+    if main.images["t"]:
+        if main.images["x"] or main.images["th"]:
+            raise ParseError(0, (), "cannot mix coordinate and generator images")
+        main.reject("p", "Grassmann morphism")
+        main.reject("inverse", "Grassmann morphism")
+        images = _image_list(main, "t")
+        target = main.headers.get("target")
+        if target is None:
+            target = _visible_rank(k for g in images for k in g.external_support())
+        elements = [_grassmann(g, target, 0) for g in images]
+        return GrassmannMorphism(len(elements), target, elements)
+
+    main.reject("target", "superdomain morphism")
+    x_images, th_images = _image_list(main, "x"), _image_list(main, "th")
+    mm = m if m is not None else len(x_images)
+    nn = n if n is not None else len(th_images)
+    inverse = main.headers.get("inverse")
+    hint = None if inverse is None else _substitution(inverse, mm, nn)
+    if mm != len(x_images) or nn != len(th_images):
+        raise DimensionError(
+            f"morphism covers {len(x_images)} even and {len(th_images)} odd "
+            f"coordinates, expected {mm} and {nn}"
+        )
+    pp = dims.p
+    rank = main.headers.get("p")
+    if p is None and rank is not None:
+        if rank < dims.p:
+            raise DimensionError(f"declared rank {rank} but images use t[{dims.p}]")
+        pp = rank
+    return SuperMorphism(
+        mm,
+        nn,
+        pp,
+        [g.embed(mm, nn, pp) for g in x_images],
+        [g.embed(mm, nn, pp) for g in th_images],
+        inverse_hint=hint,
+    )
 
 
 def parse_morphism(
@@ -513,167 +605,42 @@ def parse_morphism(
     """Parse either a superdomain morphism or a Grassmann-algebra morphism.
 
     The kind is decided by the left-hand sides: t generators on the left
-    mean a Grassmann morphism (an optional `target: k` statement pins
-    its target rank); x/th coordinates mean a family of superdomain
-    morphisms whose optional `inverse:` block supplies an inverse
-    candidate for the underlying substitution.
+    mean a Grassmann morphism (an optional `target: k` header pins its
+    target rank); x/th coordinates mean a family of superdomain
+    morphisms (an optional `p: k` header pins its rank) whose optional
+    `inverse:` block supplies an inverse candidate for the underlying
+    substitution.
     """
-    tokens = tokenize(text)
-    dims = _infer_dimensions(tokens, m, n, p)
-    parser = _Parser(tokens, dims)
-    main, inverse = _parse_statements(parser)
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(tok.offset, ("end",), f"trailing {tok.kind}")
-    if main.t_images and (main.x_images or main.th_images):
-        raise ParseError(0, (), "cannot mix coordinate and generator images")
-    if main.t_images:
-        if inverse is not None:
-            raise ParseError(0, (), "Grassmann morphisms carry no inverse block")
-        images = _require_contiguous(main.t_images, "t")
-        elements = []
-        inferred_target = 0
-        for value in images:
-            if isinstance(value, SuperDerivation):
-                raise ParseError(0, (), "operator not allowed in a morphism image")
-            for (theta_key, _), poly in value.terms.items():
-                if theta_key or any(sum(e) for e in poly.terms):
-                    raise ParseError(
-                        0, (), "Grassmann images may only use t generators"
-                    )
-            support = value.external_support()
-            if support:
-                inferred_target = max(
-                    inferred_target, max((k[-1] for k in support if k), default=0)
-                )
-        target = main.target if main.target is not None else inferred_target
-        for value in images:
-            assert isinstance(value, Superfunction)
-            terms = {
-                tau_key: poly.terms.get((0,) * value.m, Fraction(0))
-                for (_, tau_key), poly in value.terms.items()
-            }
-            elements.append(GrassmannElement(target, terms))
-        return GrassmannMorphism(len(elements), target, elements)
-
-    x_images = [_as_superfunction(v, dims) for v in _require_contiguous(main.x_images, "x")]
-    th_images = [_as_superfunction(v, dims) for v in _require_contiguous(main.th_images, "th")]
-    mm = m if m is not None else len(x_images)
-    nn = n if n is not None else len(th_images)
-    if mm != len(x_images) or nn != len(th_images):
-        raise DimensionError(
-            f"morphism covers {len(x_images)} even and {len(th_images)} odd "
-            f"coordinates, expected {mm} and {nn}"
-        )
-    pp = dims.p
-    if p is None and main.rank is not None:
-        if main.rank < dims.p:
-            raise DimensionError(
-                f"declared rank {main.rank} but images use t[{dims.p}]"
-            )
-        pp = main.rank
-    x_images = [g.embed(mm, nn, pp) for g in x_images]
-    th_images = [g.embed(mm, nn, pp) for g in th_images]
-
-    hint: Optional[UnderlyingMorphism] = None
-    if inverse is not None:
-        if inverse.t_images:
-            raise ParseError(0, (), "inverse block cannot remap t generators")
-        hint = _inverse_hint(inverse, dims, mm, nn, 0)
-    return SuperMorphism(mm, nn, pp, x_images, th_images, inverse_hint=hint)
+    return _morphism(tokenize(text), m, n, p)
 
 
-def parse_factored(
-    text: str,
-) -> tuple[UnderlyingMorphism, dict[IndexTuple, SuperDerivation], int]:
-    """Parse the factored serialization: rank, body block, component fields."""
-    tokens = tokenize(text)
+Factored = tuple[UnderlyingMorphism, dict[IndexTuple, SuperDerivation], int]
+
+
+def _factored(tokens: Sequence[Token]) -> Factored:
     dims = _infer_dimensions(tokens, None, None, None)
-    parser = _Parser(tokens, dims)
-    rank: Optional[int] = None
-    body: Optional[SuperMorphism] = None
-    fields: dict[IndexTuple, SuperDerivation] = {}
-    while True:
-        parser.skip_newlines()
-        tok = parser.peek()
-        if tok.kind == "end":
-            break
-        if tok.kind == ";":
-            parser.advance()
-            continue
-        if tok.kind == "ident" and tok.value == "p":
-            parser.advance()
-            parser.expect(":")
-            rank = int(parser.expect("int").value)  # type: ignore[arg-type]
-            continue
-        if tok.kind == "ident" and tok.value == "phi0":
-            parser.advance()
-            parser.expect(":")
-            parser.skip_newlines()
-            parser.expect("{")
-            main, inverse = _parse_statements(parser, stop_at_brace=True)
-            parser.expect("}")
-            x_images = [
-                _t_free(v, dims, "phi0 block", tok.offset)
-                for v in _require_contiguous(main.x_images, "x")
-            ]
-            th_images = [
-                _t_free(v, dims, "phi0 block", tok.offset)
-                for v in _require_contiguous(main.th_images, "th")
-            ]
-            mm, nn = len(x_images), len(th_images)
-            hint = None
-            if inverse is not None:
-                hint = _inverse_hint(inverse, dims, mm, nn, tok.offset)
-            body = SuperMorphism(
-                mm,
-                nn,
-                0,
-                [g.embed(mm, nn, 0) for g in x_images],
-                [g.embed(mm, nn, 0) for g in th_images],
-                inverse_hint=hint,
-            )
-            continue
-        if tok.kind == "ident" and tok.value == "X":
-            parser.advance()
-            key = parser.parse_index_list()
-            parser.expect(":")
-            value = parser.parse_expression()
-            if not isinstance(value, SuperDerivation):
-                if isinstance(value, Superfunction) and value.is_zero():
-                    continue
-                raise ParseError(tok.offset, (), "component must be an operator")
-            fields[key] = value
-            continue
-        raise ParseError(
-            tok.offset, ("ident",), f"expected p:, phi0: or X[...]:, found {tok.kind}"
-        )
-    if body is None:
+    top = _statements(_Parser(tokens, dims), _Block("factored form", 0))
+    phi0 = top.headers.get("phi0")
+    if phi0 is None:
         raise ParseError(0, (), "factored form needs a phi0 block")
-    if rank is None:
-        rank = max((k[-1] for k in fields if k), default=0)
-    mm, nn = body.m, body.n
-    underlying = UnderlyingMorphism(
-        mm,
-        nn,
-        [g.external_coefficient(()) for g in body.images_x],
-        [g.external_coefficient(()) for g in body.images_th],
-    )
-    if body.inverse_hint is not None:
-        underlying = underlying.with_inverse(body.inverse_hint)
-    clean: dict[IndexTuple, SuperDerivation] = {}
-    for key, field in fields.items():
-        coeffs = list(field.x_coeffs) + list(field.th_coeffs)
-        if any(g.external_support() not in ([], [()]) for g in coeffs):
-            raise ParseError(0, (), "components must be free of t generators")
-        clean[key] = SuperDerivation(
-            mm,
-            nn,
-            0,
-            [g.restrict_rank(0).embed(mm, nn, 0) for g in field.x_coeffs],
-            [g.restrict_rank(0).embed(mm, nn, 0) for g in field.th_coeffs],
-        )
-    return underlying, clean, rank
+    fields = {
+        key: field for key, field in top.fields.items() if isinstance(field, SuperDerivation)
+    }
+    for field in fields.values():
+        _check_t_free(list(field.x_coeffs) + list(field.th_coeffs), 0, "components")
+    body = _substitution(phi0)
+    m, n = body.m, body.n
+    clean = {
+        key: SuperDerivation(m, n, 0, _rank0(field.x_coeffs, m, n), _rank0(field.th_coeffs, m, n))
+        for key, field in fields.items()
+    }
+    rank = top.headers.get("p")
+    return body, clean, _visible_rank(fields) if rank is None else rank
+
+
+def parse_factored(text: str) -> Factored:
+    """Parse the factored serialization: rank, body block, component fields."""
+    return _factored(tokenize(text))
 
 
 # -- detection ---------------------------------------------------------------
@@ -687,17 +654,16 @@ def parse_any(text: str) -> tuple[str, object]:
     """
     tokens = tokenize(text)
     kinds = {tok.kind for tok in tokens}
-    idents = {tok.value for tok in tokens if tok.kind == "ident"}
-    if "phi0" in idents:
-        return ("factored", parse_factored(text))
+    if any(tok.kind == "ident" and tok.value == "phi0" for tok in tokens):
+        return ("factored", _factored(tokens))
     if "arrow" in kinds:
-        result = parse_morphism(text)
+        result = _morphism(tokens, None, None, None)
         if isinstance(result, GrassmannMorphism):
             return ("grassmann_morphism", result)
         return ("morphism", result)
     if "d_dx" in kinds or "d_dth" in kinds:
-        return ("derivation", parse_expression_text(text))
-    return ("superfunction", parse_superfunction(text))
+        return ("derivation", _expression(tokens, None, None, None))
+    return ("superfunction", _expression(tokens, None, None, None))
 
 
 # -- printing ----------------------------------------------------------------
@@ -794,56 +760,48 @@ def format_derivation(field: SuperDerivation) -> str:
     return _join_terms(chunks)
 
 
-def _image_lines(
-    images_x: Sequence[Superfunction], images_th: Sequence[Superfunction]
-) -> list[str]:
-    lines = [f"x{i} -> {format_superfunction(g)}" for i, g in enumerate(images_x, 1)]
-    lines += [f"th{j} -> {format_superfunction(g)}" for j, g in enumerate(images_th, 1)]
+Images = Union[SuperMorphism, UnderlyingMorphism]
+
+
+def image_pairs(phi: Images) -> list[tuple[str, str]]:
+    """(coordinate, canonical image) for every coordinate, x's first.
+
+    The one spelling of an image block, in text and in JSON documents.
+    """
+    pairs = [(f"x{i}", format_superfunction(g)) for i, g in enumerate(phi.images_x, 1)]
+    return pairs + [
+        (f"th{j}", format_superfunction(g)) for j, g in enumerate(phi.images_th, 1)
+    ]
+
+
+def _image_lines(phi: Images, inverse: Optional[UnderlyingMorphism]) -> list[str]:
+    lines = [f"{name} -> {text}" for name, text in image_pairs(phi)]
+    if inverse is not None:
+        lines.append("inverse:")
+        lines.extend(_image_lines(inverse, None))
     return lines
 
 
 def format_underlying(u: UnderlyingMorphism) -> str:
-    lines = _image_lines(u.images_x, u.images_th)
-    if u.inverse is not None:
-        lines.append("inverse:")
-        lines.extend(_image_lines(u.inverse.images_x, u.inverse.images_th))
-    return "\n".join(lines)
+    return "\n".join(_image_lines(u, u.inverse))
 
 
-def _visible_rank(images: Sequence[Superfunction]) -> int:
-    rank = 0
-    for g in images:
-        for key in g.external_support():
-            if key:
-                rank = max(rank, key[-1])
-    return rank
+def _visible_rank(keys: Iterable[IndexTuple]) -> int:
+    """The highest t generator that some index tuple names, or 0."""
+    return max((key[-1] for key in keys if key), default=0)
 
 
 def format_morphism(phi: SuperMorphism) -> str:
-    lines: list[str] = []
-    if _visible_rank(list(phi.images_x) + list(phi.images_th)) != phi.p:
-        lines.append(f"p: {phi.p}")
-    lines.extend(_image_lines(phi.images_x, phi.images_th))
-    if phi.inverse_hint is not None:
-        lines.append("inverse:")
-        lines.extend(
-            _image_lines(phi.inverse_hint.images_x, phi.inverse_hint.images_th)
-        )
-    return "\n".join(lines)
+    images = list(phi.images_x) + list(phi.images_th)
+    visible = _visible_rank(key for g in images for key in g.external_support())
+    lines = [] if visible == phi.p else [f"p: {phi.p}"]
+    return "\n".join(lines + _image_lines(phi, phi.inverse_hint))
 
 
 def format_grassmann_morphism(gm: GrassmannMorphism) -> str:
-    lines: list[str] = []
-    visible = 0
-    for img in gm.images:
-        for key in img.terms:
-            if key:
-                visible = max(visible, key[-1])
-    if visible != gm.target_n:
-        lines.append(f"target: {gm.target_n}")
-    lines.extend(
-        f"t[{i}] -> {format_grassmann(img)}" for i, img in enumerate(gm.images, 1)
-    )
+    visible = _visible_rank(key for img in gm.images for key in img.terms)
+    lines = [] if visible == gm.target_n else [f"target: {gm.target_n}"]
+    lines += [f"t[{i}] -> {format_grassmann(img)}" for i, img in enumerate(gm.images, 1)]
     return "\n".join(lines)
 
 

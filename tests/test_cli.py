@@ -124,6 +124,64 @@ def test_doc_format_is_json(tmp_path, capsys):
     assert "[1]" in doc["fields"]
 
 
+def test_doc_format_invert_exp_split(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "invert", write(tmp_path, "phi.txt", PHI), "--format", "doc")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "morphism",
+        "m": 2,
+        "n": 2,
+        "p": 2,
+        "images": {
+            "x1": "x1 - th[1]*t[1]",
+            "x2": "x2",
+            "th1": "th[1]",
+            "th2": "-x1*th[1]*t[1,2] + th[2]",
+        },
+        "inverse": {"x1": "x1", "x2": "x2", "th1": "th[1]", "th2": "th[2]"},
+    }
+    field = write(tmp_path, "x.txt", "th[1,2]*d/dx1")
+    code, out, _ = run_cli(capsys, "exp", field, "--format", "doc")
+    assert code == 0
+    assert json.loads(out) == {
+        "kind": "substitution",
+        "m": 1,
+        "n": 2,
+        "images": {"x1": "x1 + th[1,2]", "th1": "th[1]", "th2": "th[2]"},
+        "inverse": {"x1": "x1 - th[1,2]", "th1": "th[1]", "th2": "th[2]"},
+    }
+    code, out, _ = run_cli(capsys, "split", write(tmp_path, "psi.txt", PSI), "--format", "doc")
+    assert code == 0
+    identity = {"x1": "x1", "x2": "x2", "th1": "th[1]", "th2": "th[2]"}
+    assert json.loads(out) == {
+        "kind": "split",
+        "kernel": {
+            "kind": "morphism", "m": 2, "n": 2, "p": 0, "images": identity, "inverse": identity
+        },
+        "body": {
+            "kind": "substitution",
+            "m": 2,
+            "n": 2,
+            "images": {"x1": "1 + x1", "x2": "x1 + x2", "th1": "th[2]", "th2": "th[1]"},
+            "inverse": {"x1": "-1 + x1", "x2": "1 - x1 + x2", "th1": "th[2]", "th2": "th[1]"},
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "verb, text",
+    [
+        ("expand", "p: 1\nphi0: { x1 -> x1; th1 -> th1; inverse: x1 -> x1; th1 -> th1; t1 -> t1 }"),
+        ("factorize", "x1 -> x1; th1 -> th1; inverse: x1 -> x1; th3 -> th1"),
+        ("factorize", "target: 3\nx1 -> x1\nth1 -> th1"),
+    ],
+)
+def test_exit_code_statement_faults(tmp_path, capsys, verb, text):
+    code, _, err = run_cli(capsys, verb, write(tmp_path, "in.txt", text))
+    assert code == 2
+    assert "parse error" in err
+
+
 def test_exit_code_parse_error(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "x1 -> @@@\n")
     code, _, err = run_cli(capsys, "factorize", bad)

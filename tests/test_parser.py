@@ -212,3 +212,60 @@ def test_whitespace_and_newline_handling():
     assert fmt.format_superfunction(f) == "2 + x1"
     phi = fmt.parse_morphism("x1 -> x1;; th1 -> th1")
     assert phi.n == 1
+
+
+def test_t_images_rejected_in_phi0_blocks():
+    inverse_t = "p: 1\nphi0: { x1 -> x1; th1 -> th1; inverse: x1 -> x1; th1 -> th1; t1 -> t1 }"
+    with pytest.raises(ParseError, match="inverse block cannot remap t generators"):
+        fmt.parse_factored(inverse_t)
+    with pytest.raises(ParseError, match="inverse block cannot remap t generators"):
+        fmt.parse_morphism("x1 -> x1; th1 -> th1; inverse: x1 -> x1; th1 -> th1; t1 -> t1")
+    with pytest.raises(ParseError, match="phi0 block cannot remap t generators"):
+        fmt.parse_factored("p: 1\nphi0: { x1 -> x1; t1 -> t1 }")
+
+
+def test_inverse_block_gap_wins_over_dimensions():
+    # th3 alone would widen the domain; the gap at th1 is reported first
+    with pytest.raises(ParseError, match="missing image for th1"):
+        fmt.parse_morphism("x1 -> x1; th1 -> th1; inverse: x1 -> x1; th3 -> th1")
+
+
+@pytest.mark.parametrize(
+    "text, header",
+    [
+        ("x1 -> x1; th1 -> th1; inverse: p: 2; x1 -> x1; th1 -> th1", "p:"),
+        ("x1 -> x1; th1 -> th1; inverse: target: 2; x1 -> x1; th1 -> th1", "target:"),
+        ("p: 1\nphi0: { p: 2; x1 -> x1 }", "p:"),
+        ("p: 1\nphi0: { target: 2; x1 -> x1 }", "target:"),
+        ("target: 3\nx1 -> x1\nth1 -> th1", "target:"),
+        ("p: 3\nt[1] -> t[2]", "p:"),
+        ("p: 2\np: 3\nx1 -> x1", "p:"),
+        ("target: 3\ntarget: 4\nt[1] -> t[2]", "target:"),
+        ("x1 -> x1\ninverse:\nx1 -> x1\ninverse:\nx1 -> x1", "inverse:"),
+        ("p: 2\np: 3\nphi0: { x1 -> x1 }", "p:"),
+        ("p: 2\nphi0: { x1 -> x1 }\nphi0: { x1 -> 2*x1 }", "phi0:"),
+        ("p: 2\nphi0: { x1 -> x1 }\nX[1]: d/dx1\nX[1]: 2*d/dx1", "X[1]"),
+    ],
+)
+def test_misplaced_or_repeated_header_is_rejected(text, header):
+    with pytest.raises(ParseError) as info:
+        fmt.parse_any(text)
+    assert info.value.offset == text.rindex(header)
+    assert "header" in info.value.message
+
+
+def test_parse_any_tokenizes_once(monkeypatch):
+    calls = []
+    tokenize = fmt.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(fmt, "tokenize", counting)
+    morphism = "x1 -> 2*x1\nth1 -> th1\ninverse:\nx1 -> 1/2*x1\nth1 -> th1"
+    factored = "p: 1\nphi0: {\n" + morphism + "\n}\nX[1]: th[1]*d/dx1"
+    for text, kind in ((morphism, "morphism"), (factored, "factored")):
+        calls.clear()
+        assert fmt.parse_any(text)[0] == kind
+        assert calls == [text]
