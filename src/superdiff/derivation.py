@@ -24,6 +24,7 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import DimensionError, DomainError, InvertibilityError, ParityError
+from .grassmann import _accumulate
 from .substitution import UnderlyingMorphism
 from .superfn import Superfunction
 
@@ -192,18 +193,14 @@ class SuperDerivation:
         """Act on a superfunction."""
         if (f.m, f.n, f.p) != (self.m, self.n, self.p):
             raise DimensionError("field and superfunction live on different domains")
-        result = Superfunction.zero(self.m, self.n, self.p)
-        for i, c in enumerate(self.x_coeffs, start=1):
-            if not c.is_zero():
-                d = f.diff_x(i)
-                if not d.is_zero():
-                    result = result + c * d
-        for j, g in enumerate(self.th_coeffs, start=1):
-            if not g.is_zero():
-                d = f.diff_theta(j)
-                if not d.is_zero():
-                    result = result + g * d
-        return result
+        terms: dict = {}
+        for coeffs, diff in ((self.x_coeffs, f.diff_x), (self.th_coeffs, f.diff_theta)):
+            for i, c in enumerate(coeffs, start=1):
+                if not c.is_zero():
+                    d = diff(i)
+                    if not d.is_zero():
+                        _accumulate(terms, (c * d).terms.items())
+        return Superfunction._build((self.m, self.n, self.p), terms)
 
     def bracket(self, other: "SuperDerivation") -> "SuperDerivation":
         """The supercommutator [self, other].

@@ -14,11 +14,17 @@ Multiplication reorders generator products into increasing index order
 and picks up one sign flip per transposition; squares of generators
 vanish.  The parity of a monomial t[i1]*...*t[ik] is k mod 2, and
 parity-homogeneous elements supercommute.
+
+The ring operations that `GrassmannElement` shares with `Polynomial` and
+`Superfunction` (ring check, sum, negation, scaling, powers, equality,
+hashing) live once, in the private base `_Sparse`.  Public constructors
+check every key and coefficient; kernel-built results are not re-checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import DimensionError, ParityError
@@ -66,21 +72,130 @@ def _as_fraction(c: Scalar) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
 
 
-class GrassmannElement:
+def _index_key(key: Iterable[int], bound: int, label: str) -> IndexTuple:
+    """`key` as a tuple, checked strictly increasing and within 1..bound."""
+    key = tuple(key)
+    if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
+        raise ValueError(f"{label} index tuple {key} is not strictly increasing")
+    if key and (key[0] < 1 or key[-1] > bound):
+        raise DimensionError(f"{label} index out of range in {key}")
+    return key
+
+
+def _accumulate(total: dict, pairs: Iterable[tuple]) -> dict:
+    """Add each (key, value) of `pairs` into `total`; `_Sparse._build` drops zeros."""
+    for key, value in pairs:
+        total[key] = total[key] + value if key in total else value
+    return total
+
+
+class _Sparse:
+    """Ring operations on `terms`, a dict from keys to nonzero coefficients.
+
+    A subclass names the slots that fix its ring in `_SPACE` and adds its
+    checked `__init__`, `_product`, `_one` and calculus.  `_build` makes
+    kernel results: it checks nothing and only drops zero coefficients.
+    """
+
+    __slots__ = ()
+    _SPACE: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        # `_space()` is the tuple of the `_SPACE` slots
+        get = attrgetter(*cls._SPACE)
+        if len(cls._SPACE) == 1:
+            cls._space = lambda self: (get(self),)
+        else:
+            cls._space = lambda self: get(self)
+
+    @classmethod
+    def _build(cls, space: tuple, terms: Mapping) -> "_Sparse":
+        self = object.__new__(cls)
+        for name, value in zip(cls._SPACE, space):
+            setattr(self, name, value)
+        self.terms = {key: value for key, value in terms.items() if value}
+        return self
+
+    def _check(self, other: "_Sparse") -> tuple:
+        """The ring of both operands; DimensionError if they differ."""
+        space = self._space()
+        if other._space() != space:
+            raise DimensionError(
+                f"{type(self).__name__} operands live in different rings "
+                f"({space} vs {other._space()})"
+            )
+        return space
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._build(self._check(other), _accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._build(self._space(), {k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c: Scalar):
+        c = _as_fraction(c)
+        return self._build(self._space(), {k: v * c for k, v in self.terms.items()})
+
+    def __pow__(self, exponent: int):
+        """By repeated squaring: about 2 log2(exponent) products."""
+        if exponent < 0:
+            raise ValueError("negative powers are not defined")
+        result, base = self._one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self._space() == other._space()
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((*self._space(), frozenset(self.terms.items())))
+
+
+class GrassmannElement(_Sparse):
     """An element of the Grassmann algebra on n anticommuting generators."""
 
     __slots__ = ("n", "terms")
+    _SPACE = ("n",)
 
     def __init__(self, n: int, terms: Mapping[IndexTuple, Scalar]):
         if n < 0:
             raise DimensionError("number of generators must be nonnegative")
         clean: dict[IndexTuple, Fraction] = {}
         for key, coeff in terms.items():
-            key = tuple(key)
-            if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                raise ValueError(f"index tuple {key} is not strictly increasing")
-            if key and (key[0] < 1 or key[-1] > n):
-                raise DimensionError(f"generator index out of range in {key}")
+            key = _index_key(key, n, "generator")
             c = _as_fraction(coeff)
             if c:
                 clean[key] = c
@@ -106,6 +221,9 @@ class GrassmannElement:
     def monomial(cls, indices: Iterable[int], n: int, coeff: Scalar = 1) -> "GrassmannElement":
         return cls(n, {tuple(indices): coeff})
 
+    def _one(self) -> "GrassmannElement":
+        return self.scalar(1, self.n)
+
     # -- structure ---------------------------------------------------
 
     @property
@@ -115,10 +233,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The complement of the body: all terms of positive degree."""
-        return GrassmannElement(self.n, {k: c for k, c in self.terms.items() if k})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._build((self.n,), {k: c for k, c in self.terms.items() if k})
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements, None for mixed, 0 for zero."""
@@ -129,69 +244,19 @@ class GrassmannElement:
 
     # -- arithmetic --------------------------------------------------
 
-    def _check_compatible(self, other: "GrassmannElement") -> None:
-        if self.n != other.n:
-            raise DimensionError(
-                f"elements live in different algebras ({self.n} vs {other.n} generators)"
-            )
+    # an entry of this class, so that it can be wrapped for this class alone
+    __mul__ = _Sparse.__mul__
 
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        self._check_compatible(other)
-        total = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total[key] = total.get(key, Fraction(0)) + coeff
-        return GrassmannElement(self.n, total)
+    def _product(self, other: "GrassmannElement") -> "GrassmannElement":
+        def pairs():
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    merged = merge_indices(ka, kb)
+                    if merged is not None:
+                        sign, key = merged
+                        yield key, ca * cb if sign > 0 else -ca * cb
 
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other: Union["GrassmannElement", Scalar]) -> "GrassmannElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        self._check_compatible(other)
-        product: dict[IndexTuple, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                merged = merge_indices(ka, kb)
-                if merged is None:
-                    continue
-                sign, key = merged
-                product[key] = product.get(key, Fraction(0)) + sign * ca * cb
-        return GrassmannElement(self.n, product)
-
-    def __rmul__(self, other: Scalar) -> "GrassmannElement":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "GrassmannElement":
-        c = _as_fraction(c)
-        return GrassmannElement(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "GrassmannElement":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = GrassmannElement.scalar(1, self.n)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GrassmannElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return self._build((self.n,), _accumulate({}, pairs()))
 
     # -- printing ----------------------------------------------------
 

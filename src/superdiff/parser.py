@@ -486,20 +486,22 @@ def _statements(parser: _Parser, block: _Block, close: str = "end") -> _Block:
             )
         lhs = parser.advance()
         if lhs.kind in _IMAGE_SLOTS:
-            slot = block.images[_IMAGE_SLOTS[lhs.kind]]
-            index = int(lhs.value)  # type: ignore[arg-type]
+            kind, index = _IMAGE_SLOTS[lhs.kind], int(lhs.value)  # type: ignore[arg-type]
         elif lhs.kind in ("th", "t"):
             key = parser.parse_index_list()
             if len(key) != 1:
                 noun = "coordinate" if lhs.kind == "th" else "generator"
                 raise ParseError(lhs.offset, (), f"left side must name one {noun}")
-            slot, index = block.images[lhs.kind], key[0]
+            kind, index = lhs.kind, key[0]
         else:
             raise ParseError(
                 lhs.offset,
                 ("xvar", "thvar", "tvar"),
                 f"expected a coordinate on the left of ->, found {lhs.kind}",
             )
+        if index == 0:
+            raise ParseError(lhs.offset, (), f"{kind} indices start at 1, found {kind}0")
+        slot = block.images[kind]
         if index in slot:
             raise ParseError(lhs.offset, (), "duplicate image assignment")
         parser.expect("arrow")

@@ -16,6 +16,7 @@ from itertools import combinations
 from .derivation import SuperDerivation
 from .errors import DimensionError, ParityError
 from .grassmann import GrassmannMorphism
+from .morphism import _family_operator
 from .superfn import Polynomial, Superfunction, map_external
 
 IndexTuple = tuple[int, ...]
@@ -174,8 +175,4 @@ def reassemble(
     m: int, n: int, p: int, components: dict[IndexTuple, SuperDerivation]
 ) -> LambdaSection:
     """Inverse of `skeleton_decompose`."""
-    total = SuperDerivation.zero(m, n, p)
-    for tau_key in sorted(components, key=lambda j: (len(j), j)):
-        prefix = Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), tau_key)
-        total = total + components[tau_key].lift(p).premultiply(prefix)
-    return LambdaSection(total)
+    return LambdaSection(_family_operator(m, n, p, components))

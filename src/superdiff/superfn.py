@@ -38,6 +38,10 @@ once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
 The caches for one set of images live in a private plan; morphisms
 build theirs once (per external rank) and keep it, since their images
 never change.
+
+`Polynomial` and `Superfunction` take their ring operations from the
+private base `grassmann._Sparse`.  Public constructors validate their
+input; results built by the kernel are not re-checked.
 """
 
 from __future__ import annotations
@@ -48,29 +52,43 @@ from operator import add
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, ParityError
-from .grassmann import GrassmannElement, GrassmannMorphism, merge_indices
+from .grassmann import (
+    GrassmannElement,
+    GrassmannMorphism,
+    _accumulate,
+    _as_fraction,
+    _index_key,
+    _Sparse,
+    merge_indices,
+)
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 TermKey = tuple[IndexTuple, IndexTuple]
+Coefficients = Mapping[Exponents, Fraction]
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"expected an integer or Fraction, got {type(c).__name__}")
+def _exponent_products(a: Coefficients, b: Coefficients, negate: bool = False):
+    """The (exponents, coefficient) pairs of the product of two term dicts
+    of polynomials, negated if asked; zero coefficients of `a` are skipped."""
+    for ea, ca in a.items():
+        if not ca:
+            continue
+        if negate:
+            ca = -ca
+        for eb, cb in b.items():
+            yield tuple(map(add, ea, eb)), ca * cb
 
 
-class Polynomial:
+class Polynomial(_Sparse):
     """A polynomial in m commuting variables with rational coefficients.
 
     Sparse dict from exponent tuples (length m) to nonzero Fractions.
     """
 
     __slots__ = ("m", "terms")
+    _SPACE = ("m",)
 
     def __init__(self, m: int, terms: Mapping[Exponents, Scalar]):
         if m < 0:
@@ -101,122 +119,67 @@ class Polynomial:
         exps = tuple(1 if k == i - 1 else 0 for k in range(m))
         return cls(m, {exps: 1})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _one(self) -> "Polynomial":
+        return self.const(1, self.m)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def _check(self, other: "Polynomial") -> None:
-        if self.m != other.m:
-            raise DimensionError(f"variable counts differ ({self.m} vs {other.m})")
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        total = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total[exps] = total.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.m, total)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.m, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check(other)
-        product: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                product[key] = product.get(key, Fraction(0)) + ca * cb
-        return Polynomial(self.m, product)
-
-    def __rmul__(self, other: Scalar) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "Polynomial":
-        c = _as_fraction(c)
-        return Polynomial(self.m, {e: c * v for e, v in self.terms.items()})
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = Polynomial.const(1, self.m)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+    def _product(self, other: "Polynomial") -> "Polynomial":
+        return self._build((self.m,), _accumulate({}, _exponent_products(self.terms, other.terms)))
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th variable (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"variable index {i} out of range 1..{self.m}")
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i - 1]
-            if e:
-                key = exps[: i - 1] + (e - 1,) + exps[i:]
-                out[key] = out.get(key, Fraction(0)) + coeff * e
-        return Polynomial(self.m, out)
+        return self._build(
+            (self.m,),
+            {
+                exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]: coeff * exps[i - 1]
+                for exps, coeff in self.terms.items()
+                if exps[i - 1]
+            },
+        )
 
     def extend(self, m_new: int) -> "Polynomial":
         """Reinterpret in a ring with extra trailing variables."""
         if m_new < self.m:
             raise DimensionError("cannot shrink the variable count")
         pad = (0,) * (m_new - self.m)
-        return Polynomial(m_new, {e + pad: c for e, c in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.m, frozenset(self.terms.items())))
+        return self._build((m_new,), {e + pad: c for e, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"Polynomial({self.m}, {self.terms!r})"
 
 
-class Superfunction:
+def _from_buckets(
+    m: int, n: int, p: int, buckets: Mapping[TermKey, Coefficients]
+) -> "Superfunction":
+    """The superfunction whose (K, J) coefficient has the terms buckets[(K, J)]."""
+    return Superfunction._build(
+        (m, n, p), {key: Polynomial._build((m,), bucket) for key, bucket in buckets.items()}
+    )
+
+
+class Superfunction(_Sparse):
     """An element of the coordinate ring described in the module docstring."""
 
     __slots__ = ("m", "n", "p", "terms")
+    _SPACE = ("m", "n", "p")
 
     def __init__(self, m: int, n: int, p: int, terms: Mapping[TermKey, Polynomial]):
         if n < 0 or p < 0:
             raise DimensionError("coordinate counts must be nonnegative")
         clean: dict[TermKey, Polynomial] = {}
         for (theta_key, tau_key), poly in terms.items():
-            theta_key, tau_key = tuple(theta_key), tuple(tau_key)
-            for key, bound, label in ((theta_key, n, "th"), (tau_key, p, "t")):
-                if any(key[i] >= key[i + 1] for i in range(len(key) - 1)):
-                    raise ValueError(f"{label} index tuple {key} not strictly increasing")
-                if key and (key[0] < 1 or key[-1] > bound):
-                    raise DimensionError(f"{label} index out of range in {key}")
+            key = (_index_key(theta_key, n, "th"), _index_key(tau_key, p, "t"))
             if poly.m != m:
                 raise DimensionError(
                     f"coefficient polynomial has {poly.m} variables, expected {m}"
                 )
             if not poly.is_zero():
-                clean[(theta_key, tau_key)] = poly
+                clean[key] = poly
         self.m = m
         self.n = n
         self.p = p
@@ -264,10 +227,10 @@ class Superfunction:
     ) -> "Superfunction":
         return cls(m, n, p, {(tuple(theta_key), tuple(tau_key)): poly})
 
-    # -- structure ---------------------------------------------------
+    def _one(self) -> "Superfunction":
+        return self.scalar(1, self.m, self.n, self.p)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    # -- structure ---------------------------------------------------
 
     def body_polynomial(self) -> Polynomial:
         """Coefficient of the unit monomial (no th, no t factors)."""
@@ -286,11 +249,8 @@ class Superfunction:
 
     def reduce_mod_j(self, k: int) -> "Superfunction":
         """Drop every term with at least k odd-coordinate factors."""
-        return Superfunction(
-            self.m,
-            self.n,
-            self.p,
-            {key: poly for key, poly in self.terms.items() if len(key[0]) < k},
+        return self._build(
+            self._space(), {key: poly for key, poly in self.terms.items() if len(key[0]) < k}
         )
 
     def max_degree(self) -> int:
@@ -299,36 +259,11 @@ class Superfunction:
 
     # -- arithmetic --------------------------------------------------
 
-    def _check(self, other: "Superfunction") -> None:
-        if (self.m, self.n, self.p) != (other.m, other.n, other.p):
-            raise DimensionError(
-                f"superfunctions live on different domains "
-                f"({self.m}|{self.n};{self.p} vs {other.m}|{other.n};{other.p})"
-            )
+    # own entries, so that they can be wrapped for this class alone
+    __add__ = _Sparse.__add__
+    __mul__ = _Sparse.__mul__
 
-    def __add__(self, other: "Superfunction") -> "Superfunction":
-        if not isinstance(other, Superfunction):
-            return NotImplemented
-        self._check(other)
-        total = dict(self.terms)
-        for key, poly in other.terms.items():
-            total[key] = total[key] + poly if key in total else poly
-        return Superfunction(self.m, self.n, self.p, total)
-
-    def __neg__(self) -> "Superfunction":
-        return Superfunction(
-            self.m, self.n, self.p, {k: -poly for k, poly in self.terms.items()}
-        )
-
-    def __sub__(self, other: "Superfunction") -> "Superfunction":
-        return self + (-other)
-
-    def __mul__(self, other: Union["Superfunction", Scalar]) -> "Superfunction":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Superfunction):
-            return NotImplemented
-        self._check(other)
+    def _product(self, other: "Superfunction") -> "Superfunction":
         product: dict[TermKey, dict[Exponents, Fraction]] = {}
         for (ka, ja), pa in self.terms.items():
             for (kb, jb), pb in other.terms.items():
@@ -344,50 +279,17 @@ class Superfunction:
                 sign = sign_theta * sign_tau
                 if (len(kb) * len(ja)) % 2:
                     sign = -sign
-                bucket = product.setdefault((theta_key, tau_key), {})
-                for ea, ca in pa.terms.items():
-                    for eb, cb in pb.terms.items():
-                        exps = tuple(a + b for a, b in zip(ea, eb))
-                        value = ca * cb if sign > 0 else -ca * cb
-                        bucket[exps] = bucket[exps] + value if exps in bucket else value
-        return Superfunction(
-            self.m,
-            self.n,
-            self.p,
-            {key: Polynomial(self.m, bucket) for key, bucket in product.items()},
-        )
-
-    def __rmul__(self, other: Scalar) -> "Superfunction":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Scalar) -> "Superfunction":
-        c = _as_fraction(c)
-        if not c:
-            return Superfunction.zero(self.m, self.n, self.p)
-        return Superfunction(
-            self.m, self.n, self.p, {k: poly.scale(c) for k, poly in self.terms.items()}
-        )
-
-    def __pow__(self, exponent: int) -> "Superfunction":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = Superfunction.scalar(1, self.m, self.n, self.p)
-        for _ in range(exponent):
-            result = result * self
-        return result
+                _accumulate(
+                    product.setdefault((theta_key, tau_key), {}),
+                    _exponent_products(pa.terms, pb.terms, sign < 0),
+                )
+        return _from_buckets(self.m, self.n, self.p, product)
 
     # -- derivatives -------------------------------------------------
 
     def diff_x(self, i: int) -> "Superfunction":
         """Derivative along the i-th even coordinate, term by term."""
-        out: dict[TermKey, Polynomial] = {}
-        for key, poly in self.terms.items():
-            d = poly.diff(i)
-            if not d.is_zero():
-                out[key] = d
-        return Superfunction(self.m, self.n, self.p, out)
+        return self._build(self._space(), {key: poly.diff(i) for key, poly in self.terms.items()})
 
     def diff_theta(self, j: int) -> "Superfunction":
         """Left derivative along the j-th odd coordinate.
@@ -401,14 +303,10 @@ class Superfunction:
             raise DimensionError(f"odd coordinate index {j} out of range 1..{self.n}")
         out: dict[TermKey, Polynomial] = {}
         for (theta_key, tau_key), poly in self.terms.items():
-            if j not in theta_key:
-                continue
-            pos = theta_key.index(j)
-            sign = -1 if pos % 2 else 1
-            key = (theta_key[:pos] + theta_key[pos + 1 :], tau_key)
-            signed = poly.scale(sign)
-            out[key] = out[key] + signed if key in out else signed
-        return Superfunction(self.m, self.n, self.p, out)
+            if j in theta_key:
+                pos = theta_key.index(j)
+                out[(theta_key[:pos] + theta_key[pos + 1 :], tau_key)] = -poly if pos % 2 else poly
+        return self._build(self._space(), out)
 
     # -- reshaping ---------------------------------------------------
 
@@ -418,17 +316,14 @@ class Superfunction:
             raise DimensionError("cannot shrink the external rank")
         if p_new == self.p:
             return self
-        return Superfunction(self.m, self.n, p_new, self.terms)
+        return self._build((self.m, self.n, p_new), self.terms)
 
     def embed(self, m_new: int, n_new: int, p_new: int) -> "Superfunction":
         """View the element on a larger superdomain (coordinates appended)."""
         if m_new < self.m or n_new < self.n or p_new < self.p:
             raise DimensionError("cannot shrink coordinate counts")
-        return Superfunction(
-            m_new,
-            n_new,
-            p_new,
-            {key: poly.extend(m_new) for key, poly in self.terms.items()},
+        return self._build(
+            (m_new, n_new, p_new), {key: poly.extend(m_new) for key, poly in self.terms.items()}
         )
 
     def restrict_rank(self, p_new: int) -> "Superfunction":
@@ -440,7 +335,7 @@ class Superfunction:
                 raise DimensionError(
                     f"term uses t[{tau_key[-1]}], cannot restrict to rank {p_new}"
                 )
-        return Superfunction(self.m, self.n, p_new, self.terms)
+        return self._build((self.m, self.n, p_new), self.terms)
 
     def external_coefficient(self, tau_key: Iterable[int]) -> "Superfunction":
         """Coefficient of t[J] when the element is written with every
@@ -461,22 +356,12 @@ class Superfunction:
             if sign_flip and len(theta_key) % 2:
                 poly = -poly
             out[(theta_key, ())] = poly
-        return Superfunction(self.m, self.n, 0, out)
+        return self._build((self.m, self.n, 0), out)
 
     def external_support(self) -> list[IndexTuple]:
         """Sorted list of t index tuples appearing in the element."""
         support = {j for _, j in self.terms}
         return sorted(support, key=lambda j: (len(j), j))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Superfunction)
-            and (self.m, self.n, self.p) == (other.m, other.n, other.p)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.p, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
         from .parser import format_superfunction
@@ -557,7 +442,7 @@ class _SubstitutionPlan:
         self.x_images, self.th_images = tuple(x_images), tuple(th_images)
         self._bound = (n + p) // 2
         self._nilpotent = [
-            Superfunction(m, n, p, {key: c for key, c in g.terms.items() if key != ((), ())})
+            Superfunction._build((m, n, p), {k: c for k, c in g.terms.items() if k != ((), ())})
             for g in x_images
         ]
         zero = (0,) * len(x_images)
@@ -647,40 +532,23 @@ class _SubstitutionPlan:
                         expansion = expansions[exps] = self._expansion(exps)
                     for k, body, mult in expansion:
                         scale = coeff * mult if mult != 1 else coeff
-                        bucket = parts.get(k)
-                        if bucket is None:
-                            bucket = parts[k] = {}
-                        for e2, c2 in body.terms.items():
-                            value = scale * c2
-                            bucket[e2] = bucket[e2] + value if e2 in bucket else value
+                        _accumulate(
+                            parts.setdefault(k, {}),
+                            ((e2, scale * c2) for e2, c2 in body.terms.items()),
+                        )
                 del parts[zero]
                 for k, part in parts.items():
                     for (k2, j2), q in self._nil_powers[k].terms.items():
                         merged = merge_indices(j2, tau_key)
-                        if merged is None:
-                            continue
-                        sign, j_out = merged
-                        bucket = target.setdefault((k2, j_out), {})
-                        for ea, ca in part.items():
-                            if not ca:
-                                continue
-                            if sign < 0:
-                                ca = -ca
-                            for eb, cb in q.terms.items():
-                                e2 = tuple(map(add, ea, eb))
-                                value = ca * cb
-                                bucket[e2] = bucket[e2] + value if e2 in bucket else value
+                        if merged is not None:
+                            _accumulate(
+                                target.setdefault((k2, merged[1]), {}),
+                                _exponent_products(part, q.terms, merged[0] < 0),
+                            )
             if theta_key:
-                block = Superfunction(
-                    m, n, p, {key: Polynomial(m, b) for key, b in target.items()}
-                )
-                for key, poly in (block * odd).terms.items():
-                    bucket = acc.setdefault(key, {})
-                    for e2, c2 in poly.terms.items():
-                        bucket[e2] = bucket[e2] + c2 if e2 in bucket else c2
-        return Superfunction(
-            m, n, p, {key: Polynomial(m, bucket) for key, bucket in acc.items()}
-        )
+                for key, poly in (_from_buckets(m, n, p, target) * odd).terms.items():
+                    _accumulate(acc.setdefault(key, {}), poly.terms.items())
+        return _from_buckets(m, n, p, acc)
 
 
 def substitute_generators(
@@ -736,12 +604,8 @@ def map_external(f: Superfunction, morphism: GrassmannMorphism) -> Superfunction
         raise DimensionError(
             f"element has external rank {f.p}, morphism expects {morphism.source_n}"
         )
-    p2 = morphism.target_n
     out: dict[TermKey, Polynomial] = {}
     for (theta_key, tau_key), poly in f.terms.items():
         image = morphism.apply(GrassmannElement.monomial(tau_key, f.p))
-        for new_tau, coeff in image.terms.items():
-            key = (theta_key, new_tau)
-            scaled = poly.scale(coeff)
-            out[key] = out[key] + scaled if key in out else scaled
-    return Superfunction(f.m, f.n, p2, out)
+        _accumulate(out, (((theta_key, j), poly.scale(c)) for j, c in image.terms.items()))
+    return Superfunction._build((f.m, f.n, morphism.target_n), out)

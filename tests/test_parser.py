@@ -254,6 +254,32 @@ def test_misplaced_or_repeated_header_is_rejected(text, header):
     assert "header" in info.value.message
 
 
+@pytest.mark.parametrize(
+    "text, lhs",
+    [
+        ("x0 -> 5*x1\nx1 -> x1", "x0"),
+        ("x1 -> x1\nth0 -> th1\nth1 -> th1", "th0"),
+        ("x1 -> x1; th[0] -> th1", "th[0]"),
+        ("t0 -> t[1]", "t0"),
+        ("t[1] -> t[1]\nt[0] -> t[1]", "t[0]"),
+        ("x1 -> 2*x1\ninverse:\nx0 -> 1/2*x1", "x0"),
+        ("p: 1\nphi0: { x1 -> x1; th0 -> th1 }", "th0"),
+    ],
+)
+def test_index_zero_on_the_left_is_rejected(text, lhs):
+    with pytest.raises(ParseError) as info:
+        fmt.parse_any(text)
+    assert info.value.offset == text.index(lhs)
+    assert "start at 1" in info.value.message
+
+
+def test_index_zero_in_an_expression_is_a_dimension_error():
+    with pytest.raises(DimensionError):
+        fmt.parse_superfunction("x0 + x1")
+    with pytest.raises(DimensionError):
+        fmt.parse_morphism("x1 -> x0")
+
+
 def test_parse_any_tokenizes_once(monkeypatch):
     calls = []
     tokenize = fmt.tokenize

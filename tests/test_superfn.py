@@ -4,10 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from superdiff import Polynomial, Superfunction, map_external, substitute_generators
+from superdiff import (
+    GrassmannElement,
+    Polynomial,
+    Superfunction,
+    map_external,
+    substitute_generators,
+)
 from superdiff.errors import DimensionError, ParityError
 from superdiff.sampling import (
     random_fraction,
+    random_grassmann,
     random_grassmann_morphism,
     random_polynomial,
     random_superfunction,
@@ -330,3 +337,44 @@ def test_map_external_is_linear_over_internal():
 def test_max_degree():
     f = x(1) ** 3 * th(1) + x(2)
     assert f.max_degree() == 3
+
+
+# -- what every element type shares -------------------------------------
+
+
+def test_public_constructors_reject_bad_input():
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(ValueError):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(TypeError):
+        Polynomial(1, {(1,): 0.5})
+    one = Polynomial.const(1, 2)
+    with pytest.raises(ValueError):
+        Superfunction(2, 2, 0, {((2, 1), ()): one})
+    with pytest.raises(DimensionError):
+        Superfunction(2, 2, 0, {((0,), ()): one})
+    with pytest.raises(DimensionError):
+        Superfunction(2, 2, 1, {((), (2,)): one})
+    with pytest.raises(DimensionError):
+        Superfunction(2, 2, 0, {((1,), ()): Polynomial.const(1, 3)})
+
+
+def test_power_is_the_repeated_product():
+    rng = random.Random(12)
+    cases = [
+        (lambda: random_grassmann(rng, 4), GrassmannElement.scalar(1, 4)),
+        (lambda: random_polynomial(rng, 2), Polynomial.const(1, 2)),
+        (lambda: random_superfunction(rng, 2, 2, 1), Superfunction.scalar(1, 2, 2, 1)),
+    ]
+    for draw, one in cases:
+        for _ in range(5):
+            a = draw()
+            product = one
+            for k in range(7):
+                assert a ** k == product
+                product = product * a
+
+
+def test_large_power_of_a_coordinate():
+    assert str(Superfunction.coordinate(1, 1, 2, 1) ** 1500) == "x1^1500"
