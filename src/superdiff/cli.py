@@ -3,8 +3,10 @@
 Verbs operate on text files in the package's expression and morphism
 formats ("-" reads stdin).  Results print to stdout either as canonical
 text (default) or as a JSON document (--format doc).  Exit codes: 0
-success, 1 property-check failure, 2 malformed input, 3 invertibility
-could not be certified, 4 dimension/parity/domain mismatch.
+success, 1 property-check failure, 2 malformed input (a parse error, or
+an input file that cannot be read or is not UTF-8: "cannot read PATH"),
+3 invertibility could not be certified, 4 dimension/parity/domain
+mismatch.
 """
 
 from __future__ import annotations
@@ -41,11 +43,19 @@ from .substitution import UnderlyingMorphism
 from .superfn import Superfunction
 
 
+class _Unreadable(Exception):
+    """An input file that cannot be opened or decoded."""
+
+
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise _Unreadable(f"cannot read {path}: {reason}") from None
 
 
 def _parse_args_dims(args: argparse.Namespace) -> tuple[Optional[int], Optional[int], Optional[int]]:
@@ -510,6 +520,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except _Unreadable as exc:
+        print(exc, file=sys.stderr)
         return 2
     except InvertibilityError as exc:
         print(f"not certifiable: {exc}", file=sys.stderr)

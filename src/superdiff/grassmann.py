@@ -19,12 +19,18 @@ The ring operations that `GrassmannElement` shares with `Polynomial` and
 `Superfunction` (ring check, sum, negation, scaling, powers, equality,
 hashing) live once, in the private base `_Sparse`.  Public constructors
 check every key and coefficient; kernel-built results are not re-checked.
+
+`Fraction` coefficients are what every element stores and every caller
+sees.  The products of `Polynomial` and `Superfunction` (module
+`superfn`) work inside over the integers, with one common denominator
+per operand, and hand back Fractions in lowest terms; the Grassmann
+product here, on few and short terms, stays with Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 from .errors import DimensionError, ParityError
@@ -33,6 +39,7 @@ Scalar = Union[int, Fraction]
 IndexTuple = tuple[int, ...]
 
 
+@lru_cache(maxsize=1 << 16)
 def merge_indices(a: IndexTuple, b: IndexTuple) -> Optional[tuple[int, IndexTuple]]:
     """Merge two increasing index tuples of anticommuting symbols.
 
@@ -92,27 +99,18 @@ def _accumulate(total: dict, pairs: Iterable[tuple]) -> dict:
 class _Sparse:
     """Ring operations on `terms`, a dict from keys to nonzero coefficients.
 
-    A subclass names the slots that fix its ring in `_SPACE` and adds its
-    checked `__init__`, `_product`, `_one` and calculus.  `_build` makes
-    kernel results: it checks nothing and only drops zero coefficients.
+    A subclass reads and sets the slots that fix its ring in `_space` and
+    `_assign`, and adds its checked `__init__`, `_product`, `_one` and
+    calculus.  `_build` makes kernel results: it checks nothing and only
+    drops zero coefficients.
     """
 
     __slots__ = ()
-    _SPACE: tuple[str, ...]
-
-    def __init_subclass__(cls) -> None:
-        # `_space()` is the tuple of the `_SPACE` slots
-        get = attrgetter(*cls._SPACE)
-        if len(cls._SPACE) == 1:
-            cls._space = lambda self: (get(self),)
-        else:
-            cls._space = lambda self: get(self)
 
     @classmethod
     def _build(cls, space: tuple, terms: Mapping) -> "_Sparse":
         self = object.__new__(cls)
-        for name, value in zip(cls._SPACE, space):
-            setattr(self, name, value)
+        self._assign(space)
         self.terms = {key: value for key, value in terms.items() if value}
         return self
 
@@ -188,7 +186,6 @@ class GrassmannElement(_Sparse):
     """An element of the Grassmann algebra on n anticommuting generators."""
 
     __slots__ = ("n", "terms")
-    _SPACE = ("n",)
 
     def __init__(self, n: int, terms: Mapping[IndexTuple, Scalar]):
         if n < 0:
@@ -223,6 +220,12 @@ class GrassmannElement(_Sparse):
 
     def _one(self) -> "GrassmannElement":
         return self.scalar(1, self.n)
+
+    def _space(self) -> tuple:
+        return (self.n,)
+
+    def _assign(self, space: tuple) -> None:
+        (self.n,) = space
 
     # -- structure ---------------------------------------------------
 

@@ -27,7 +27,8 @@ per I); any other header is a parse error at its offset:
     factored form  `p:`, one `phi0:` block and `X[I]:` lines, no images
 
 A differential atom may only stand last in a product; sums never mix
-functions with operators.  Every parse error carries the byte offset of
+functions with operators.  Parentheses nest at most MAX_NESTING (100)
+levels deep; a deeper `(` is a parse error at its offset.  Every parse error carries the byte offset of
 the offending token and the set of token kinds that were acceptable.
 Each document is tokenized once and read by one statement loop; every
 statement fault is reported before any dimension fault.
@@ -41,11 +42,12 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .derivation import SuperDerivation
 from .errors import DimensionError, ParseError
-from .grassmann import GrassmannElement, GrassmannMorphism
+from .grassmann import GrassmannElement, GrassmannMorphism, _index_key, merge_indices
 from .morphism import SuperMorphism
 from .substitution import UnderlyingMorphism
 from .superfn import Polynomial, Superfunction
@@ -174,12 +176,51 @@ Value = Union[Superfunction, SuperDerivation]
 
 _EXPR_FOLLOW = ("end", "newline", ";", "}", ")")
 
+# Parentheses may nest this deep; one level more is a parse error.
+MAX_NESTING = 100
+
+
+class _Monomial(NamedTuple):
+    """One term coeff * x^exps * th[theta] * t[tau], folded while a product is read."""
+
+    coeff: Fraction
+    exps: tuple[int, ...]
+    theta: IndexTuple
+    tau: IndexTuple
+
+    def times(self, other: "_Monomial") -> "_Monomial":
+        theta = merge_indices(self.theta, other.theta)
+        tau = merge_indices(self.tau, other.tau)
+        if theta is None or tau is None:
+            return self._replace(coeff=Fraction(0))
+        sign = theta[0] * tau[0]
+        # moving the second factor's th block past the first's t block
+        if (len(other.theta) * len(self.tau)) % 2:
+            sign = -sign
+        coeff = self.coeff * other.coeff
+        exps = tuple(map(add, self.exps, other.exps))
+        return _Monomial(coeff if sign > 0 else -coeff, exps, theta[1], tau[1])
+
+    def power(self, k: int) -> "_Monomial":
+        if k == 0:
+            return self._replace(coeff=Fraction(1), exps=(0,) * len(self.exps), theta=(), tau=())
+        if k > 1 and (self.theta or self.tau):
+            return self._replace(coeff=Fraction(0))  # odd factors square to zero
+        return self._replace(coeff=self.coeff**k, exps=tuple(e * k for e in self.exps))
+
+    def superfunction(self, dims: Dimensions) -> Superfunction:
+        m, n, p = dims
+        poly = Polynomial._build((m,), {self.exps: self.coeff})
+        return Superfunction._build((m, n, p), {(self.theta, self.tau): poly})
+
 
 class _Parser:
     def __init__(self, tokens: Sequence[Token], dims: Dimensions):
         self.tokens = tokens
         self.pos = 0
         self.dims = dims
+        self.depth = 0
+        self.unit = _Monomial(Fraction(1), (0,) * dims.m, (), ())
 
     # -- token plumbing ------------------------------------------------
 
@@ -202,10 +243,6 @@ class _Parser:
             self.advance()
 
     # -- expressions ----------------------------------------------------
-
-    def _one(self) -> Superfunction:
-        m, n, p = self.dims
-        return Superfunction.scalar(1, m, n, p)
 
     def parse_expression(self) -> Value:
         tok = self.peek()
@@ -238,11 +275,14 @@ class _Parser:
                 )
 
     def parse_term(self) -> Value:
-        factors: list[tuple[Value, int]] = [(self.parse_factor())]
+        """A product; runs of monomial factors are folded into one term, and
+        only parenthesised factors are multiplied as superfunctions."""
+        factors = [self.parse_factor()]
         while self.peek().kind == "*":
             self.advance()
             factors.append(self.parse_factor())
-        coeff: Superfunction = self._one()
+        segments: list[Superfunction] = []
+        mono = self.unit
         operator: Optional[SuperDerivation] = None
         for value, offset in factors:
             if operator is not None:
@@ -253,23 +293,33 @@ class _Parser:
                 )
             if isinstance(value, SuperDerivation):
                 operator = value
+            elif isinstance(value, _Monomial):
+                mono = mono.times(value)
             else:
-                coeff = coeff * value
+                if mono != self.unit:
+                    segments.append(mono.superfunction(self.dims))
+                    mono = self.unit
+                segments.append(value)
+        if mono != self.unit or not segments:
+            segments.append(mono.superfunction(self.dims))
+        coeff = segments[0]
+        for segment in segments[1:]:
+            coeff = coeff * segment
         if operator is None:
             return coeff
         return operator.premultiply(coeff)
 
-    def parse_factor(self) -> tuple[Value, int]:
+    def parse_factor(self) -> tuple[Union[Value, _Monomial], int]:
         offset = self.peek().offset
         value = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.advance()
-            exponent = self.expect("int")
+            exponent = int(self.expect("int").value)  # type: ignore[arg-type]
             if isinstance(value, SuperDerivation):
                 raise ParseError(
                     caret.offset, (), "cannot raise a differential operator to a power"
                 )
-            value = value ** int(exponent.value)  # type: ignore[arg-type]
+            value = value.power(exponent) if isinstance(value, _Monomial) else value**exponent
         return value, offset
 
     def parse_index_list(self) -> IndexTuple:
@@ -288,37 +338,37 @@ class _Parser:
             self.expect("]")
             return tuple(indices)
 
-    def parse_atom(self) -> Value:
+    def parse_atom(self) -> Union[Value, _Monomial]:
         m, n, p = self.dims
         tok = self.peek()
-        if tok.kind == "int":
+        if tok.kind in ("int", "xvar", "thvar", "tvar", "th", "t"):
             self.advance()
-            numerator = int(tok.value)  # type: ignore[arg-type]
+        if tok.kind == "int":
+            value = Fraction(tok.value)  # type: ignore[arg-type]
             if self.peek().kind == "/":
                 self.advance()
                 denom_tok = self.expect("int")
-                denominator = int(denom_tok.value)  # type: ignore[arg-type]
-                if denominator == 0:
+                if denom_tok.value == 0:
                     raise ParseError(denom_tok.offset, ("int",), "zero denominator")
-                return Superfunction.scalar(Fraction(numerator, denominator), m, n, p)
-            return Superfunction.scalar(numerator, m, n, p)
+                value /= denom_tok.value  # type: ignore[operator]
+            return self.unit._replace(coeff=value)
         if tok.kind == "xvar":
-            self.advance()
-            return Superfunction.coordinate(int(tok.value), m, n, p)  # type: ignore[arg-type]
+            if not 1 <= tok.value <= m:  # type: ignore[operator]
+                raise DimensionError(f"variable index {tok.value} out of range 1..{m}")
+            exps = tuple(int(i == tok.value) for i in range(1, m + 1))
+            return self.unit._replace(exps=exps)
         if tok.kind == "thvar":
-            self.advance()
-            return Superfunction.theta(int(tok.value), m, n, p)  # type: ignore[arg-type]
+            if not 1 <= tok.value <= n:  # type: ignore[operator]
+                raise DimensionError(f"odd coordinate index {tok.value} out of range 1..{n}")
+            return self.unit._replace(theta=(tok.value,))
         if tok.kind == "tvar":
-            self.advance()
-            return Superfunction.tau(int(tok.value), m, n, p)  # type: ignore[arg-type]
+            if not 1 <= tok.value <= p:  # type: ignore[operator]
+                raise DimensionError(f"external index {tok.value} out of range 1..{p}")
+            return self.unit._replace(tau=(tok.value,))
         if tok.kind == "th":
-            self.advance()
-            key = self.parse_index_list()
-            return Superfunction.monomial(m, n, p, Polynomial.const(1, m), key, ())
+            return self.unit._replace(theta=_index_key(self.parse_index_list(), n, "th"))
         if tok.kind == "t":
-            self.advance()
-            key = self.parse_index_list()
-            return Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), key)
+            return self.unit._replace(tau=_index_key(self.parse_index_list(), p, "t"))
         if tok.kind == "d_dx":
             self.advance()
             return SuperDerivation.d_dx(int(tok.value), m, n, p)  # type: ignore[arg-type]
@@ -326,9 +376,15 @@ class _Parser:
             self.advance()
             return SuperDerivation.d_dtheta(int(tok.value), m, n, p)  # type: ignore[arg-type]
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    tok.offset, (), f"parentheses nested more than {MAX_NESTING} levels deep"
+                )
             self.advance()
+            self.depth += 1
             value = self.parse_expression()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(
             tok.offset,

@@ -19,6 +19,14 @@ reordering an input expression into this form is where the sign flips
 happen.  The parity of a term is (len(K) + len(J)) mod 2.  Coefficients
 are exact rationals throughout.
 
+Fractions are the representation at the boundary; products and
+substitution compute inside over the integers, as FLINT's `fmpq_poly`
+does.  Each operand is cleared once to integer numerators over one
+common denominator (the lcm of its coefficients' denominators), pairs
+are multiplied and summed as `int`, and each output coefficient is
+built once as `Fraction(total, denominator)`, which puts it in lowest
+terms.
+
 The nilpotent filtration used by the higher layers counts th factors
 only: `j_degree` is the minimum len(K) over the stored terms, and
 products of more than n odd coordinates vanish identically.
@@ -35,9 +43,11 @@ Every term of N has at least two odd factors, so N^k = 0 once
 2|k| > n + p: the sum has only |k| <= (n+p)//2.  The terms over one odd
 block th[K] are summed before the block's image th(K) is multiplied in
 once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
-The caches for one set of images live in a private plan; morphisms
-build theirs once (per external rank) and keep it, since their images
-never change.
+The caches for one set of images live in a private plan, as integer
+numerators over the images' cleared denominators; morphisms build
+theirs once (per external rank) and keep it, since their images never
+change.  One substitution sums every term over one common denominator
+and divides once per output coefficient.
 
 `Polynomial` and `Superfunction` take their ring operations from the
 private base `grassmann._Sparse`.  Public constructors validate their
@@ -48,7 +58,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, ParityError
@@ -67,18 +77,80 @@ Exponents = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 TermKey = tuple[IndexTuple, IndexTuple]
 Coefficients = Mapping[Exponents, Fraction]
+# the same with integer numerators, over a denominator kept beside them
+Integers = dict[Exponents, int]
+IntegerBuckets = dict[TermKey, Integers]
 
 
-def _exponent_products(a: Coefficients, b: Coefficients, negate: bool = False):
-    """The (exponents, coefficient) pairs of the product of two term dicts
-    of polynomials, negated if asked; zero coefficients of `a` are skipped."""
+def _numerators(terms: Coefficients, den: int) -> Integers:
+    """The integer numerators of `terms` over `den`, a multiple of every denominator."""
+    if den == 1:
+        return {e: c.numerator for e, c in terms.items()}
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _cleared(terms: Coefficients) -> tuple[Integers, int]:
+    """Integer numerators of `terms` over their least common denominator."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return _numerators(terms, den), den
+
+
+def _cleared_buckets(terms: Mapping[TermKey, "Polynomial"]) -> tuple[IntegerBuckets, int]:
+    """Integer numerators of every coefficient of `terms` over one common denominator."""
+    den = math.lcm(*[c.denominator for poly in terms.values() for c in poly.terms.values()])
+    return {key: _numerators(poly.terms, den) for key, poly in terms.items()}, den
+
+
+def _divided(total: Integers, den: int) -> dict[Exponents, Fraction]:
+    """The nonzero entries of `total` as Fractions over `den`, each built once."""
+    return {e: Fraction(c, den) for e, c in total.items() if c}
+
+
+def _pruned(buckets: IntegerBuckets) -> IntegerBuckets:
+    """`buckets` without zero numerators and empty buckets, so that it is
+    empty exactly when it is zero."""
+    out = {}
+    for key, bucket in buckets.items():
+        bucket = {e: c for e, c in bucket.items() if c}
+        if bucket:
+            out[key] = bucket
+    return out
+
+
+def _multiply_into(total: Integers, a: Integers, b: Integers, negate: bool = False) -> Integers:
+    """Add the product of integer polynomials a and b into `total`, negated if
+    asked; zero entries of `a` are skipped."""
     for ea, ca in a.items():
         if not ca:
             continue
         if negate:
             ca = -ca
         for eb, cb in b.items():
-            yield tuple(map(add, ea, eb)), ca * cb
+            e = tuple(map(add, ea, eb))
+            total[e] = total.get(e, 0) + ca * cb
+    return total
+
+
+def _multiply_buckets_into(
+    total: IntegerBuckets, a: IntegerBuckets, b: IntegerBuckets
+) -> IntegerBuckets:
+    """Add the superfunction product of a and b, both integer buckets, into `total`."""
+    for (ka, ja), pa in a.items():
+        for (kb, jb), pb in b.items():
+            merged_theta = merge_indices(ka, kb)
+            if merged_theta is None:
+                continue
+            merged_tau = merge_indices(ja, jb)
+            if merged_tau is None:
+                continue
+            sign_theta, theta_key = merged_theta
+            sign_tau, tau_key = merged_tau
+            # moving the second factor's th block past the first's t block
+            sign = sign_theta * sign_tau
+            if (len(kb) * len(ja)) % 2:
+                sign = -sign
+            _multiply_into(total.setdefault((theta_key, tau_key), {}), pa, pb, sign < 0)
+    return total
 
 
 class Polynomial(_Sparse):
@@ -88,7 +160,6 @@ class Polynomial(_Sparse):
     """
 
     __slots__ = ("m", "terms")
-    _SPACE = ("m",)
 
     def __init__(self, m: int, terms: Mapping[Exponents, Scalar]):
         if m < 0:
@@ -122,12 +193,20 @@ class Polynomial(_Sparse):
     def _one(self) -> "Polynomial":
         return self.const(1, self.m)
 
+    def _space(self) -> tuple:
+        return (self.m,)
+
+    def _assign(self, space: tuple) -> None:
+        (self.m,) = space
+
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
     def _product(self, other: "Polynomial") -> "Polynomial":
-        return self._build((self.m,), _accumulate({}, _exponent_products(self.terms, other.terms)))
+        a, da = _cleared(self.terms)
+        b, db = _cleared(other.terms)
+        return self._build((self.m,), _divided(_multiply_into({}, a, b), da * db))
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th variable (1-based)."""
@@ -153,12 +232,13 @@ class Polynomial(_Sparse):
         return f"Polynomial({self.m}, {self.terms!r})"
 
 
-def _from_buckets(
-    m: int, n: int, p: int, buckets: Mapping[TermKey, Coefficients]
+def _from_integers(
+    m: int, n: int, p: int, buckets: IntegerBuckets, den: int
 ) -> "Superfunction":
-    """The superfunction whose (K, J) coefficient has the terms buckets[(K, J)]."""
+    """The superfunction whose (K, J) coefficient is buckets[(K, J)] / den."""
     return Superfunction._build(
-        (m, n, p), {key: Polynomial._build((m,), bucket) for key, bucket in buckets.items()}
+        (m, n, p),
+        {key: Polynomial._build((m,), _divided(bucket, den)) for key, bucket in buckets.items()},
     )
 
 
@@ -166,7 +246,6 @@ class Superfunction(_Sparse):
     """An element of the coordinate ring described in the module docstring."""
 
     __slots__ = ("m", "n", "p", "terms")
-    _SPACE = ("m", "n", "p")
 
     def __init__(self, m: int, n: int, p: int, terms: Mapping[TermKey, Polynomial]):
         if n < 0 or p < 0:
@@ -230,6 +309,12 @@ class Superfunction(_Sparse):
     def _one(self) -> "Superfunction":
         return self.scalar(1, self.m, self.n, self.p)
 
+    def _space(self) -> tuple:
+        return (self.m, self.n, self.p)
+
+    def _assign(self, space: tuple) -> None:
+        self.m, self.n, self.p = space
+
     # -- structure ---------------------------------------------------
 
     def body_polynomial(self) -> Polynomial:
@@ -264,26 +349,9 @@ class Superfunction(_Sparse):
     __mul__ = _Sparse.__mul__
 
     def _product(self, other: "Superfunction") -> "Superfunction":
-        product: dict[TermKey, dict[Exponents, Fraction]] = {}
-        for (ka, ja), pa in self.terms.items():
-            for (kb, jb), pb in other.terms.items():
-                merged_theta = merge_indices(ka, kb)
-                if merged_theta is None:
-                    continue
-                merged_tau = merge_indices(ja, jb)
-                if merged_tau is None:
-                    continue
-                sign_theta, theta_key = merged_theta
-                sign_tau, tau_key = merged_tau
-                # moving the second factor's th block past the first's t block
-                sign = sign_theta * sign_tau
-                if (len(kb) * len(ja)) % 2:
-                    sign = -sign
-                _accumulate(
-                    product.setdefault((theta_key, tau_key), {}),
-                    _exponent_products(pa.terms, pb.terms, sign < 0),
-                )
-        return _from_buckets(self.m, self.n, self.p, product)
+        a, da = _cleared_buckets(self.terms)
+        b, db = _cleared_buckets(other.terms)
+        return _from_integers(self.m, self.n, self.p, _multiply_buckets_into({}, a, b), da * db)
 
     # -- derivatives -------------------------------------------------
 
@@ -409,11 +477,16 @@ class _SubstitutionPlan:
     Each x-image is split into its body b_i, the coefficient of the unit
     monomial, and its nilpotent rest N_i.  Every term of N_i is even and
     carries th or t factors, so at least two odd ones, and the products
-    N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.  Body powers
-    and monomials (as `Polynomial`s), the surviving N^k and the odd
-    blocks th(K) (products of th-images) are cached on first use, so a
-    plan holds only what its substitutions needed.  The images must
-    already have passed `_check_images`.
+    N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.
+
+    The plan works over the integers.  Each image is cleared once to
+    integer numerators over the least common denominator of its
+    coefficients: b_i = B_i/D_i, N_i = M_i/E_i and the image of th_j is
+    F_j/G_j.  Body powers and monomials B^e, the surviving M^k and the
+    odd blocks F(K) = F_K1 * ... * F_Kr are integer products, cached on
+    first use, so a plan holds only what its substitutions needed; their
+    denominators D^e, E^k and G(K) are products of the cleared ones.  The
+    images must already have passed `_check_images`.
     """
 
     __slots__ = (
@@ -423,7 +496,11 @@ class _SubstitutionPlan:
         "x_images",
         "th_images",
         "_bound",
+        "_body_dens",
+        "_nil_dens",
+        "_th_dens",
         "_nilpotent",
+        "_th",
         "_body_powers",
         "_body_monomials",
         "_nil_powers",
@@ -441,114 +518,138 @@ class _SubstitutionPlan:
         self.m, self.n, self.p = m, n, p
         self.x_images, self.th_images = tuple(x_images), tuple(th_images)
         self._bound = (n + p) // 2
-        self._nilpotent = [
-            Superfunction._build((m, n, p), {k: c for k, c in g.terms.items() if k != ((), ())})
+        unit_key = ((), ())
+        bodies = [_cleared(g.body_polynomial().terms) for g in x_images]
+        nilpotent = [
+            _cleared_buckets({k: c for k, c in g.terms.items() if k != unit_key})
             for g in x_images
         ]
+        odd = [_cleared_buckets(g.terms) for g in th_images]
+        self._body_dens = [den for _, den in bodies]
+        self._nil_dens = [den for _, den in nilpotent]
+        self._th_dens = [den for _, den in odd]
+        self._nilpotent = [buckets for buckets, _ in nilpotent]
+        self._th = [buckets for buckets, _ in odd]
         zero = (0,) * len(x_images)
-        one = Polynomial.const(1, m)
-        self._body_powers = [[one, g.body_polynomial()] for g in x_images]
+        one = {(0,) * m: 1}
+        self._body_powers = [[one, body] for body, _ in bodies]
         self._body_monomials = {zero: one}
-        unit = Superfunction.scalar(1, m, n, p)
+        unit = {unit_key: one}
         self._nil_powers = {zero: unit}
         self._odd_blocks = {(): unit}
 
-    def _body_monomial(self, exps: Exponents) -> Polynomial:
-        """b^exps, from body powers built one factor at a time."""
+    def _body_monomial(self, exps: Exponents) -> Integers:
+        """B^exps, from body powers built one factor at a time."""
         found = self._body_monomials.get(exps)
         if found is None:
             for i, e in enumerate(exps):
                 if e:
                     powers = self._body_powers[i]
                     while len(powers) <= e:
-                        powers.append(powers[-1] * powers[1])
-                    found = powers[e] if found is None else found * powers[e]
+                        powers.append(_multiply_into({}, powers[-1], powers[1]))
+                    found = powers[e] if found is None else _multiply_into({}, found, powers[e])
             self._body_monomials[exps] = found
         return found
 
-    def _nil_power(self, k: Exponents) -> Superfunction:
+    def _nil_power(self, k: Exponents) -> IntegerBuckets:
         found = self._nil_powers.get(k)
         if found is None:
             i = next(i for i, j in enumerate(k) if j)
             lower = k[:i] + (k[i] - 1,) + k[i + 1 :]
             found = self._nilpotent[i]
             if any(lower):
-                found = self._nil_power(lower) * found
+                found = _pruned(_multiply_buckets_into({}, self._nil_power(lower), found))
             self._nil_powers[k] = found
         return found
 
     def _expansion(self, exps: Exponents) -> list:
-        """Taylor data of x^exps: (k, b^(exps-k), prod C(exps_i, k_i)).
+        """Taylor data of x^exps: (k, B^(exps-k), prod C(exps_i, k_i)).
 
         k runs over exps' lower multi-indices with |k| <= (n+p)//2 whose
-        N^k and body monomial are nonzero, so the list has the same
+        M^k and body monomial are nonzero, so the list has the same
         length for every large exponent.
         """
         ks: list[Exponents] = [()]
         for i, e in enumerate(exps):
-            top = min(e, self._bound) if self._nilpotent[i].terms else 0
+            top = min(e, self._bound) if self._nilpotent[i] else 0
             ks = [k + (j,) for k in ks for j in range(top + 1) if sum(k) + j <= self._bound]
         found = []
         for k in ks:
             body = self._body_monomial(tuple(e - j for e, j in zip(exps, k)))
-            if body.terms and self._nil_power(k).terms:
+            if body and self._nil_power(k):
                 mult = math.prod(math.comb(e, j) for e, j in zip(exps, k))
                 found.append((k, body, mult))
         return found
 
-    def _odd_block(self, theta_key: IndexTuple) -> Superfunction:
+    def _odd_block(self, theta_key: IndexTuple) -> IntegerBuckets:
         found = self._odd_blocks.get(theta_key)
         if found is None:
-            found = self.th_images[theta_key[-1] - 1]
+            found = self._th[theta_key[-1] - 1]
             if len(theta_key) > 1:
-                found = self._odd_block(theta_key[:-1]) * found
+                found = _pruned(_multiply_buckets_into({}, self._odd_block(theta_key[:-1]), found))
             self._odd_blocks[theta_key] = found
         return found
 
     def substitute(self, f: Superfunction) -> Superfunction:
-        m, n, p = self.m, self.n, self.p
-        by_block: dict[IndexTuple, list[tuple[IndexTuple, Polynomial]]] = {}
-        for (theta_key, tau_key), poly in f.terms.items():
-            by_block.setdefault(theta_key, []).append((tau_key, poly))
-        acc: dict[TermKey, dict[Exponents, Fraction]] = {}
+        terms, den = _cleared_buckets(f.terms)
+        by_block: dict[IndexTuple, list[tuple[IndexTuple, Integers]]] = {}
         expansions: dict[Exponents, list] = {}
+        for (theta_key, tau_key), poly in terms.items():
+            by_block.setdefault(theta_key, []).append((tau_key, poly))
+            for exps in poly:
+                if exps not in expansions:
+                    expansions[exps] = self._expansion(exps)
+        # Every term is summed over one denominator
+        #     L = den * prod_i D_i^emax_i * E_i^kmax_i * prod_j G_j,
+        # with the integer multiplier L / (den * D^(e-k) * E^k * G(K)),
+        # and the sum is divided by L once.
+        shifts = [(exps, k) for exps, data in expansions.items() for k, _, _ in data]
+        emax = [max(column) for column in zip(*(map(sub, e, k) for e, k in shifts))]
+        kmax = [max(column) for column in zip(*(k for _, k in shifts))]
+        denominators = list(zip(self._body_dens, emax, self._nil_dens, kmax))
+        for exps, data in expansions.items():
+            for index, (k, body, mult) in enumerate(data):
+                for (d, d_top, q, q_top), e, j in zip(denominators, exps, k):
+                    mult *= d ** (d_top - e + j) * q ** (q_top - j)
+                data[index] = (k, body, mult)
+        th_dens = self._th_dens
+        all_th = math.prod(th_dens)
+        common = den * all_th * math.prod(
+            d**d_top * q**q_top for d, d_top, q, q_top in denominators
+        )
+        acc: IntegerBuckets = {}
         zero = (0,) * len(self.x_images)
         for theta_key, entries in by_block.items():
             odd = self._odd_block(theta_key)
-            if not odd.terms:
+            if not odd:
                 continue
+            block_scale = all_th // math.prod(th_dens[j - 1] for j in theta_key)
             # S_K = sum_J (-1)^(|K||J|) poly_J(images) t^J, then S_K * th(K)
             target = {} if theta_key else acc
             for tau_key, poly in entries:
-                negate = len(theta_key) % 2 and len(tau_key) % 2
+                flip = len(theta_key) % 2 and len(tau_key) % 2
+                scale_j = -block_scale if flip else block_scale
                 # poly(b + N) = sum_k P_k N^k, P_k = sum_e c_e prod C(e_i, k_i) b^(e-k);
                 # N^0 = 1, so P_0 is summed in place
                 parts = {zero: target.setdefault(((), tau_key), {})}
-                for exps, coeff in poly.terms.items():
-                    if negate:
-                        coeff = -coeff
-                    expansion = expansions.get(exps)
-                    if expansion is None:
-                        expansion = expansions[exps] = self._expansion(exps)
-                    for k, body, mult in expansion:
-                        scale = coeff * mult if mult != 1 else coeff
-                        _accumulate(
-                            parts.setdefault(k, {}),
-                            ((e2, scale * c2) for e2, c2 in body.terms.items()),
-                        )
+                for exps, coeff in poly.items():
+                    coeff *= scale_j
+                    for k, body, mult in expansions[exps]:
+                        part = parts.setdefault(k, {})
+                        scale = coeff * mult
+                        for e2, c2 in body.items():
+                            part[e2] = part.get(e2, 0) + scale * c2
                 del parts[zero]
                 for k, part in parts.items():
-                    for (k2, j2), q in self._nil_powers[k].terms.items():
+                    for (k2, j2), q in self._nil_powers[k].items():
                         merged = merge_indices(j2, tau_key)
                         if merged is not None:
-                            _accumulate(
-                                target.setdefault((k2, merged[1]), {}),
-                                _exponent_products(part, q.terms, merged[0] < 0),
+                            _multiply_into(
+                                target.setdefault((k2, merged[1]), {}), part, q, merged[0] < 0
                             )
             if theta_key:
-                for key, poly in (_from_buckets(m, n, p, target) * odd).terms.items():
-                    _accumulate(acc.setdefault(key, {}), poly.terms.items())
-        return _from_buckets(m, n, p, acc)
+                _multiply_buckets_into(acc, target, odd)
+        return _from_integers(self.m, self.n, self.p, acc, common)
 
 
 def substitute_generators(

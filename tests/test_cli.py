@@ -190,6 +190,34 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_nesting_limit(tmp_path, capsys):
+    phi = write(tmp_path, "phi.txt", "x1 -> x1 + th[1]*t[1]\nth1 -> th1\n")
+    deep = write(tmp_path, "deep.txt", "(" * 100 + "x1^2" + ")" * 100 + "\n")
+    code, out, _ = run_cli(capsys, "apply", phi, deep)
+    assert code == 0
+    assert out.strip() == "x1^2 + 2*x1*th[1]*t[1]"
+    for depth in (101, 250):
+        deeper = write(tmp_path, "deeper.txt", "(" * depth + "x1" + ")" * depth + "\n")
+        code, out, err = run_cli(capsys, "apply", phi, deeper)
+        assert (code, out) == (2, "")
+        assert err.strip() == (
+            "parse error: at byte 100: parentheses nested more than 100 levels deep"
+        )
+
+
+@pytest.mark.parametrize("content", [None, b"x1 -> \xff\n"])
+def test_exit_code_unreadable_file(tmp_path, capsys, content):
+    path = tmp_path / "phi.txt"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "invert", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot read {path}: ")
+    code, _, err = run_cli(capsys, "invert", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"cannot read {tmp_path}: ")
+
+
 def test_exit_code_unknown_invertibility(tmp_path, capsys):
     sq = write(tmp_path, "sq.txt", "x1 -> x1^2\n")
     code, _, err = run_cli(capsys, "invert", sq)

@@ -49,6 +49,37 @@ def test_parenthesized_products():
     assert f == g
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t1*th1",
+        "t[1,2]*th[1]*t[3]*th2",
+        "th1*th1",
+        "t1*x1*t1",
+        "th[1,2]^2",
+        "t2^1*th2^0*x2^3",
+        "-2/4*x1*(x1 + th1*t1)*th2*t2*(x2 - th1*t3)",
+        "0*th1",
+        "0^0*x1",
+    ],
+)
+def test_products_fold_like_superfunction_products(text):
+    # every factor parsed alone, then multiplied as superfunctions
+    dims = {"m": 2, "n": 2, "p": 3}
+    factors = []
+    depth, start = 0, 0
+    for i, ch in enumerate(text + "*"):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if ch == "*" and depth == 0:
+            factors.append(text[start:i])
+            start = i + 1
+    sign = -1 if factors[0].startswith("-") else 1
+    expected = fmt.parse_superfunction(factors[0].lstrip("-"), **dims) * sign
+    for factor in factors[1:]:
+        expected = expected * fmt.parse_superfunction(factor, **dims)
+    assert fmt.parse_superfunction(text, **dims) == expected
+
+
 def test_derivation_parsing():
     d = fmt.parse_derivation("(x1 + th[1,2])*d/dx1 - 2*d/dth1")
     assert d.m == 1 and d.n == 2

@@ -12,6 +12,7 @@ from superdiff import (
     substitute_generators,
 )
 from superdiff.errors import DimensionError, ParityError
+from superdiff.grassmann import merge_indices
 from superdiff.sampling import (
     random_fraction,
     random_grassmann,
@@ -249,8 +250,28 @@ def test_substitution_into_a_larger_domain():
         substitute_generators(f, x_imgs, [Superfunction.theta(1, 1, 1, 0)])
 
 
+def _reference_product(a, b):
+    """a * b by plain Fraction arithmetic over every pair of monomials."""
+    out = {}
+    for (ka, ja), pa in a.terms.items():
+        for (kb, jb), pb in b.terms.items():
+            theta, tau = merge_indices(ka, kb), merge_indices(ja, jb)
+            if theta is None or tau is None:
+                continue
+            # moving b's th block past a's t block
+            sign = theta[0] * tau[0] * (-1) ** (len(kb) * len(ja))
+            bucket = out.setdefault((theta[1], tau[1]), {})
+            for ea, ca in pa.terms.items():
+                for eb, cb in pb.terms.items():
+                    e = tuple(i + j for i, j in zip(ea, eb))
+                    bucket[e] = bucket.get(e, 0) + sign * ca * cb
+    return Superfunction(
+        a.m, a.n, a.p, {key: Polynomial(a.m, bucket) for key, bucket in out.items()}
+    )
+
+
 def _naive_substitute(f, x_imgs, th_imgs):
-    """Reference substitution: each monomial rebuilt by repeated products."""
+    """Reference substitution: each monomial rebuilt by reference products."""
     m, n, p = x_imgs[0].m, x_imgs[0].n, x_imgs[0].p
     total = Superfunction.zero(m, n, p)
     for (theta_key, tau_key), poly in f.terms.items():
@@ -259,11 +280,20 @@ def _naive_substitute(f, x_imgs, th_imgs):
             term = Superfunction.scalar(coeff, m, n, p)
             for i, e in enumerate(exps):
                 for _ in range(e):
-                    term = term * x_imgs[i]
+                    term = _reference_product(term, x_imgs[i])
             for j in theta_key:
-                term = term * th_imgs[j - 1]
-            total = total + term * t_block
+                term = _reference_product(term, th_imgs[j - 1])
+            total = total + _reference_product(term, t_block)
     return total
+
+
+def _assert_lowest_terms(f):
+    """Every coefficient of f is a nonzero Fraction in lowest terms."""
+    for poly in f.terms.values():
+        assert poly.terms
+        for c in poly.terms.values():
+            assert type(c) is Fraction and c
+            assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
 def _random_images(rng, m, n, p, trial):
@@ -298,9 +328,112 @@ def test_substitution_matches_naive_reference(m, n, p):
         if p:
             poly = random_polynomial(rng, m, degree=3) + Polynomial.const(1, m)
             f = f + Superfunction.monomial(m, n, p, poly, (), (p,))
-        assert substitute_generators(f, x_imgs, th_imgs) == _naive_substitute(
-            f, x_imgs, th_imgs
-        )
+        result = substitute_generators(f, x_imgs, th_imgs)
+        assert result == _naive_substitute(f, x_imgs, th_imgs)
+        _assert_lowest_terms(result)
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 2, 1), (2, 2, 3), (3, 1, 2)])
+def test_product_matches_reference(m, n, p):
+    rng = random.Random(f"product {m}|{n};{p}")
+    for _ in range(40):
+        a = random_superfunction(rng, m, n, p, degree=3, terms=6)
+        b = random_superfunction(rng, m, n, p, degree=3, terms=6)
+        product = a * b
+        assert product == _reference_product(a, b)
+        _assert_lowest_terms(product)
+        bodies = [Superfunction.from_polynomial(f.body_polynomial(), n, p) for f in (a, b)]
+        poly_product = a.body_polynomial() * b.body_polynomial()
+        assert Superfunction.from_polynomial(poly_product, n, p) == _reference_product(*bodies)
+
+
+def test_substitution_with_image_denominators():
+    # bodies, nilpotent parts and th-images all have denominators above 1
+    m, n, p = 2, 2, 1
+    c = Fraction
+    x1, x2 = Polynomial.variable(1, m), Polynomial.variable(2, m)
+    one = Polynomial.const(1, m)
+    x_imgs = [
+        Superfunction(m, n, p, {
+            ((), ()): x1.scale(c(1, 2)) + one.scale(c(2, 3)),
+            ((1, 2), ()): one.scale(c(3, 5)),
+            ((1,), (1,)): x2.scale(c(1, 7)),
+        }),
+        Superfunction(m, n, p, {
+            ((), ()): (x2 * x2).scale(c(1, 3)),
+            ((1, 2), ()): x1.scale(c(5, 4)),
+        }),
+    ]
+    th_imgs = [
+        Superfunction(m, n, p, {
+            ((1,), ()): one.scale(c(1, 3)),
+            ((2,), ()): x1.scale(c(2, 9)),
+            ((), (1,)): one.scale(c(1, 5)),
+        }),
+        Superfunction(m, n, p, {
+            ((2,), ()): one.scale(c(3, 7)),
+            ((1, 2), (1,)): x2.scale(c(1, 11)),
+        }),
+    ]
+    rng = random.Random(14)
+    for _ in range(20):
+        f = random_superfunction(rng, m, n, p, degree=3, terms=6)
+        result = substitute_generators(f, x_imgs, th_imgs)
+        assert result == _naive_substitute(f, x_imgs, th_imgs)
+        _assert_lowest_terms(result)
+
+
+def test_cancellation_and_empty_operands():
+    m, n, p = 2, 2, 1
+    one = Polynomial.const(1, m)
+    s = th(1, m, n, p) + th(2, m, n, p)
+    assert (s * s).terms == {}
+    half = Superfunction.scalar(Fraction(1, 2), m, n, p)
+    assert (x(1, m, n, p) + half) * (x(1, m, n, p) - half) - x(1, m, n, p) ** 2 == (
+        Superfunction.scalar(Fraction(-1, 4), m, n, p)
+    )
+    zero = Superfunction.zero(m, n, p)
+    assert (zero * s).terms == (s * zero).terms == {}
+    assert (Polynomial.zero(m) * one).terms == {}
+    # equal x-images make x1 - x2 vanish; equal th-images kill th1*th2
+    nil = th(1, m, n, p) * th(2, m, n, p)
+    x_imgs = [x(1, m, n, p) + nil, x(1, m, n, p) + nil]
+    th_imgs = [th(1, m, n, p), th(1, m, n, p)]
+    for f in (x(1, m, n, p) - x(2, m, n, p), nil * tau(1, m, n, p), zero):
+        assert substitute_generators(f, x_imgs, th_imgs).terms == {}
+
+
+def test_external_signs():
+    m, n, p = 1, 2, 2
+    a = th(1, m, n, p) * tau(1, m, n, p)
+    b = th(2, m, n, p) * tau(2, m, n, p)
+    assert str(a * b) == "-th[1,2]*t[1,2]"
+    assert a * b == _reference_product(a, b)
+    # t[1] stays fixed while th1 -> th2 moves past it
+    f = tau(1, m, n, p) * th(1, m, n, p) * x(1, m, n, p)
+    result = substitute_generators(f, [x(1, m, n, p)], [th(2, m, n, p), th(1, m, n, p)])
+    assert str(result) == "-x1*th[2]*t[1]"
+
+
+def test_large_common_denominators():
+    m, n = 1, 2
+    th12 = Superfunction.theta(1, m, n) * Superfunction.theta(2, m, n)
+    base = Superfunction.coordinate(1, m, n).scale(Fraction(1, 3)) + th12
+    expected = Superfunction(m, n, 0, {
+        ((), ()): Polynomial(m, {(200,): Fraction(1, 3**200)}),
+        ((1, 2), ()): Polynomial(m, {(199,): Fraction(200, 3**199)}),
+    })
+    power = base**200
+    assert power == expected
+    _assert_lowest_terms(power)
+    by_reference = Superfunction.scalar(1, m, n)
+    for _ in range(200):
+        by_reference = _reference_product(by_reference, base)
+    assert by_reference == expected
+    f = Superfunction.from_polynomial(Polynomial(m, {(200,): 1}), n)
+    result = substitute_generators(f, [base], [Superfunction.theta(j, m, n) for j in (1, 2)])
+    assert result == expected
+    _assert_lowest_terms(result)
 
 
 def test_substitution_of_a_large_power():
@@ -378,3 +511,40 @@ def test_power_is_the_repeated_product():
 
 def test_large_power_of_a_coordinate():
     assert str(Superfunction.coordinate(1, 1, 2, 1) ** 1500) == "x1^1500"
+
+
+def test_kernel_matches_reference_on_generated_shapes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def index_keys(count):
+        bits = st.lists(st.booleans(), min_size=count, max_size=count)
+        return bits.map(lambda bits: tuple(i for i, bit in enumerate(bits, start=1) if bit))
+
+    def superfunctions(data, m, n, p, parity=None):
+        keys = st.tuples(index_keys(n), index_keys(p))
+        if parity is not None:
+            keys = keys.filter(lambda key: (len(key[0]) + len(key[1])) % 2 == parity)
+        coeffs = st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * m),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            max_size=3,
+        )
+        terms = data.draw(st.dictionaries(keys, coeffs, max_size=4))
+        return Superfunction(m, n, p, {key: Polynomial(m, c) for key, c in terms.items()})
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, n, p = data.draw(st.sampled_from([(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 1)]))
+        a, b = superfunctions(data, m, n, p), superfunctions(data, m, n, p)
+        product = a * b
+        assert product == _reference_product(a, b)
+        _assert_lowest_terms(product)
+        x_imgs = [superfunctions(data, m, n, p, parity=0) for _ in range(m)]
+        th_imgs = [superfunctions(data, m, n, p, parity=1) for _ in range(n)]
+        result = substitute_generators(a, x_imgs, th_imgs)
+        assert result == _naive_substitute(a, x_imgs, th_imgs)
+        _assert_lowest_terms(result)
+
+    check()
