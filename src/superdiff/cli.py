@@ -4,9 +4,10 @@ Verbs operate on text files in the package's expression and morphism
 formats ("-" reads stdin).  Results print to stdout either as canonical
 text (default) or as a JSON document (--format doc).  Exit codes: 0
 success, 1 property-check failure, 2 malformed input (a parse error, or
-an input file that cannot be read or is not UTF-8: "cannot read PATH"),
-3 invertibility could not be certified, 4 dimension/parity/domain
-mismatch.
+an input file or stdin that cannot be read or is not UTF-8: "cannot read
+PATH"), 3 invertibility could not be certified, 4 dimension/parity/domain
+mismatch, 5 internal error (any other exception, reported as "internal
+error: TYPE: MESSAGE" instead of a traceback).
 """
 
 from __future__ import annotations
@@ -50,20 +51,15 @@ class _Unreadable(Exception):
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            if sys.stdin is None:  # the process was started without fd 0
+                raise OSError("stdin is closed")
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise _Unreadable(f"cannot read {path}: {reason}") from None
-
-
-def _parse_args_dims(args: argparse.Namespace) -> tuple[Optional[int], Optional[int], Optional[int]]:
-    return (
-        getattr(args, "m", None),
-        getattr(args, "n", None),
-        getattr(args, "p", None),
-    )
 
 
 def _load_point(kind: str, value: object, args: argparse.Namespace) -> SDiffPoint:
@@ -76,22 +72,9 @@ def _load_point(kind: str, value: object, args: argparse.Namespace) -> SDiffPoin
         assert isinstance(morphism, SuperMorphism)
         forced = getattr(args, "p", None)
         if forced is not None and forced != morphism.p:
-            morphism = _lift_morphism(morphism, forced)
+            morphism = morphism.lift(forced)
         return SDiffPoint(morphism)
     raise ParseError(0, (), f"expected a morphism or factored form, found {kind}")
-
-
-def _lift_morphism(phi: SuperMorphism, p: int) -> SuperMorphism:
-    if p < phi.p:
-        raise DimensionError(f"cannot lower the rank from {phi.p} to {p}")
-    return SuperMorphism(
-        phi.m,
-        phi.n,
-        p,
-        [g.lift(p) for g in phi.images_x],
-        [g.lift(p) for g in phi.images_th],
-        inverse_hint=phi.inverse_hint,
-    )
 
 
 def _align(a: SDiffPoint, b: SDiffPoint) -> tuple[SDiffPoint, SDiffPoint]:
@@ -102,9 +85,9 @@ def _align(a: SDiffPoint, b: SDiffPoint) -> tuple[SDiffPoint, SDiffPoint]:
         )
     p = max(a.p, b.p)
     if a.p < p:
-        a = SDiffPoint(_lift_morphism(a.morphism, p), a.body)
+        a = SDiffPoint(a.morphism.lift(p), a.body)
     if b.p < p:
-        b = SDiffPoint(_lift_morphism(b.morphism, p), b.body)
+        b = SDiffPoint(b.morphism.lift(p), b.body)
     return a, b
 
 
@@ -231,17 +214,14 @@ def cmd_push(args: argparse.Namespace) -> int:
     assert isinstance(relabel, GrassmannMorphism)
     point = _load_point(*fmt.parse_any(_read(args.input)), args)
     if point.p != relabel.source_n:
-        point = SDiffPoint(
-            _lift_morphism(point.morphism, relabel.source_n), point.body
-        )
+        point = SDiffPoint(point.morphism.lift(relabel.source_n), point.body)
     _emit_point(args, functor_map(relabel, point))
     return 0
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
     kind, op = fmt.parse_any(_read(args.operator))
-    m, n, p = _parse_args_dims(args)
-    f = fmt.parse_superfunction(_read(args.argument), m, n, p)
+    f = fmt.parse_superfunction(_read(args.argument), args.m, args.n, args.p)
     if kind == "factored":
         op, kind = _load_point(kind, op, args).morphism, "morphism"
     if kind == "morphism":
@@ -249,8 +229,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
         if (f.m, f.n) != (op.m, op.n):
             f = f.embed(op.m, op.n, f.p)
         target = max(f.p, op.p)
-        phi = _lift_morphism(op, target) if op.p < target else op
-        result = phi.apply_extended(f.lift(target))
+        result = op.lift(target).apply_extended(f.lift(target))
     elif kind == "derivation":
         assert isinstance(op, SuperDerivation)
         if (f.m, f.n) != (op.m, op.n):
@@ -268,9 +247,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_bracket(args: argparse.Namespace) -> int:
-    m, n, p = _parse_args_dims(args)
-    left = fmt.parse_derivation(_read(args.left), m, n, p)
-    right = fmt.parse_derivation(_read(args.right), m, n, p)
+    left = fmt.parse_derivation(_read(args.left), args.m, args.n, args.p)
+    right = fmt.parse_derivation(_read(args.right), args.m, args.n, args.p)
     mm = max(left.m, right.m)
     nn = max(left.n, right.n)
     pp = max(left.p, right.p)
@@ -296,8 +274,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
-    m, n, p = _parse_args_dims(args)
-    field = fmt.parse_derivation(_read(args.input), m, n, p)
+    field = fmt.parse_derivation(_read(args.input), args.m, args.n, args.p)
     morphism = exp_nilpotent(field)
     _emit(args, fmt.format_underlying(morphism), _doc(morphism))
     return 0
@@ -412,16 +389,16 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # -- wiring ------------------------------------------------------------------
 
 
-def _add_format(sub: argparse.ArgumentParser) -> None:
+_DIMS = {"m": "even coordinate count", "n": "odd coordinate count", "p": "external rank"}
+
+
+def _add_options(sub: argparse.ArgumentParser, dims: str = "") -> None:
+    """--format, then one --X option for each letter of dims the verb reads."""
     sub.add_argument(
         "--format", choices=("text", "doc"), default="text", help="output style"
     )
-
-
-def _add_dims(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--m", type=int, default=None, help="even coordinate count")
-    sub.add_argument("--n", type=int, default=None, help="odd coordinate count")
-    sub.add_argument("--p", type=int, default=None, help="external rank")
+    for dim in dims:
+        sub.add_argument(f"--{dim}", type=int, default=None, help=_DIMS[dim])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,63 +416,55 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check through the factored route",
     )
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "p")
     sp.set_defaults(func=cmd_compose)
 
     sp = sub.add_parser("invert", help="group inverse of an invertible family")
     sp.add_argument("input")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "p")
     sp.set_defaults(func=cmd_invert)
 
     sp = sub.add_parser("factorize", help="split into body and component fields")
     sp.add_argument("input")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "p")
     sp.set_defaults(func=cmd_factorize)
 
     sp = sub.add_parser("expand", help="rebuild the morphism from factored data")
     sp.add_argument("input")
-    _add_format(sp)
+    _add_options(sp)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("split", help="separate kernel part and constant part")
     sp.add_argument("input")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "p")
     sp.set_defaults(func=cmd_split)
 
     sp = sub.add_parser("push", help="relabel external generators along a map")
     sp.add_argument("relabel", help="Grassmann morphism file")
     sp.add_argument("input", help="morphism or factored file")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "p")
     sp.set_defaults(func=cmd_push)
 
     sp = sub.add_parser("apply", help="apply a morphism or operator to a function")
     sp.add_argument("operator")
     sp.add_argument("argument")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "mnp")
     sp.set_defaults(func=cmd_apply)
 
     sp = sub.add_parser("bracket", help="graded commutator of two operators")
     sp.add_argument("left")
     sp.add_argument("right")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "mnp")
     sp.set_defaults(func=cmd_bracket)
 
     sp = sub.add_parser("exp", help="exponentiate a filtration-raising field")
     sp.add_argument("input")
-    _add_format(sp)
-    _add_dims(sp)
+    _add_options(sp, "mnp")
     sp.set_defaults(func=cmd_exp)
 
     sp = sub.add_parser("log", help="logarithm of a unipotent substitution")
     sp.add_argument("input")
-    _add_format(sp)
+    _add_options(sp)
     sp.set_defaults(func=cmd_log)
 
     sp = sub.add_parser("sections", help="basis of even field families")
@@ -503,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--degree", type=int, default=1, help="max polynomial degree")
-    _add_format(sp)
+    _add_options(sp)
     sp.set_defaults(func=cmd_sections)
 
     sp = sub.add_parser("selftest", help="seeded property checks")
@@ -530,6 +499,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DimensionError, ParityError, DomainError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # the last resort: no traceback reaches the user
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

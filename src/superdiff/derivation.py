@@ -25,7 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, 
 
 from .errors import DimensionError, DomainError, InvertibilityError, ParityError
 from .grassmann import _accumulate
-from .substitution import UnderlyingMorphism
+from .substitution import UnderlyingMorphism, _coordinates
 from .superfn import Superfunction
 
 Scalar = Union[int, Fraction]
@@ -363,10 +363,9 @@ def pushforward(phi0: UnderlyingMorphism, field: SuperDerivation) -> SuperDeriva
         raise DimensionError("substitution and field live on different domains")
     if phi0.inverse is None:
         raise InvertibilityError("pushforward needs a certified inverse")
-    inv = phi0.inverse
-    x_out = [inv.apply(field.apply(g.lift(field.p))) for g in phi0.images_x]
-    th_out = [inv.apply(field.apply(g.lift(field.p))) for g in phi0.images_th]
-    return SuperDerivation(field.m, field.n, field.p, x_out, th_out)
+    inv, m = phi0.inverse, field.m
+    out = [inv.apply(field.apply(g.lift(field.p))) for g in phi0.images]
+    return SuperDerivation(m, field.n, field.p, out[:m], out[m:])
 
 
 # -- exponential and logarithm -------------------------------------------
@@ -416,17 +415,14 @@ def exp_nilpotent(field: SuperDerivation) -> UnderlyingMorphism:
         raise ParityError("exponential requires an even field")
     if field.filtration_degree() < 2:
         raise DomainError("exponential requires filtration degree at least 2")
-    ident = UnderlyingMorphism.identity(field.m, field.n)
+    m, n = field.m, field.n
     fwd, bwd = (
-        UnderlyingMorphism(
-            field.m,
-            field.n,
-            [_series(x.apply, g, _exp_coeff) for g in ident.images_x],
-            [_series(x.apply, g, _exp_coeff) for g in ident.images_th],
-        )
+        [_series(x.apply, g, _exp_coeff) for g in _coordinates(m, n)]
         for x in (field, -field)
     )
-    return fwd.with_inverse(bwd)
+    return UnderlyingMorphism(m, n, fwd[:m], fwd[m:]).with_inverse(
+        UnderlyingMorphism(m, n, bwd[:m], bwd[m:])
+    )
 
 
 def log_unipotent(phi: UnderlyingMorphism) -> SuperDerivation:
@@ -438,12 +434,12 @@ def log_unipotent(phi: UnderlyingMorphism) -> SuperDerivation:
     """
     if not phi.is_unipotent():
         raise DomainError("logarithm requires a unipotent substitution")
-    ident = UnderlyingMorphism.identity(phi.m, phi.n)
-    x_coeffs, th_coeffs = (
-        [_series(lambda f: phi.apply(f) - f, g, _log_coeff) - g for g in images]
-        for images in (ident.images_x, ident.images_th)
-    )
-    field = SuperDerivation(phi.m, phi.n, 0, x_coeffs, th_coeffs)
+    m = phi.m
+    coeffs = [
+        _series(lambda f: phi.apply(f) - f, g, _log_coeff) - g
+        for g in _coordinates(m, phi.n)
+    ]
+    field = SuperDerivation(m, phi.n, 0, coeffs[:m], coeffs[m:])
     if field.parity() != 0:
         raise ParityError("logarithm produced a field of mixed parity")
     return field

@@ -2,8 +2,13 @@
 
 A `SuperMorphism` is an algebra map from the coordinate ring of R^{m|n}
 into the same ring tensored with p external odd generators t[1..p]; it
-is determined by parity-correct images of the coordinates.  Such a
-family decomposes uniquely as
+is determined by parity-correct images of the coordinates.  It rests on
+the same base as `UnderlyingMorphism`, `substitution._Substitution`,
+which checks the images once and owns the substitution path, the
+identity and unipotency tests and equality.  A family builds its
+substitution plan per call and keeps none: families are often kept
+long and applied rarely, so retained plans would only hold memory.
+Such a family decomposes uniquely as
 
     phi = exp( sum_I t[I] * X_I ) o phi0
 
@@ -40,15 +45,8 @@ from .errors import (
     ParityError,
 )
 from .grassmann import GrassmannMorphism
-from .substitution import UnderlyingMorphism
-from .superfn import (
-    Polynomial,
-    Superfunction,
-    _check_images,
-    _SubstitutionPlan,
-    map_external,
-    substitute_generators,
-)
+from .substitution import UnderlyingMorphism, _coordinates, _Substitution
+from .superfn import Polynomial, Superfunction, map_external
 
 IndexTuple = tuple[int, ...]
 FieldFamily = dict[IndexTuple, SuperDerivation]
@@ -65,10 +63,10 @@ def subsets_of_rank(p: int, include_empty: bool = False) -> list[IndexTuple]:
     return out
 
 
-class SuperMorphism:
+class SuperMorphism(_Substitution):
     """An algebra map determined by coordinate images with external part."""
 
-    __slots__ = ("m", "n", "p", "images_x", "images_th", "inverse_hint")
+    __slots__ = ("inverse_hint",)
 
     def __init__(
         self,
@@ -79,33 +77,28 @@ class SuperMorphism:
         images_th: Sequence[Superfunction],
         inverse_hint: Optional[UnderlyingMorphism] = None,
     ):
-        self.m = m
-        self.n = n
-        self.p = p
-        self.images_x, self.images_th = _check_images(images_x, images_th, m, n, p)
+        super().__init__(m, n, p, images_x, images_th)
         # optional user-supplied inverse for the underlying part; checked
         # exactly before anything relies on it
         self.inverse_hint = inverse_hint
 
     @classmethod
     def identity(cls, m: int, n: int, p: int) -> "SuperMorphism":
-        return cls(
-            m,
-            n,
-            p,
-            [Superfunction.coordinate(i, m, n, p) for i in range(1, m + 1)],
-            [Superfunction.theta(j, m, n, p) for j in range(1, n + 1)],
-        )
+        coords = _coordinates(m, n, p)
+        return cls(m, n, p, coords[:m], coords[m:])
 
     @classmethod
     def constant_family(cls, body: UnderlyingMorphism, p: int) -> "SuperMorphism":
         """The family with no external dependence at all."""
-        return cls(
-            body.m,
-            body.n,
-            p,
-            [g.lift(p) for g in body.images_x],
-            [g.lift(p) for g in body.images_th],
+        return cls(body.m, body.n, 0, body.images_x, body.images_th).lift(p)
+
+    def lift(self, p: int) -> "SuperMorphism":
+        """The same family over p external generators, its hint kept."""
+        if p < self.p:
+            raise DimensionError(f"cannot lower the rank from {self.p} to {p}")
+        images = [g.lift(p) for g in self.images]
+        return SuperMorphism(
+            self.m, self.n, p, images[: self.m], images[self.m :], self.inverse_hint
         )
 
     # -- action ------------------------------------------------------
@@ -116,9 +109,9 @@ class SuperMorphism:
         The external generators are held fixed; this is the canonical
         extension of the map to the tensored ring.
         """
-        if (h.m, h.n, h.p) != (self.m, self.n, self.p):
+        if h.p != self.p:
             raise DimensionError("element lives on the wrong domain for this map")
-        return substitute_generators(h, self.images_x, self.images_th)
+        return self._substitute(h)
 
     def apply(self, f: Superfunction) -> Superfunction:
         """Apply to an element of the plain coordinate ring (no t factors)."""
@@ -146,31 +139,16 @@ class SuperMorphism:
 
     def underlying(self) -> UnderlyingMorphism:
         """Drop all t terms from the images; the ordinary substitution below."""
-        return UnderlyingMorphism(
-            self.m,
-            self.n,
-            [g.external_coefficient(()) for g in self.images_x],
-            [g.external_coefficient(()) for g in self.images_th],
-        )
+        body = [g.external_coefficient(()) for g in self.images]
+        return UnderlyingMorphism(self.m, self.n, body[: self.m], body[self.m :])
 
     def compose(self, inner: "SuperMorphism") -> "SuperMorphism":
         """self after inner, external generators shared and held fixed."""
         if (self.m, self.n, self.p) != (inner.m, inner.n, inner.p):
             raise DimensionError("cannot compose maps of different domains or ranks")
-        plan = _SubstitutionPlan(self.m, self.n, self.p, self.images_x, self.images_th)
-        images = [
-            substitute_generators(g, self.images_x, self.images_th, _plan=plan)
-            for g in inner.images_x + inner.images_th
-        ]
+        plan = self._plan(self.p)
+        images = [self._substitute(g, plan) for g in inner.images]
         return SuperMorphism(self.m, self.n, self.p, images[: self.m], images[self.m :])
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SuperMorphism)
-            and (self.m, self.n, self.p) == (other.m, other.n, other.p)
-            and self.images_x == other.images_x
-            and self.images_th == other.images_th
-        )
 
     def __str__(self) -> str:
         from .parser import format_morphism
@@ -198,13 +176,9 @@ def gr_push(morphism: GrassmannMorphism, phi: SuperMorphism) -> SuperMorphism:
         raise DimensionError(
             f"family has external rank {phi.p}, morphism expects {morphism.source_n}"
         )
+    images = [map_external(g, morphism) for g in phi.images]
     return SuperMorphism(
-        phi.m,
-        phi.n,
-        morphism.target_n,
-        [map_external(g, morphism) for g in phi.images_x],
-        [map_external(g, morphism) for g in phi.images_th],
-        inverse_hint=phi.inverse_hint,
+        phi.m, phi.n, morphism.target_n, images[: phi.m], images[phi.m :], phi.inverse_hint
     )
 
 
@@ -293,9 +267,8 @@ def expand_factored(
     m, n = body.m, body.n
     family = _validate_family(m, n, p, fields)
     op = _family_operator(m, n, p, family)
-    images_x = [_series(op.apply, g.lift(p), _exp_coeff) for g in body.images_x]
-    images_th = [_series(op.apply, g.lift(p), _exp_coeff) for g in body.images_th]
-    return SuperMorphism(m, n, p, images_x, images_th)
+    images = [_series(op.apply, g.lift(p), _exp_coeff) for g in body.images]
+    return SuperMorphism(m, n, p, images[:m], images[m:])
 
 
 def _certified_body(
@@ -343,12 +316,12 @@ def factorize(
     body = _certified_body(phi, body)
     inverse = body.inverse
     assert inverse is not None
-    body_images = [g.lift(p) for g in body.images_x + body.images_th]
+    body_images = [g.lift(p) for g in body.images]
 
     fields: FieldFamily = {}
     for index_set in subsets_of_rank(p):
         values: list[Superfunction] = []
-        for image, body_image in zip(phi.images_x + phi.images_th, body_images):
+        for image, body_image in zip(phi.images, body_images):
             target = Superfunction(
                 m, n, p, {key: c for key, c in image.terms.items() if key[1] == index_set}
             )

@@ -850,8 +850,7 @@ def _visible_rank(keys: Iterable[IndexTuple]) -> int:
 
 
 def format_morphism(phi: SuperMorphism) -> str:
-    images = list(phi.images_x) + list(phi.images_th)
-    visible = _visible_rank(key for g in images for key in g.external_support())
+    visible = _visible_rank(key for g in phi.images for key in g.external_support())
     lines = [] if visible == phi.p else [f"p: {phi.p}"]
     return "\n".join(lines + _image_lines(phi, phi.inverse_hint))
 

@@ -34,7 +34,7 @@ from .morphism import (
     factorize,
     gr_push,
 )
-from .substitution import UnderlyingMorphism
+from .substitution import UnderlyingMorphism, _coordinates
 
 
 class InvertVerdict(NamedTuple):
@@ -117,7 +117,7 @@ class SDiffPoint:
         return point
 
     def is_identity(self) -> bool:
-        return self.morphism == SuperMorphism.identity(self.m, self.n, self.p)
+        return self.morphism.is_identity()
 
     def in_kernel(self) -> bool:
         """True when the underlying substitution is the identity."""
@@ -161,7 +161,7 @@ def compose_factored(outer: SDiffPoint, inner: SDiffPoint) -> SuperMorphism:
     op_inner = _family_operator(m, n, p, transported)
     base = outer.body.compose(inner.body)
     images = []
-    for g in list(base.images_x) + list(base.images_th):
+    for g in base.images:
         value = _series(op_inner.apply, g.lift(p), _exp_coeff)
         images.append(_series(op_outer.apply, value, _exp_coeff))
     return SuperMorphism(m, n, p, images[:m], images[m:])
@@ -174,10 +174,9 @@ def invert(point: SDiffPoint) -> SDiffPoint:
     if inv_body is None:
         raise InvertibilityError("point carries no certified inverse")
     op = -_family_operator(m, n, p, point.fields)
-    ident = SuperMorphism.identity(m, n, p)
     images = [
         inv_body.apply(_series(op.apply, gen, _exp_coeff))
-        for gen in ident.images_x + ident.images_th
+        for gen in _coordinates(m, n, p)
     ]
     return SDiffPoint(SuperMorphism(m, n, p, images[:m], images[m:]), inv_body)
 

@@ -82,6 +82,8 @@ def section_basis(m: int, n: int, p: int, degree: int) -> list[LambdaSection]:
     """
     if degree < 0:
         raise DimensionError("degree bound must be nonnegative")
+    if m < 0 or n < 0:
+        raise DimensionError("coordinate counts must be nonnegative")
     exponents = _monomials_up_to(m, degree)
     theta_sets = [
         key for size in range(n + 1) for key in combinations(range(1, n + 1), size)

@@ -1,10 +1,20 @@
 """Substitution endomorphisms of a superdomain's coordinate ring.
 
-An `UnderlyingMorphism` records where each coordinate of R^{m|n} goes:
-an even superfunction for every x, an odd one for every th, with no
-external generators involved.  Applying it substitutes those images
-into an arbitrary element (whose external generators, if any, are left
-alone).
+Both morphism types rest on one private base, `_Substitution`: the
+coordinate images of R^{m|n} in the ring on m|n with p external
+generators, checked once at construction, with one way to prepare them
+for substitution (`_plan`) and one substitution path
+(`substitute_generators` with that plan).  Identity and unipotency
+tests and equality live there too; equality is per class, so a family
+at p = 0 never equals a substitution with the same images.
+
+An `UnderlyingMorphism` is the base at p = 0: an even superfunction for
+every x, an odd one for every th, with no external generators involved.
+Applying it substitutes those images into an arbitrary element (whose
+external generators, if any, are left alone).  It is applied one
+element at a time, so it keeps its plan for each external rank; a
+`morphism.SuperMorphism` builds a plan per call and keeps none, since
+many families live long and are applied rarely.
 
 Inverses are handled by certificate: a morphism either carries a
 companion morphism that has been checked exactly on every coordinate,
@@ -48,7 +58,71 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Frac
     return [row[size:] for row in aug]
 
 
-class UnderlyingMorphism:
+
+
+def _coordinates(m: int, n: int, p: int = 0) -> tuple[Superfunction, ...]:
+    """x1..xm, then th1..thn, in the ring on m|n with p external generators."""
+    return tuple(Superfunction.coordinate(i, m, n, p) for i in range(1, m + 1)) + tuple(
+        Superfunction.theta(j, m, n, p) for j in range(1, n + 1)
+    )
+
+
+class _Substitution:
+    """Coordinate images of R^{m|n} in the ring on m|n with p external generators."""
+
+    __slots__ = ("m", "n", "p", "images_x", "images_th")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        p: int,
+        images_x: Sequence[Superfunction],
+        images_th: Sequence[Superfunction],
+    ):
+        self.m, self.n, self.p = m, n, p
+        self.images_x, self.images_th = _check_images(images_x, images_th, m, n, p)
+
+    @property
+    def images(self) -> tuple[Superfunction, ...]:
+        """Every coordinate image, x's first."""
+        return self.images_x + self.images_th
+
+    def _plan(self, p: int) -> _SubstitutionPlan:
+        """A plan of the images lifted to external rank p."""
+        lifted = [g.lift(p) for g in self.images]
+        return _SubstitutionPlan(self.m, self.n, p, lifted[: self.m], lifted[self.m :])
+
+    def _substitute(
+        self, f: Superfunction, plan: Optional[_SubstitutionPlan] = None
+    ) -> Superfunction:
+        """f with every coordinate replaced by its image; t factors held fixed."""
+        if (f.m, f.n) != (self.m, self.n):
+            raise DimensionError(
+                f"element lives on {f.m}|{f.n}, morphism on {self.m}|{self.n}"
+            )
+        plan = plan or self._plan(f.p)
+        return substitute_generators(f, plan.x_images, plan.th_images, _plan=plan)
+
+    def is_identity(self) -> bool:
+        return self.images == _coordinates(self.m, self.n, self.p)
+
+    def is_unipotent(self) -> bool:
+        """True when every coordinate moves by a term of filtration >= 2."""
+        return all(
+            (g - e).j_degree() >= 2
+            for g, e in zip(self.images, _coordinates(self.m, self.n, self.p))
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, type(self))
+            and (self.m, self.n, self.p) == (other.m, other.n, other.p)
+            and self.images == other.images
+        )
+
+
+class UnderlyingMorphism(_Substitution):
     """A parity-preserving substitution endomorphism of R^{m|n}.
 
     `inverse`, when present, is a certificate: both composites were
@@ -57,7 +131,7 @@ class UnderlyingMorphism:
     plan built for each external rank is kept and reused.
     """
 
-    __slots__ = ("m", "n", "images_x", "images_th", "inverse", "_plans")
+    __slots__ = ("inverse", "_plans")
 
     def __init__(
         self,
@@ -67,9 +141,7 @@ class UnderlyingMorphism:
         images_th: Sequence[Superfunction],
         inverse: Optional["UnderlyingMorphism"] = None,
     ):
-        self.m = m
-        self.n = n
-        self.images_x, self.images_th = _check_images(images_x, images_th, m, n, 0)
+        super().__init__(m, n, 0, images_x, images_th)
         self.inverse = inverse
         if inverse is not None and inverse.inverse is None:
             inverse.inverse = self  # a two-sided inverse certifies both ways
@@ -77,59 +149,31 @@ class UnderlyingMorphism:
 
     @classmethod
     def identity(cls, m: int, n: int) -> "UnderlyingMorphism":
-        phi = cls(
-            m,
-            n,
-            [Superfunction.coordinate(i, m, n) for i in range(1, m + 1)],
-            [Superfunction.theta(j, m, n) for j in range(1, n + 1)],
-        )
+        coords = _coordinates(m, n)
+        phi = cls(m, n, coords[:m], coords[m:])
         phi.inverse = phi
         return phi
 
-    def is_identity(self) -> bool:
-        return (
-            self.images_x
-            == tuple(Superfunction.coordinate(i, self.m, self.n) for i in range(1, self.m + 1))
-            and self.images_th
-            == tuple(Superfunction.theta(j, self.m, self.n) for j in range(1, self.n + 1))
-        )
+    def _plan(self, p: int) -> _SubstitutionPlan:
+        plan = self._plans.get(p)
+        if plan is None:
+            plan = self._plans[p] = super()._plan(p)
+        return plan
 
     def apply(self, f: Superfunction) -> Superfunction:
         """Substitute the coordinate images into f (external rank preserved)."""
-        if (f.m, f.n) != (self.m, self.n):
-            raise DimensionError(
-                f"element lives on {f.m}|{f.n}, morphism on {self.m}|{self.n}"
-            )
-        plan = self._plans.get(f.p)
-        if plan is None:
-            plan = self._plans[f.p] = _SubstitutionPlan(
-                self.m,
-                self.n,
-                f.p,
-                [g.lift(f.p) for g in self.images_x],
-                [g.lift(f.p) for g in self.images_th],
-            )
-        return substitute_generators(f, plan.x_images, plan.th_images, _plan=plan)
+        return self._substitute(f)
 
     def compose(self, inner: "UnderlyingMorphism") -> "UnderlyingMorphism":
         """self after inner, i.e. substitute self's images into inner's."""
         if (self.m, self.n) != (inner.m, inner.n):
             raise DimensionError("cannot compose morphisms of different domains")
-        composite = UnderlyingMorphism(
-            self.m,
-            self.n,
-            [self.apply(g) for g in inner.images_x],
-            [self.apply(g) for g in inner.images_th],
-        )
+        m, n = self.m, self.n
+        images = [self.apply(g) for g in inner.images]
+        composite = UnderlyingMorphism(m, n, images[:m], images[m:])
         if self.inverse is not None and inner.inverse is not None:
-            inv = UnderlyingMorphism(
-                self.m,
-                self.n,
-                [inner.inverse.apply(g) for g in self.inverse.images_x],
-                [inner.inverse.apply(g) for g in self.inverse.images_th],
-            )
-            composite.inverse = inv
-            inv.inverse = composite
+            images = [inner.inverse.apply(g) for g in self.inverse.images]
+            composite.inverse = UnderlyingMorphism(m, n, images[:m], images[m:], composite)
         return composite
 
     def with_inverse(self, candidate: "UnderlyingMorphism") -> "UnderlyingMorphism":
@@ -140,38 +184,17 @@ class UnderlyingMorphism:
         """
         if (self.m, self.n) != (candidate.m, candidate.n):
             raise DimensionError("candidate inverse lives on the wrong domain")
-        ident = UnderlyingMorphism.identity(self.m, self.n)
+        coords = _coordinates(self.m, self.n)
         for outer, inner in ((self, candidate), (candidate, self)):
-            for g, expected in zip(
-                list(inner.images_x) + list(inner.images_th),
-                list(ident.images_x) + list(ident.images_th),
-            ):
-                if outer.apply(g) != expected:
-                    raise DomainError("candidate inverse fails the exact check")
+            if any(outer.apply(g) != e for g, e in zip(inner.images, coords)):
+                raise DomainError("candidate inverse fails the exact check")
         forward = UnderlyingMorphism(self.m, self.n, self.images_x, self.images_th)
         backward = UnderlyingMorphism(
-            candidate.m, candidate.n, candidate.images_x, candidate.images_th
+            self.m, self.n, candidate.images_x, candidate.images_th, forward
         )
         # same images, so the plans built by the check carry over
-        forward._plans = self._plans
-        backward._plans = candidate._plans
-        forward.inverse = backward
-        backward.inverse = forward
+        forward._plans, backward._plans = self._plans, candidate._plans
         return forward
-
-    # -- structure tests ----------------------------------------------
-
-    def is_unipotent(self) -> bool:
-        """True when every coordinate moves by a term of filtration >= 2."""
-        for i, g in enumerate(self.images_x, start=1):
-            delta = g - Superfunction.coordinate(i, self.m, self.n)
-            if delta.j_degree() < 2:
-                return False
-        for j, g in enumerate(self.images_th, start=1):
-            delta = g - Superfunction.theta(j, self.m, self.n)
-            if delta.j_degree() < 2:
-                return False
-        return True
 
     def affine_part(self) -> Optional["UnderlyingMorphism"]:
         """The affine truncation, when it is exactly invertible.
@@ -202,26 +225,7 @@ class UnderlyingMorphism:
                 if poly.degree() > 0:
                     return None  # th coefficient depends on x: not constant
                 matrix_th[j][theta_key[0] - 1] = poly.terms.get((0,) * m, Fraction(0))
-        inv_x, inv_th = invert_matrix(matrix_x), invert_matrix(matrix_th)
-        if inv_x is None or inv_th is None:
-            return None
-        # exact inverse: x -> Ainv (x - shift), th -> Cinv th
-        inv_shift = [
-            -sum((row[k] * shift[k] for k in range(m)), Fraction(0)) for row in inv_x
-        ]
-        forward = _affine(m, n, matrix_x, shift, matrix_th)
-        backward = _affine(m, n, inv_x, inv_shift, inv_th)
-        forward.inverse = backward
-        backward.inverse = forward
-        return forward
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UnderlyingMorphism)
-            and (self.m, self.n) == (other.m, other.n)
-            and self.images_x == other.images_x
-            and self.images_th == other.images_th
-        )
+        return _affine(m, n, matrix_x, shift, matrix_th)
 
     def __str__(self) -> str:
         from .parser import format_underlying
@@ -239,19 +243,33 @@ def _affine(
     matrix_x: Sequence[Sequence[Fraction]],
     shift: Sequence[Fraction],
     matrix_th: Sequence[Sequence[Fraction]],
-) -> UnderlyingMorphism:
-    """The substitution x -> A x + shift, th -> C th."""
+) -> Optional[UnderlyingMorphism]:
+    """x -> A x + shift, th -> C th with its exact inverse attached.
+
+    The inverse is x -> A^-1 (x - shift), th -> C^-1 th; None when A or
+    C is singular.
+    """
+    inv_x, inv_th = invert_matrix(matrix_x), invert_matrix(matrix_th)
+    if inv_x is None or inv_th is None:
+        return None
+    inv_shift = [-sum((a * s for a, s in zip(row, shift)), Fraction(0)) for row in inv_x]
     units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
-    images_x = [
-        Superfunction.from_polynomial(
-            Polynomial(m, {**dict(zip(units, row)), (0,) * m: const}), n
-        )
-        for row, const in zip(matrix_x, shift)
-    ]
-    images_th = [
-        Superfunction(
-            m, n, 0, {((l + 1,), ()): Polynomial.const(c, m) for l, c in enumerate(row)}
-        )
-        for row in matrix_th
-    ]
-    return UnderlyingMorphism(m, n, images_x, images_th)
+
+    def images(rows_x, consts, rows_th):
+        images_x = [
+            Superfunction.from_polynomial(
+                Polynomial(m, {**dict(zip(units, row)), (0,) * m: const}), n
+            )
+            for row, const in zip(rows_x, consts)
+        ]
+        images_th = [
+            Superfunction(
+                m, n, 0, {((l + 1,), ()): Polynomial.const(c, m) for l, c in enumerate(row)}
+            )
+            for row in rows_th
+        ]
+        return images_x, images_th
+
+    forward = UnderlyingMorphism(m, n, *images(matrix_x, shift, matrix_th))
+    forward.inverse = UnderlyingMorphism(m, n, *images(inv_x, inv_shift, inv_th), forward)
+    return forward

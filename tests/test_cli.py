@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from superdiff import cli
 from superdiff.cli import main
 
 
@@ -267,3 +269,49 @@ def test_stdin_input(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("p: 2")
+
+
+def test_stdin_not_utf8_reads_like_a_file():
+    result = subprocess.run(
+        [sys.executable, "-m", "superdiff.cli", "invert", "-"],
+        input=b"\xff",
+        capture_output=True,
+        env={**os.environ, "LC_ALL": "C"},
+    )
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.decode().startswith("cannot read -: 'utf-8' codec can't decode")
+
+
+def test_closed_stdin_reads_like_a_file(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)
+    code, out, err = run_cli(capsys, "invert", "-")
+    assert (code, out, err) == (2, "", "cannot read -: stdin is closed\n")
+
+
+@pytest.mark.parametrize("verb", ["compose", "invert", "factorize", "split", "push"])
+def test_dimension_options_only_on_verbs_that_read_them(tmp_path, capsys, verb):
+    phi = write(tmp_path, "phi.txt", "x1 -> x1 + 1\n")
+    first = {"compose": [phi], "push": [write(tmp_path, "gm.txt", "t[1] -> t[1]\n")]}
+    files = first.get(verb, []) + [phi]
+    code, _, _ = run_cli(capsys, verb, *files, "--p", "1")
+    assert code == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, *files, "--m", "5", "--n", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --m 5 --n 3" in capsys.readouterr().err
+
+
+def test_exit_code_negative_section_counts(capsys):
+    code, out, err = run_cli(capsys, "sections", "--m", "-1", "--n", "1", "--p", "1")
+    assert (code, out) == (4, "")
+    assert err == "invalid input: coordinate counts must be nonnegative\n"
+
+
+def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_invert", broken)
+    code, out, err = run_cli(capsys, "invert", write(tmp_path, "phi.txt", PSI))
+    assert (code, out) == (5, "")
+    assert err == "internal error: RuntimeError: boom\n"

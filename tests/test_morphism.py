@@ -17,7 +17,7 @@ from superdiff import (
     subsets_of_rank,
     symmetrize_apply,
 )
-from superdiff.errors import DomainError, InvertibilityError, ParityError
+from superdiff.errors import DimensionError, DomainError, InvertibilityError, ParityError
 from superdiff.sampling import (
     random_body,
     random_field_family,
@@ -327,3 +327,42 @@ def test_plan_cache_matches_fresh_morphisms():
         for _ in range(2):
             fresh = SuperMorphism(2, 2, 3, outer.images_x, outer.images_th)
             assert outer.compose(inner) == fresh.compose(inner)
+
+
+def test_lift():
+    rng = random.Random(52)
+    drawn = random_morphism(rng, 2, 2, 2, degree=1)
+    hint = UnderlyingMorphism.identity(2, 2)
+    phi = SuperMorphism(2, 2, 2, drawn.images_x, drawn.images_th, inverse_hint=hint)
+    with pytest.raises(DimensionError):
+        phi.lift(1)
+    assert phi.lift(2) == phi
+    lifted = phi.lift(4)
+    assert lifted.p == 4 and lifted.inverse_hint is hint
+    assert lifted.images == tuple(g.lift(4) for g in phi.images)
+
+
+def test_identity_and_unipotent_on_both_types():
+    m, n = 2, 2
+    x1, x2, th1, th2 = (xc(1, m, n), xc(2, m, n), thc(1, m, n), thc(2, m, n))
+    cases = [
+        ([x1, x2, th1, th2], True, True),
+        ([x1 + th1 * th2, x2, th1, th2], False, True),
+        ([x1.scale(2), x2, th1, th2], False, False),
+        ([x1, x2, th1 + x1 * th2, th2], False, False),
+    ]
+    for images, identity, unipotent in cases:
+        body = UnderlyingMorphism(m, n, images[:m], images[m:])
+        for phi in (body, SuperMorphism.constant_family(body, 2)):
+            assert (phi.is_identity(), phi.is_unipotent()) == (identity, unipotent)
+    assert SuperMorphism.identity(m, n, 3).is_identity()
+    assert UnderlyingMorphism.identity(m, n).is_identity()
+
+
+def test_equality_is_per_class():
+    body = UnderlyingMorphism.identity(2, 1)
+    family = SuperMorphism(2, 1, 0, body.images_x, body.images_th)
+    assert family.images == body.images
+    assert family != body and body != family
+    assert family == SuperMorphism.identity(2, 1, 0)
+    assert body == UnderlyingMorphism(2, 1, family.images_x, family.images_th)

@@ -13,7 +13,7 @@ from superdiff import (
     section_basis,
     skeleton_decompose,
 )
-from superdiff.errors import ParityError
+from superdiff.errors import DimensionError, ParityError
 from superdiff.sampling import (
     random_derivation,
     random_grassmann_morphism,
@@ -52,6 +52,19 @@ def test_basis_count_small_grid():
                         p,
                         degree,
                     )
+
+
+@pytest.mark.parametrize(
+    "m, n, degree, message",
+    [
+        (1, 1, -1, "degree bound must be nonnegative"),
+        (-1, 1, 1, "coordinate counts must be nonnegative"),
+        (1, -2, 1, "coordinate counts must be nonnegative"),
+    ],
+)
+def test_basis_rejects_negative_sizes(m, n, degree, message):
+    with pytest.raises(DimensionError, match=message):
+        section_basis(m, n, 1, degree)
 
 
 def test_basis_elements_are_even_sections():
