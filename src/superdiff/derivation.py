@@ -6,7 +6,13 @@ A `SuperDerivation` is a first-order operator
 
 whose coefficients are superfunctions (possibly involving external odd
 constants t[k]).  It acts on a superfunction by differentiating term by
-term and multiplying each result by the coefficient from the left.
+term and multiplying each result by the coefficient from the left.  The
+action runs on the integer kernel of `superfn`: a field clears its m + n
+coefficients over one common denominator on first use and keeps them
+(fields never change, and a series applies one field many times), the
+argument is cleared once, its derivatives are taken on the integer
+numerators, and every c_i * d_i(f) is summed as integers before the
+result's Fractions are built once.
 
 The module also provides the combinatorial helpers used by the group
 layer: ordered two-block splits and unordered partitions of an index
@@ -24,9 +30,17 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import DimensionError, DomainError, InvertibilityError, ParityError
-from .grassmann import _accumulate
 from .substitution import UnderlyingMorphism, _coordinates
-from .superfn import Superfunction
+from .superfn import (
+    IntegerBuckets,
+    Superfunction,
+    _cleared_buckets,
+    _common_denominator,
+    _diff_theta_buckets,
+    _diff_x_buckets,
+    _from_integers,
+    _multiply_buckets_into,
+)
 
 Scalar = Union[int, Fraction]
 IndexTuple = tuple[int, ...]
@@ -35,7 +49,7 @@ IndexTuple = tuple[int, ...]
 class SuperDerivation:
     """A super vector field with superfunction coefficients."""
 
-    __slots__ = ("m", "n", "p", "x_coeffs", "th_coeffs")
+    __slots__ = ("m", "n", "p", "x_coeffs", "th_coeffs", "_integers")
 
     def __init__(
         self,
@@ -60,6 +74,7 @@ class SuperDerivation:
         self.p = p
         self.x_coeffs = x_coeffs
         self.th_coeffs = th_coeffs
+        self._integers: Optional[tuple[list[IntegerBuckets], int]] = None
 
     @classmethod
     def zero(cls, m: int, n: int, p: int = 0) -> "SuperDerivation":
@@ -189,18 +204,29 @@ class SuperDerivation:
 
     # -- action ----------------------------------------------------------
 
+    def _cleared(self) -> tuple[list[IntegerBuckets], int]:
+        """The m + n coefficients as integer buckets over one common
+        denominator, cleared on first use and kept: a field never changes."""
+        if self._integers is None:
+            coeffs = self.x_coeffs + self.th_coeffs
+            den = _common_denominator(poly for g in coeffs for poly in g.terms.values())
+            self._integers = [_cleared_buckets(g.terms, den)[0] for g in coeffs], den
+        return self._integers
+
     def apply(self, f: Superfunction) -> Superfunction:
-        """Act on a superfunction."""
+        """Act on a superfunction: sum_i c_i * d_i(f), over the integers."""
         if (f.m, f.n, f.p) != (self.m, self.n, self.p):
             raise DimensionError("field and superfunction live on different domains")
-        terms: dict = {}
-        for coeffs, diff in ((self.x_coeffs, f.diff_x), (self.th_coeffs, f.diff_theta)):
-            for i, c in enumerate(coeffs, start=1):
-                if not c.is_zero():
-                    d = diff(i)
-                    if not d.is_zero():
-                        _accumulate(terms, (c * d).terms.items())
-        return Superfunction._build((self.m, self.n, self.p), terms)
+        coeffs, den = self._cleared()
+        terms, den_f = _cleared_buckets(f.terms)
+        total: IntegerBuckets = {}
+        m = self.m
+        for i, c in enumerate(coeffs):
+            if c:
+                d = _diff_x_buckets(terms, i) if i < m else _diff_theta_buckets(terms, i - m + 1)
+                if d:
+                    _multiply_buckets_into(total, c, d)
+        return _from_integers(m, self.n, self.p, total, den * den_f)
 
     def bracket(self, other: "SuperDerivation") -> "SuperDerivation":
         """The supercommutator [self, other].

@@ -564,10 +564,11 @@ def _statements(parser: _Parser, block: _Block, close: str = "end") -> _Block:
         slot[index] = parser.parse_expression()
 
 
-def _image_list(block: _Block, kind: str) -> list[Superfunction]:
-    """The images of one kind of coordinate in order: no gaps, no operators."""
+def _image_list(block: _Block, kind: str, count: Optional[int] = None) -> list[Superfunction]:
+    """The images of one kind of coordinate in order: no gaps, no operators,
+    and none missing below `count` when the number of coordinates is known."""
     images = block.images[kind]
-    indices = range(1, max(images, default=0) + 1)
+    indices = range(1, max(max(images, default=0), count or 0) + 1)
     for i in indices:
         if i not in images:
             raise ParseError(block.offset, (), f"missing image for {kind}{i}")
@@ -587,7 +588,7 @@ def _substitution(
     """
     if block.images["t"]:
         raise ParseError(block.offset, (), f"{block.kind} cannot remap t generators")
-    x_images, th_images = _image_list(block, "x"), _image_list(block, "th")
+    x_images, th_images = _image_list(block, "x", m), _image_list(block, "th", n)
     _check_t_free(x_images + th_images, block.offset, block.kind)
     m = len(x_images) if m is None else m
     n = len(th_images) if n is None else n

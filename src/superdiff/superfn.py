@@ -25,7 +25,11 @@ does.  Each operand is cleared once to integer numerators over one
 common denominator (the lcm of its coefficients' denominators), pairs
 are multiplied and summed as `int`, and each output coefficient is
 built once as `Fraction(total, denominator)`, which puts it in lowest
-terms.
+terms.  The derivative rules (d/dx_i and the signed left d/dth_j) exist
+once, on integer numerators; `diff`, `diff_x` and `diff_theta` clear,
+differentiate and divide, and the field action of `derivation` sums its
+products c_i * d_i(f) in the same integer buckets, with each field's
+coefficients cleared once per field.
 
 The nilpotent filtration used by the higher layers counts th factors
 only: `j_degree` is the minimum len(K) over the stored terms, and
@@ -95,9 +99,18 @@ def _cleared(terms: Coefficients) -> tuple[Integers, int]:
     return _numerators(terms, den), den
 
 
-def _cleared_buckets(terms: Mapping[TermKey, "Polynomial"]) -> tuple[IntegerBuckets, int]:
-    """Integer numerators of every coefficient of `terms` over one common denominator."""
-    den = math.lcm(*[c.denominator for poly in terms.values() for c in poly.terms.values()])
+def _common_denominator(polys: Iterable["Polynomial"]) -> int:
+    """The least common denominator of every coefficient of `polys`."""
+    return math.lcm(*[c.denominator for poly in polys for c in poly.terms.values()])
+
+
+def _cleared_buckets(
+    terms: Mapping[TermKey, "Polynomial"], den: Optional[int] = None
+) -> tuple[IntegerBuckets, int]:
+    """Integer numerators of every coefficient of `terms` over one common
+    denominator: `den` if given (a multiple of every denominator), else the least."""
+    if den is None:
+        den = _common_denominator(terms.values())
     return {key: _numerators(poly.terms, den) for key, poly in terms.items()}, den
 
 
@@ -114,6 +127,35 @@ def _pruned(buckets: IntegerBuckets) -> IntegerBuckets:
         bucket = {e: c for e, c in bucket.items() if c}
         if bucket:
             out[key] = bucket
+    return out
+
+
+def _diff_integers(poly: Integers, i: int) -> Integers:
+    """d/dx_i of an integer polynomial, i 0-based: each exponent e_i lowered
+    by one, its numerator multiplied by e_i."""
+    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in poly.items() if e[i]}
+
+
+def _diff_x_buckets(buckets: IntegerBuckets, i: int) -> IntegerBuckets:
+    """d/dx_i of integer buckets, i 0-based; buckets that vanish are dropped."""
+    out = {}
+    for key, poly in buckets.items():
+        poly = _diff_integers(poly, i)
+        if poly:
+            out[key] = poly
+    return out
+
+
+def _diff_theta_buckets(buckets: IntegerBuckets, j: int) -> IntegerBuckets:
+    """Left derivative of integer buckets along th[j], j 1-based, with the
+    signs that `Superfunction.diff_theta` explains; distinct K give
+    distinct keys."""
+    out = {}
+    for (theta_key, tau_key), poly in buckets.items():
+        if j in theta_key:
+            pos = theta_key.index(j)
+            key = (theta_key[:pos] + theta_key[pos + 1 :], tau_key)
+            out[key] = {e: -c for e, c in poly.items()} if pos % 2 else poly
     return out
 
 
@@ -212,14 +254,8 @@ class Polynomial(_Sparse):
         """Partial derivative with respect to the i-th variable (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"variable index {i} out of range 1..{self.m}")
-        return self._build(
-            (self.m,),
-            {
-                exps[: i - 1] + (exps[i - 1] - 1,) + exps[i:]: coeff * exps[i - 1]
-                for exps, coeff in self.terms.items()
-                if exps[i - 1]
-            },
-        )
+        a, den = _cleared(self.terms)
+        return self._build((self.m,), _divided(_diff_integers(a, i - 1), den))
 
     def extend(self, m_new: int) -> "Polynomial":
         """Reinterpret in a ring with extra trailing variables."""
@@ -357,7 +393,10 @@ class Superfunction(_Sparse):
 
     def diff_x(self, i: int) -> "Superfunction":
         """Derivative along the i-th even coordinate, term by term."""
-        return self._build(self._space(), {key: poly.diff(i) for key, poly in self.terms.items()})
+        if not 1 <= i <= self.m:
+            raise DimensionError(f"variable index {i} out of range 1..{self.m}")
+        a, den = _cleared_buckets(self.terms)
+        return _from_integers(self.m, self.n, self.p, _diff_x_buckets(a, i - 1), den)
 
     def diff_theta(self, j: int) -> "Superfunction":
         """Left derivative along the j-th odd coordinate.
@@ -369,12 +408,8 @@ class Superfunction(_Sparse):
         """
         if not 1 <= j <= self.n:
             raise DimensionError(f"odd coordinate index {j} out of range 1..{self.n}")
-        out: dict[TermKey, Polynomial] = {}
-        for (theta_key, tau_key), poly in self.terms.items():
-            if j in theta_key:
-                pos = theta_key.index(j)
-                out[(theta_key[:pos] + theta_key[pos + 1 :], tau_key)] = -poly if pos % 2 else poly
-        return self._build(self._space(), out)
+        a, den = _cleared_buckets(self.terms)
+        return _from_integers(self.m, self.n, self.p, _diff_theta_buckets(a, j), den)
 
     # -- reshaping ---------------------------------------------------
 

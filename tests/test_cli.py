@@ -177,6 +177,8 @@ def test_doc_format_invert_exp_split(tmp_path, capsys):
         ("factorize", "x1 -> x1; th1 -> th1; inverse: x1 -> x1; th3 -> th1"),
         ("factorize", "target: 3\nx1 -> x1\nth1 -> th1"),
         ("invert", "x0 -> 5*x1\nx1 -> x1"),
+        ("invert", "x1 -> x1; th1 -> th1; inverse: x1 -> x1"),
+        ("expand", "p: 1\nphi0: { x1 -> x1; th1 -> th1; inverse: x1 -> x1 }"),
     ],
 )
 def test_exit_code_statement_faults(tmp_path, capsys, verb, text):

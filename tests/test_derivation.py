@@ -16,12 +16,14 @@ from superdiff import (
     unordered_partitions,
 )
 from superdiff.errors import DomainError, ParityError
+from superdiff.grassmann import merge_indices
 from superdiff.sampling import (
     random_body,
     random_derivation,
     random_filtration_field,
     random_superfunction,
 )
+from test_superfn import _assert_lowest_terms, _reference_product
 
 
 def bell_numbers(count):
@@ -158,6 +160,164 @@ def test_bracket_rejects_double_mixed():
     mixed = SuperDerivation(1, 1, 0, [x1 + th1], [x1 + th1])
     with pytest.raises(ParityError):
         mixed.bracket(mixed)
+
+
+# -- the action against a plain Fraction reference ----------------------
+
+
+def _reference_diff_x(f, i):
+    """d/dx_i of f, one Fraction coefficient at a time."""
+    terms = {}
+    for key, poly in f.terms.items():
+        out = {}
+        for e, c in poly.terms.items():
+            if e[i - 1]:
+                out[e[: i - 1] + (e[i - 1] - 1,) + e[i:]] = c * e[i - 1]
+        terms[key] = Polynomial(f.m, out)
+    return Superfunction(f.m, f.n, f.p, terms)
+
+
+def _reference_diff_theta(f, j):
+    """Left d/dth_j of f: th[K] = sign * th_j * th[K - j] gives sign * th[K - j]."""
+    terms = {}
+    for (theta_key, tau_key), poly in f.terms.items():
+        if j in theta_key:
+            rest = tuple(k for k in theta_key if k != j)
+            sign, merged = merge_indices((j,), rest)
+            assert merged == theta_key
+            terms[(rest, tau_key)] = Polynomial(f.m, {e: sign * c for e, c in poly.terms.items()})
+    return Superfunction(f.m, f.n, f.p, terms)
+
+
+def _reference_apply(X, f):
+    """sum_i c_i * d_i(f) from reference derivatives and reference products."""
+    total = Superfunction.zero(f.m, f.n, f.p)
+    for i, c in enumerate(X.x_coeffs, start=1):
+        total = total + _reference_product(c, _reference_diff_x(f, i))
+    for j, c in enumerate(X.th_coeffs, start=1):
+        total = total + _reference_product(c, _reference_diff_theta(f, j))
+    return total
+
+
+def _check_apply(X, f):
+    result = X.apply(f)
+    assert result == _reference_apply(X, f)
+    _assert_lowest_terms(result)
+    return result
+
+
+def _with_denominators(rng, X):
+    """X with each coefficient scaled by its own fraction of denominator > 1."""
+    coeffs = [
+        g.scale(Fraction(rng.choice([-5, -1, 1, 2, 7]), rng.choice([2, 3, 4, 9])))
+        for g in X.x_coeffs + X.th_coeffs
+    ]
+    return SuperDerivation(X.m, X.n, X.p, coeffs[: X.m], coeffs[X.m :])
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 1, 0), (2, 2, 0), (1, 3, 2), (2, 2, 3), (3, 1, 2)])
+def test_apply_matches_fraction_reference(m, n, p):
+    rng = random.Random(f"apply {m}|{n};{p}")
+    for trial in range(30):
+        X = _with_denominators(rng, random_derivation(rng, m, n, p, degree=3, parity=trial % 2))
+        f = random_superfunction(rng, m, n, p, degree=3, terms=6)
+        if p:
+            g = random_superfunction(rng, m, n, p, degree=2, terms=2)
+            f = f + g * Superfunction.tau(p, m, n, p)
+        _check_apply(X, f)
+
+
+def test_apply_odd_theta_coefficients_and_t_factors():
+    # th3 d/dth2 on th[1,2]*t[1]: d/dth2 gives -th1*t1, and th3*(-th1*t1) = th[1,3]*t[1]
+    th = [Superfunction.theta(j, 1, 3, 1) for j in (1, 2, 3)]
+    t1 = Superfunction.tau(1, 1, 3, 1)
+    zero = Superfunction.zero(1, 3, 1)
+    X = SuperDerivation(1, 3, 1, [zero], [zero, th[2], zero])
+    assert str(_check_apply(X, th[0] * th[1] * t1)) == "th[1,3]*t[1]"
+    # t1 d/dx1 on x1^2*th1: t1 * 2*x1*th1 = -2*x1*th1*t1
+    x1 = Superfunction.coordinate(1, 1, 3, 1)
+    Y = SuperDerivation(1, 3, 1, [t1.scale(Fraction(1, 3))], [zero] * 3)
+    assert str(_check_apply(Y, x1 * x1 * th[0])) == "-2/3*x1*th[1]*t[1]"
+
+
+def test_apply_with_zero_coefficients_and_zero_argument():
+    rng = random.Random(26)
+    m, n, p = 2, 2, 1
+    zero = Superfunction.zero(m, n, p)
+    f = random_superfunction(rng, m, n, p, degree=3, terms=6)
+    for _ in range(10):
+        X = random_derivation(rng, m, n, p, degree=2, parity=0)
+        kept = rng.randrange(m + n)
+        coeffs = [g if i == kept else zero for i, g in enumerate(X.x_coeffs + X.th_coeffs)]
+        sparse = SuperDerivation(m, n, p, coeffs[:m], coeffs[m:])
+        _check_apply(sparse, f)
+        assert X.apply(zero).is_zero()
+    assert SuperDerivation.zero(m, n, p).apply(f).is_zero()
+    # a field whose only coefficient differentiates f to zero
+    d_th2 = SuperDerivation.d_dtheta(2, m, n, p)
+    assert d_th2.apply(Superfunction.theta(1, m, n, p)).is_zero()
+
+
+def test_apply_twice_and_derived_fields():
+    rng = random.Random(27)
+    m, n, p = 2, 2, 2
+    for _ in range(10):
+        X = _with_denominators(rng, random_derivation(rng, m, n, p, degree=2, parity=1))
+        f = random_superfunction(rng, m, n, p, degree=3, terms=5)
+        g = random_superfunction(rng, m, n, p, degree=2, terms=4)
+        # the coefficients are cleared on the first application and kept
+        first = _check_apply(X, f)
+        _check_apply(X, g)
+        assert X.apply(f) == first
+        # fields made from X after it has been applied act as themselves
+        prefix = random_superfunction(rng, m, n, p, degree=1, terms=2).scale(Fraction(1, 5))
+        for derived in (-X, X.scale(Fraction(-3, 2)), X.premultiply(prefix), X - X):
+            _check_apply(derived, f)
+        lifted = X.lift(p + 1)
+        _check_apply(lifted, f.lift(p + 1) * Superfunction.tau(p + 1, m, n, p + 1))
+        assert lifted.apply(f.lift(p + 1)) == first.lift(p + 1)
+
+
+def test_leibniz_and_antisymmetry_on_generated_shapes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def index_keys(count):
+        bits = st.lists(st.booleans(), min_size=count, max_size=count)
+        return bits.map(lambda bits: tuple(i for i, bit in enumerate(bits, start=1) if bit))
+
+    def superfunctions(data, m, n, p, parity):
+        """Homogeneous elements with small fractional coefficients."""
+        keys = st.tuples(index_keys(n), index_keys(p)).filter(
+            lambda key: (len(key[0]) + len(key[1])) % 2 == parity
+        )
+        coeffs = st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * m),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            max_size=2,
+        )
+        terms = data.draw(st.dictionaries(keys, coeffs, max_size=3))
+        return Superfunction(m, n, p, {key: Polynomial(m, c) for key, c in terms.items()})
+
+    def fields(data, m, n, p, parity):
+        coeffs = [superfunctions(data, m, n, p, parity) for _ in range(m)]
+        coeffs += [superfunctions(data, m, n, p, 1 - parity) for _ in range(n)]
+        return SuperDerivation(m, n, p, coeffs[:m], coeffs[m:])
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, n, p = data.draw(st.sampled_from([(1, 1, 0), (1, 2, 1), (2, 1, 1), (2, 2, 0)]))
+        qx, qy, qf = (data.draw(st.integers(0, 1)) for _ in range(3))
+        X, Y = fields(data, m, n, p, qx), fields(data, m, n, p, qy)
+        f = superfunctions(data, m, n, p, qf)
+        g = superfunctions(data, m, n, p, data.draw(st.integers(0, 1)))
+        # graded Leibniz rule: X(fg) = X(f) g + (-1)^(|X||f|) f X(g)
+        assert X.apply(f * g) == X.apply(f) * g + (f * X.apply(g)).scale((-1) ** (qx * qf))
+        # super-antisymmetry: [X, Y] = -(-1)^(|X||Y|) [Y, X]
+        assert X.bracket(Y) == Y.bracket(X).scale(-((-1) ** (qx * qy)))
+
+    check()
 
 
 # -- symmetrized application --------------------------------------------

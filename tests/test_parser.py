@@ -259,6 +259,12 @@ def test_inverse_block_gap_wins_over_dimensions():
     # th3 alone would widen the domain; the gap at th1 is reported first
     with pytest.raises(ParseError, match="missing image for th1"):
         fmt.parse_morphism("x1 -> x1; th1 -> th1; inverse: x1 -> x1; th3 -> th1")
+    # the last images left out are a gap too, not a dimension fault
+    short = "x1 -> x1; th1 -> th1; inverse: x1 -> x1"
+    with pytest.raises(ParseError, match="missing image for th1"):
+        fmt.parse_morphism(short)
+    with pytest.raises(ParseError, match="missing image for th1"):
+        fmt.parse_factored(f"p: 1\nphi0: {{ {short} }}")
 
 
 @pytest.mark.parametrize(
