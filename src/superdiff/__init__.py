@@ -11,6 +11,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InvertibilityError,
+    LimitError,
     ParityError,
     ParseError,
     SuperdiffError,
@@ -80,6 +81,7 @@ __all__ = [
     "InvertVerdict",
     "InvertibilityError",
     "LambdaSection",
+    "LimitError",
     "ParityError",
     "ParseError",
     "Polynomial",

@@ -7,7 +7,8 @@ success, 1 property-check failure, 2 malformed input (a parse error, or
 an input file or stdin that cannot be read or is not UTF-8: "cannot read
 PATH"), 3 invertibility could not be certified, 4 dimension/parity/domain
 mismatch, 5 internal error (any other exception, reported as "internal
-error: TYPE: MESSAGE" instead of a traceback).
+error: TYPE: MESSAGE" instead of a traceback), 6 an explicit size limit
+passed ("limit exceeded: ...", e.g. an exponent above 2**31 - 1).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     DimensionError,
     DomainError,
     InvertibilityError,
+    LimitError,
     ParityError,
     ParseError,
 )
@@ -499,6 +501,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (DimensionError, ParityError, DomainError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 4
+    except LimitError as exc:
+        print(f"limit exceeded: {exc}", file=sys.stderr)
+        return 6
     except Exception as exc:  # the last resort: no traceback reaches the user
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5

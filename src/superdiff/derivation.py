@@ -35,6 +35,7 @@ from .superfn import (
     IntegerBuckets,
     Superfunction,
     _cleared_buckets,
+    _combination,
     _common_denominator,
     _diff_theta_buckets,
     _diff_x_buckets,
@@ -210,7 +211,7 @@ class SuperDerivation:
         if self._integers is None:
             coeffs = self.x_coeffs + self.th_coeffs
             den = _common_denominator(poly for g in coeffs for poly in g.terms.values())
-            self._integers = [_cleared_buckets(g.terms, den)[0] for g in coeffs], den
+            self._integers = [_cleared_buckets(g.terms, self.n, den)[0] for g in coeffs], den
         return self._integers
 
     def apply(self, f: Superfunction) -> Superfunction:
@@ -218,7 +219,7 @@ class SuperDerivation:
         if (f.m, f.n, f.p) != (self.m, self.n, self.p):
             raise DimensionError("field and superfunction live on different domains")
         coeffs, den = self._cleared()
-        terms, den_f = _cleared_buckets(f.terms)
+        terms, den_f = _cleared_buckets(f.terms, self.n)
         total: IntegerBuckets = {}
         m = self.m
         for i, c in enumerate(coeffs):
@@ -407,16 +408,22 @@ def _series(
 
     The one terminating series of the group layer: `step` raises a
     nilpotent filtration (th factors, or external t factors), so some
-    power of it vanishes.  Works on superfunctions and on fields alike.
+    power of it vanishes.  Works on superfunctions and on fields alike;
+    the terms are summed over the integers, one field coefficient at a
+    time, and each output Fraction is built once.
     """
-    total = term = first
-    k = 1
+    terms = [first]
     while True:
-        term = step(term)
+        term = step(terms[-1])
         if term.is_zero():
-            return total
-        total = total + term.scale(coeff(k))
-        k += 1
+            break
+        terms.append(term)
+    weights = [Fraction(1)] + [coeff(k) for k in range(1, len(terms))]
+    if isinstance(first, Superfunction):
+        return _combination(weights, terms)
+    columns = zip(*(term.x_coeffs + term.th_coeffs for term in terms))
+    sums = [_combination(weights, column) for column in columns]
+    return SuperDerivation(first.m, first.n, first.p, sums[: first.m], sums[first.m :])
 
 
 def _exp_coeff(k: int) -> Fraction:

@@ -32,6 +32,15 @@ class InvertibilityError(SuperdiffError):
     """Raised when an operation needs an inverse that is not certified."""
 
 
+class LimitError(SuperdiffError):
+    """A result would pass an explicit size limit of the package.
+
+    An exponent of an even coordinate above 2**31 - 1, in an input to a
+    product, derivative or substitution or in its result, is one (the
+    CLI exits 6).
+    """
+
+
 class ParseError(SuperdiffError):
     """Syntax error in the text format.
 

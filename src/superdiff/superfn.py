@@ -29,7 +29,35 @@ terms.  The derivative rules (d/dx_i and the signed left d/dth_j) exist
 once, on integer numerators; `diff`, `diff_x` and `diff_theta` clear,
 differentiate and divide, and the field action of `derivation` sums its
 products c_i * d_i(f) in the same integer buckets, with each field's
-coefficients cleared once per field.
+coefficients cleared once per field.  `derivation`'s terminating series
+sums its terms the same way (`_combination`).
+
+Inside, the keys are packed as well.  An exponent tuple is one int with
+a 32-bit field per variable (e_i in bits 32i .. 32i+31), so a monomial
+product is one integer addition and d/dx_i one subtraction.  A (K, J)
+key is one bitmask: th[j] at bit j - 1 and t[k] at bit n + k - 1, so
+the canonical order of the factors is the order of their bits, two
+terms multiply to zero exactly when their masks meet, and the sign of a
+product is the parity of the inversions between the two masks
+(Dorst-Fontijne-Mann's bitmap blades), looked up in the memo `_SIGNS`.
+The layout has no bound on m, n or p.  Packing happens only where the
+kernel reads `.terms` (`_numerators`, `_cleared_buckets`), unpacking only
+where it builds them (`_divided`, `_from_integers`); `.terms` itself
+always holds tuples.  The pack, unpack and mask memos are `lru_cache`s
+of 2**16 entries, and `_SIGNS` is emptied when it reaches that size.
+
+Exponents are limited to 2**31 - 1, the largest value whose field keeps
+its top (guard) bit clear; anything larger raises `LimitError`.  The
+invariant is that no key used as a product operand has a guard bit
+set.  Packing checks it on input.  A sum of two keys with clear guard
+bits has every field below 2**32, so nothing carries into the next
+field, and its guard bit is set exactly when that exponent passed the
+limit; derivatives only lower a nonzero field.  So a product result is
+checked (`_check_limit`) before it is multiplied again -- the plan's
+body powers and monomials, nilpotent powers and odd blocks, and the sum
+over one odd block before the block image multiplies it -- and every
+result is checked as it is unpacked.  No exponent past the limit is
+ever misread.
 
 The nilpotent filtration used by the higher layers counts th factors
 only: `j_degree` is the minimum len(K) over the stored terms, and
@@ -62,10 +90,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from functools import lru_cache
+from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, ParityError
+from .errors import DimensionError, LimitError, ParityError
 from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
@@ -73,7 +102,6 @@ from .grassmann import (
     _as_fraction,
     _index_key,
     _Sparse,
-    merge_indices,
 )
 
 Scalar = Union[int, Fraction]
@@ -81,16 +109,91 @@ Exponents = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 TermKey = tuple[IndexTuple, IndexTuple]
 Coefficients = Mapping[Exponents, Fraction]
-# the same with integer numerators, over a denominator kept beside them
-Integers = dict[Exponents, int]
-IntegerBuckets = dict[TermKey, Integers]
+# the same with integer numerators, over a denominator kept beside them,
+# and packed keys: exponents as one int, (K, J) as one bitmask
+Integers = dict[int, int]
+IntegerBuckets = dict[int, Integers]
+
+_WIDTH = 32  # bits per exponent field; the top one is the guard bit
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = (1 << (_WIDTH - 1)) - 1
+
+
+@lru_cache(maxsize=1 << 16)
+def _pack(exps: Exponents) -> int:
+    """exps[i] in bits [32 i, 32 i + 32) of one int; LimitError past the limit."""
+    key = 0
+    for e in reversed(exps):
+        if e > _LIMIT:
+            raise LimitError(f"exponent {e} exceeds the limit {_LIMIT}")
+        key = key << _WIDTH | e
+    return key
+
+
+@lru_cache(maxsize=1 << 16)
+def _guard(m: int) -> int:
+    """The guard bit of each of m fields: the bits no operand key has set."""
+    return sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(m))
+
+
+@lru_cache(maxsize=1 << 16)
+def _unpack(key: int, m: int) -> Exponents:
+    """The m exponents of a packed key; LimitError if a guard bit is set."""
+    exps = tuple(key >> (_WIDTH * i) & _FIELD for i in range(m))
+    if key & _guard(m):
+        raise LimitError(f"exponent {max(exps)} exceeds the limit {_LIMIT}")
+    return exps
+
+
+def _check_limit(polys: Iterable[Integers], m: int) -> None:
+    """LimitError unless every key of `polys` may be an operand again."""
+    guard = _guard(m)
+    for poly in polys:
+        for e in poly:
+            if e & guard:
+                _unpack(e, m)  # raises
+
+
+@lru_cache(maxsize=1 << 16)
+def _mask(key: TermKey, n: int) -> int:
+    """th[j] at bit j - 1 and t[k] at bit n + k - 1, so that the canonical
+    order of the factors is the order of their bits."""
+    theta_key, tau_key = key
+    return sum(1 << (j - 1) for j in theta_key) + sum(1 << (n + k - 1) for k in tau_key)
+
+
+@lru_cache(maxsize=1 << 16)
+def _term_key(mask: int, n: int) -> TermKey:
+    """The (K, J) key of a mask; the inverse of `_mask`."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return tuple(i + 1 for i in bits if i < n), tuple(i + 1 - n for i in bits if i >= n)
+
+
+# _SIGNS[a, b]: whether the product of the blades with disjoint masks a and b
+# takes an odd number of transpositions into canonical order
+_SIGNS: dict[tuple[int, int], bool] = {}
+
+
+def _negated(a: int, b: int) -> bool:
+    """Fill in _SIGNS[a, b]: each factor of b moves left past every factor
+    of a with a higher bit.  The table is emptied when it is full."""
+    swaps, rest = 0, b
+    while rest:
+        low = rest & -rest
+        swaps += (a // low).bit_count()
+        rest ^= low
+    if len(_SIGNS) >= 1 << 16:
+        _SIGNS.clear()
+    negate = _SIGNS[a, b] = bool(swaps & 1)
+    return negate
 
 
 def _numerators(terms: Coefficients, den: int) -> Integers:
-    """The integer numerators of `terms` over `den`, a multiple of every denominator."""
+    """The integer numerators of `terms` over `den`, a multiple of every
+    denominator, keyed by packed exponents."""
     if den == 1:
-        return {e: c.numerator for e, c in terms.items()}
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        return {_pack(e): c.numerator for e, c in terms.items()}
+    return {_pack(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _cleared(terms: Coefficients) -> tuple[Integers, int]:
@@ -105,18 +208,20 @@ def _common_denominator(polys: Iterable["Polynomial"]) -> int:
 
 
 def _cleared_buckets(
-    terms: Mapping[TermKey, "Polynomial"], den: Optional[int] = None
+    terms: Mapping[TermKey, "Polynomial"], n: int, den: Optional[int] = None
 ) -> tuple[IntegerBuckets, int]:
-    """Integer numerators of every coefficient of `terms` over one common
-    denominator: `den` if given (a multiple of every denominator), else the least."""
+    """Integer numerators of every coefficient of `terms`, a superfunction's
+    terms with n odd coordinates, over one common denominator: `den` if
+    given (a multiple of every denominator), else the least."""
     if den is None:
         den = _common_denominator(terms.values())
-    return {key: _numerators(poly.terms, den) for key, poly in terms.items()}, den
+    return {_mask(key, n): _numerators(poly.terms, den) for key, poly in terms.items()}, den
 
 
-def _divided(total: Integers, den: int) -> dict[Exponents, Fraction]:
-    """The nonzero entries of `total` as Fractions over `den`, each built once."""
-    return {e: Fraction(c, den) for e, c in total.items() if c}
+def _divided(total: Integers, den: int, m: int) -> dict[Exponents, Fraction]:
+    """The nonzero entries of `total` as Fractions over `den`, each built
+    once, keyed by exponent tuples of length m."""
+    return {_unpack(e, m): Fraction(c, den) for e, c in total.items() if c}
 
 
 def _pruned(buckets: IntegerBuckets) -> IntegerBuckets:
@@ -133,7 +238,8 @@ def _pruned(buckets: IntegerBuckets) -> IntegerBuckets:
 def _diff_integers(poly: Integers, i: int) -> Integers:
     """d/dx_i of an integer polynomial, i 0-based: each exponent e_i lowered
     by one, its numerator multiplied by e_i."""
-    return {e[:i] + (e[i] - 1,) + e[i + 1 :]: c * e[i] for e, c in poly.items() if e[i]}
+    shift = _WIDTH * i
+    return {e - (1 << shift): c * k for e, c in poly.items() if (k := e >> shift & _FIELD)}
 
 
 def _diff_x_buckets(buckets: IntegerBuckets, i: int) -> IntegerBuckets:
@@ -148,14 +254,14 @@ def _diff_x_buckets(buckets: IntegerBuckets, i: int) -> IntegerBuckets:
 
 def _diff_theta_buckets(buckets: IntegerBuckets, j: int) -> IntegerBuckets:
     """Left derivative of integer buckets along th[j], j 1-based, with the
-    signs that `Superfunction.diff_theta` explains; distinct K give
-    distinct keys."""
+    signs that `Superfunction.diff_theta` explains: one per th factor at a
+    lower bit.  Distinct K give distinct keys."""
+    bit = 1 << (j - 1)
     out = {}
-    for (theta_key, tau_key), poly in buckets.items():
-        if j in theta_key:
-            pos = theta_key.index(j)
-            key = (theta_key[:pos] + theta_key[pos + 1 :], tau_key)
-            out[key] = {e: -c for e, c in poly.items()} if pos % 2 else poly
+    for mask, poly in buckets.items():
+        if mask & bit:
+            odd = (mask & (bit - 1)).bit_count() % 2
+            out[mask ^ bit] = {e: -c for e, c in poly.items()} if odd else poly
     return out
 
 
@@ -168,7 +274,7 @@ def _multiply_into(total: Integers, a: Integers, b: Integers, negate: bool = Fal
         if negate:
             ca = -ca
         for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             total[e] = total.get(e, 0) + ca * cb
     return total
 
@@ -177,21 +283,15 @@ def _multiply_buckets_into(
     total: IntegerBuckets, a: IntegerBuckets, b: IntegerBuckets
 ) -> IntegerBuckets:
     """Add the superfunction product of a and b, both integer buckets, into `total`."""
-    for (ka, ja), pa in a.items():
-        for (kb, jb), pb in b.items():
-            merged_theta = merge_indices(ka, kb)
-            if merged_theta is None:
+    signs = _SIGNS
+    for ka, pa in a.items():
+        for kb, pb in b.items():
+            if ka & kb:
                 continue
-            merged_tau = merge_indices(ja, jb)
-            if merged_tau is None:
-                continue
-            sign_theta, theta_key = merged_theta
-            sign_tau, tau_key = merged_tau
-            # moving the second factor's th block past the first's t block
-            sign = sign_theta * sign_tau
-            if (len(kb) * len(ja)) % 2:
-                sign = -sign
-            _multiply_into(total.setdefault((theta_key, tau_key), {}), pa, pb, sign < 0)
+            negate = signs.get((ka, kb))
+            if negate is None:
+                negate = _negated(ka, kb)
+            _multiply_into(total.setdefault(ka | kb, {}), pa, pb, negate)
     return total
 
 
@@ -248,14 +348,14 @@ class Polynomial(_Sparse):
     def _product(self, other: "Polynomial") -> "Polynomial":
         a, da = _cleared(self.terms)
         b, db = _cleared(other.terms)
-        return self._build((self.m,), _divided(_multiply_into({}, a, b), da * db))
+        return self._build((self.m,), _divided(_multiply_into({}, a, b), da * db, self.m))
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th variable (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"variable index {i} out of range 1..{self.m}")
         a, den = _cleared(self.terms)
-        return self._build((self.m,), _divided(_diff_integers(a, i - 1), den))
+        return self._build((self.m,), _divided(_diff_integers(a, i - 1), den, self.m))
 
     def extend(self, m_new: int) -> "Polynomial":
         """Reinterpret in a ring with extra trailing variables."""
@@ -271,11 +371,35 @@ class Polynomial(_Sparse):
 def _from_integers(
     m: int, n: int, p: int, buckets: IntegerBuckets, den: int
 ) -> "Superfunction":
-    """The superfunction whose (K, J) coefficient is buckets[(K, J)] / den."""
+    """The superfunction whose (K, J) coefficient is buckets[mask of (K, J)] / den."""
     return Superfunction._build(
         (m, n, p),
-        {key: Polynomial._build((m,), _divided(bucket, den)) for key, bucket in buckets.items()},
+        {
+            _term_key(mask, n): Polynomial._build((m,), _divided(bucket, den, m))
+            for mask, bucket in buckets.items()
+        },
     )
+
+
+def _combination(
+    weights: Sequence[Fraction], elements: Sequence["Superfunction"]
+) -> "Superfunction":
+    """sum_k weights[k] * elements[k], summed over one common denominator
+    with each output Fraction built once; the elements share one ring."""
+    first = elements[0]
+    dens = [
+        w.denominator * _common_denominator(f.terms.values())
+        for w, f in zip(weights, elements)
+    ]
+    common = math.lcm(*dens)
+    total: IntegerBuckets = {}
+    for w, f, den in zip(weights, elements, dens):
+        scale = w.numerator * (common // den)
+        for key, poly in _cleared_buckets(f.terms, f.n, den // w.denominator)[0].items():
+            bucket = total.setdefault(key, {})
+            for e, c in poly.items():
+                bucket[e] = bucket.get(e, 0) + scale * c
+    return _from_integers(first.m, first.n, first.p, total, common)
 
 
 class Superfunction(_Sparse):
@@ -385,8 +509,8 @@ class Superfunction(_Sparse):
     __mul__ = _Sparse.__mul__
 
     def _product(self, other: "Superfunction") -> "Superfunction":
-        a, da = _cleared_buckets(self.terms)
-        b, db = _cleared_buckets(other.terms)
+        a, da = _cleared_buckets(self.terms, self.n)
+        b, db = _cleared_buckets(other.terms, self.n)
         return _from_integers(self.m, self.n, self.p, _multiply_buckets_into({}, a, b), da * db)
 
     # -- derivatives -------------------------------------------------
@@ -395,7 +519,7 @@ class Superfunction(_Sparse):
         """Derivative along the i-th even coordinate, term by term."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"variable index {i} out of range 1..{self.m}")
-        a, den = _cleared_buckets(self.terms)
+        a, den = _cleared_buckets(self.terms, self.n)
         return _from_integers(self.m, self.n, self.p, _diff_x_buckets(a, i - 1), den)
 
     def diff_theta(self, j: int) -> "Superfunction":
@@ -408,7 +532,7 @@ class Superfunction(_Sparse):
         """
         if not 1 <= j <= self.n:
             raise DimensionError(f"odd coordinate index {j} out of range 1..{self.n}")
-        a, den = _cleared_buckets(self.terms)
+        a, den = _cleared_buckets(self.terms, self.n)
         return _from_integers(self.m, self.n, self.p, _diff_theta_buckets(a, j), den)
 
     # -- reshaping ---------------------------------------------------
@@ -514,14 +638,16 @@ class _SubstitutionPlan:
     carries th or t factors, so at least two odd ones, and the products
     N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.
 
-    The plan works over the integers.  Each image is cleared once to
-    integer numerators over the least common denominator of its
-    coefficients: b_i = B_i/D_i, N_i = M_i/E_i and the image of th_j is
-    F_j/G_j.  Body powers and monomials B^e, the surviving M^k and the
-    odd blocks F(K) = F_K1 * ... * F_Kr are integer products, cached on
-    first use, so a plan holds only what its substitutions needed; their
-    denominators D^e, E^k and G(K) are products of the cleared ones.  The
-    images must already have passed `_check_images`.
+    The plan works over the integers, on packed keys.  Each image is
+    cleared once to integer numerators over the least common denominator
+    of its coefficients: b_i = B_i/D_i, N_i = M_i/E_i and the image of
+    th_j is F_j/G_j.  Body powers B_i^e (by repeated squaring) and
+    monomials B^e, the surviving M^k and the odd blocks
+    F(K) = F_K1 * ... * F_Kr are integer products, cached on first use
+    and checked against the exponent limit, so a plan holds only what its
+    substitutions needed; their denominators D^e, E^k and G(K) are
+    products of the cleared ones.  The images must already have passed
+    `_check_images`.
     """
 
     __slots__ = (
@@ -556,33 +682,49 @@ class _SubstitutionPlan:
         unit_key = ((), ())
         bodies = [_cleared(g.body_polynomial().terms) for g in x_images]
         nilpotent = [
-            _cleared_buckets({k: c for k, c in g.terms.items() if k != unit_key})
+            _cleared_buckets({k: c for k, c in g.terms.items() if k != unit_key}, n)
             for g in x_images
         ]
-        odd = [_cleared_buckets(g.terms) for g in th_images]
+        odd = [_cleared_buckets(g.terms, n) for g in th_images]
         self._body_dens = [den for _, den in bodies]
         self._nil_dens = [den for _, den in nilpotent]
         self._th_dens = [den for _, den in odd]
         self._nilpotent = [buckets for buckets, _ in nilpotent]
         self._th = [buckets for buckets, _ in odd]
         zero = (0,) * len(x_images)
-        one = {(0,) * m: 1}
-        self._body_powers = [[one, body] for body, _ in bodies]
+        one = {0: 1}
+        self._body_powers = [{0: one, 1: body} for body, _ in bodies]
         self._body_monomials = {zero: one}
-        unit = {unit_key: one}
+        unit = {0: one}
         self._nil_powers = {zero: unit}
         self._odd_blocks = {(): unit}
 
+    def _limited_product(self, a: Integers, b: Integers) -> Integers:
+        """a * b, checked against the exponent limit: it is an operand again."""
+        found = _multiply_into({}, a, b)
+        _check_limit([found], self.m)
+        return found
+
+    def _body_power(self, i: int, e: int) -> Integers:
+        """B_i^e, by repeated squaring."""
+        powers = self._body_powers[i]
+        found = powers.get(e)
+        if found is None:
+            half = self._body_power(i, e // 2)
+            found = self._limited_product(half, half)
+            if e % 2:
+                found = self._limited_product(found, powers[1])
+            powers[e] = found
+        return found
+
     def _body_monomial(self, exps: Exponents) -> Integers:
-        """B^exps, from body powers built one factor at a time."""
+        """B^exps, a product of body powers."""
         found = self._body_monomials.get(exps)
         if found is None:
             for i, e in enumerate(exps):
                 if e:
-                    powers = self._body_powers[i]
-                    while len(powers) <= e:
-                        powers.append(_multiply_into({}, powers[-1], powers[1]))
-                    found = powers[e] if found is None else _multiply_into({}, found, powers[e])
+                    power = self._body_power(i, e)
+                    found = power if found is None else self._limited_product(found, power)
             self._body_monomials[exps] = found
         return found
 
@@ -594,6 +736,7 @@ class _SubstitutionPlan:
             found = self._nilpotent[i]
             if any(lower):
                 found = _pruned(_multiply_buckets_into({}, self._nil_power(lower), found))
+                _check_limit(found.values(), self.m)
             self._nil_powers[k] = found
         return found
 
@@ -622,38 +765,44 @@ class _SubstitutionPlan:
             found = self._th[theta_key[-1] - 1]
             if len(theta_key) > 1:
                 found = _pruned(_multiply_buckets_into({}, self._odd_block(theta_key[:-1]), found))
+                _check_limit(found.values(), self.m)
             self._odd_blocks[theta_key] = found
         return found
 
     def substitute(self, f: Superfunction) -> Superfunction:
-        terms, den = _cleared_buckets(f.terms)
+        m, n = self.m, self.n
+        den = _common_denominator(f.terms.values())
+        source_m = len(self.x_images)
         by_block: dict[IndexTuple, list[tuple[IndexTuple, Integers]]] = {}
-        expansions: dict[Exponents, list] = {}
-        for (theta_key, tau_key), poly in terms.items():
-            by_block.setdefault(theta_key, []).append((tau_key, poly))
-            for exps in poly:
-                if exps not in expansions:
-                    expansions[exps] = self._expansion(exps)
+        expansions: dict[int, list] = {}
+        for (theta_key, tau_key), poly in f.terms.items():
+            coeffs = _numerators(poly.terms, den)
+            by_block.setdefault(theta_key, []).append((tau_key, coeffs))
+            for e in coeffs:
+                if e not in expansions:
+                    expansions[e] = self._expansion(_unpack(e, source_m))
         # Every term is summed over one denominator
         #     L = den * prod_i D_i^emax_i * E_i^kmax_i * prod_j G_j,
         # with the integer multiplier L / (den * D^(e-k) * E^k * G(K)),
         # and the sum is divided by L once.
-        shifts = [(exps, k) for exps, data in expansions.items() for k, _, _ in data]
+        shifts = [(_unpack(e, source_m), k) for e, data in expansions.items() for k, _, _ in data]
         emax = [max(column) for column in zip(*(map(sub, e, k) for e, k in shifts))]
         kmax = [max(column) for column in zip(*(k for _, k in shifts))]
         denominators = list(zip(self._body_dens, emax, self._nil_dens, kmax))
-        for exps, data in expansions.items():
+        for e, data in expansions.items():
+            exps = _unpack(e, source_m)
             for index, (k, body, mult) in enumerate(data):
-                for (d, d_top, q, q_top), e, j in zip(denominators, exps, k):
-                    mult *= d ** (d_top - e + j) * q ** (q_top - j)
+                for (d, d_top, q, q_top), power, j in zip(denominators, exps, k):
+                    mult *= d ** (d_top - power + j) * q ** (q_top - j)
                 data[index] = (k, body, mult)
         th_dens = self._th_dens
         all_th = math.prod(th_dens)
         common = den * all_th * math.prod(
             d**d_top * q**q_top for d, d_top, q, q_top in denominators
         )
+        signs = _SIGNS
         acc: IntegerBuckets = {}
-        zero = (0,) * len(self.x_images)
+        zero = (0,) * source_m
         for theta_key, entries in by_block.items():
             odd = self._odd_block(theta_key)
             if not odd:
@@ -662,29 +811,32 @@ class _SubstitutionPlan:
             # S_K = sum_J (-1)^(|K||J|) poly_J(images) t^J, then S_K * th(K)
             target = {} if theta_key else acc
             for tau_key, poly in entries:
+                tau = _mask(((), tau_key), n)
                 flip = len(theta_key) % 2 and len(tau_key) % 2
                 scale_j = -block_scale if flip else block_scale
                 # poly(b + N) = sum_k P_k N^k, P_k = sum_e c_e prod C(e_i, k_i) b^(e-k);
                 # N^0 = 1, so P_0 is summed in place
-                parts = {zero: target.setdefault(((), tau_key), {})}
-                for exps, coeff in poly.items():
+                parts = {zero: target.setdefault(tau, {})}
+                for e, coeff in poly.items():
                     coeff *= scale_j
-                    for k, body, mult in expansions[exps]:
+                    for k, body, mult in expansions[e]:
                         part = parts.setdefault(k, {})
                         scale = coeff * mult
                         for e2, c2 in body.items():
                             part[e2] = part.get(e2, 0) + scale * c2
                 del parts[zero]
                 for k, part in parts.items():
-                    for (k2, j2), q in self._nil_powers[k].items():
-                        merged = merge_indices(j2, tau_key)
-                        if merged is not None:
-                            _multiply_into(
-                                target.setdefault((k2, merged[1]), {}), part, q, merged[0] < 0
-                            )
+                    for mask, q in self._nil_powers[k].items():
+                        if mask & tau:
+                            continue
+                        negate = signs.get((mask, tau))
+                        if negate is None:
+                            negate = _negated(mask, tau)
+                        _multiply_into(target.setdefault(mask | tau, {}), part, q, negate)
             if theta_key:
+                _check_limit(target.values(), m)
                 _multiply_buckets_into(acc, target, odd)
-        return _from_integers(self.m, self.n, self.p, acc, common)
+        return _from_integers(m, n, self.p, acc, common)
 
 
 def substitute_generators(

@@ -73,6 +73,20 @@ def test_apply_verb_large_exponent(tmp_path, capsys):
     assert out.strip() == "x1^1500 + 1500*x1^1499*th[1,2]"
 
 
+def test_exit_code_exponent_limit(tmp_path, capsys):
+    phi = write(tmp_path, "phi.txt", "x1 -> x1 + th[1,2]\nth1 -> th[1]\nth2 -> th[2]\n")
+    field = write(tmp_path, "field.txt", "x1*th[1,2]*d/dx1\n")
+    at_limit = write(tmp_path, "f.txt", "x1^2147483647\n")
+    code, out, _ = run_cli(capsys, "apply", phi, at_limit, "--m", "1", "--n", "2")
+    assert code == 0
+    assert out.strip() == "x1^2147483647 + 2147483647*x1^2147483646*th[1,2]"
+    past = write(tmp_path, "g.txt", "x1^2147483648\n")
+    for operator in (phi, field):
+        code, out, err = run_cli(capsys, "apply", operator, past, "--m", "1", "--n", "2")
+        assert (code, out) == (6, "")
+        assert err == "limit exceeded: exponent 2147483648 exceeds the limit 2147483647\n"
+
+
 def test_bracket_verb(tmp_path, capsys):
     left = write(tmp_path, "a.txt", "d/dth1")
     right = write(tmp_path, "b.txt", "th[1]*d/dx1")

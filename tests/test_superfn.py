@@ -11,7 +11,7 @@ from superdiff import (
     map_external,
     substitute_generators,
 )
-from superdiff.errors import DimensionError, ParityError
+from superdiff.errors import DimensionError, LimitError, ParityError
 from superdiff.grassmann import merge_indices
 from superdiff.sampling import (
     random_fraction,
@@ -513,13 +513,152 @@ def test_large_power_of_a_coordinate():
     assert str(Superfunction.coordinate(1, 1, 2, 1) ** 1500) == "x1^1500"
 
 
+# -- the exponent limit --------------------------------------------------
+
+LIMIT = 2**31 - 1
+
+
+def test_powers_up_to_the_exponent_limit():
+    x1 = Superfunction.coordinate(1, 1, 0, 0)
+    assert str(x1 ** 2**30) == "x1^1073741824"
+    assert str(x1 ** LIMIT) == "x1^2147483647"
+    with pytest.raises(LimitError, match="exponent 2147483648 exceeds the limit 2147483647"):
+        x1 ** 2**31
+    with pytest.raises(LimitError):
+        Polynomial.variable(2, 2) ** 2**31
+    top = Polynomial(2, {(LIMIT, 5): 1})
+    assert (top * Polynomial(2, {(0, 7): 3})).terms == {(LIMIT, 12): 3}
+    with pytest.raises(LimitError):
+        top * Polynomial.variable(1, 2)
+
+
+def test_exponents_past_the_limit_are_refused_as_operands():
+    m, n = 2, 2
+    big = Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(2**31, 0): 1})})
+    one = Superfunction.scalar(1, m, n)
+    coordinates = ([x(1, m, n, 0), x(2, m, n, 0)], [th(1, m, n, 0), th(2, m, n, 0)])
+    for compute in (
+        lambda: big * one,
+        lambda: one * big,
+        lambda: big.diff_x(2),
+        lambda: big.diff_theta(1),
+        lambda: substitute_generators(big, *coordinates),
+    ):
+        with pytest.raises(LimitError):
+            compute()
+    top = Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(LIMIT, 0): 1})})
+    assert top.diff_x(1) == (
+        Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(LIMIT - 1, 0): LIMIT})})
+    )
+
+
+def test_substitution_at_the_exponent_limit():
+    m, n = 1, 2
+    th1, th2 = Superfunction.theta(1, m, n), Superfunction.theta(2, m, n)
+    x_imgs = [Superfunction.coordinate(1, m, n) + th1 * th2]
+    f = Superfunction.from_polynomial(Polynomial(m, {(LIMIT,): 1}), n)
+    result = substitute_generators(f, x_imgs, [th1, th2])
+    assert str(result) == "x1^2147483647 + 2147483647*x1^2147483646*th[1,2]"
+    with pytest.raises(LimitError):
+        substitute_generators(f, [x_imgs[0] ** 2], [th1, th2])
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["body square", "body odd power", "body monomial", "nilpotent", "odd block", "block sum"],
+)
+def test_substitution_results_past_the_limit(case):
+    # Each case makes one intermediate product with an exponent past the
+    # limit that is only multiplied again, never printed, and the next
+    # product would carry into the next exponent field: the check on that
+    # intermediate is what turns a wrong answer into LimitError.
+    m, n, p = 3, 4, 2
+    x1, x2, x3 = (Polynomial.variable(i, m) for i in (1, 2, 3))
+    one = Polynomial.const(1, m)
+
+    def mono(poly, theta_key=(), tau_key=()):
+        return Superfunction.monomial(m, n, p, poly, theta_key, tau_key)
+
+    x_imgs = [mono(x1), mono(x2), mono(x3)]
+    th_imgs = [mono(one, (j,)) for j in range(1, n + 1)]
+    if case == "body square":  # B^4 = B^2 * B^2
+        x_imgs[0] = mono(x1 ** 2**30)
+        f = mono(x1**4)
+    elif case == "body odd power":  # B^3 = B^2 * B
+        x_imgs[0] = mono(x1**LIMIT)
+        f = mono(x1**3)
+    elif case == "body monomial":  # B^(1,1,1) = (B_1 * B_2) * B_3
+        x_imgs = [mono(x1**LIMIT)] * 3
+        f = mono(x1 * x2 * x3)
+    elif case == "nilpotent":  # N^3 = N^2 * N, with no body
+        block = x2**LIMIT
+        x_imgs[0] = mono(block, (1, 2)) + mono(block, (3, 4)) + mono(block, (), (1, 2))
+        f = mono(x1**3)
+    elif case == "odd block":  # F(1,2,3) = F(1,2) * F_3
+        th_imgs = [mono(x2**LIMIT, (j,)) for j in range(1, n + 1)]
+        f = mono(one, (1, 2, 3))
+    else:  # the sum over th[3] (x2 has no body), then times its image
+        x_imgs[:2] = [mono(x1**2), mono(x1**LIMIT, (1, 2))]
+        th_imgs[2] = mono(x1**LIMIT, (3,))
+        f = mono(x1 * x2, (3,))
+    with pytest.raises(LimitError):
+        substitute_generators(f, x_imgs, th_imgs)
+
+
+# -- odd indices past one machine word -------------------------------------
+
+
+def test_odd_indices_above_64_beside_t_factors():
+    m, n, p = 1, 70, 3
+    x1, one = Polynomial.variable(1, m), Polynomial.const(1, m)
+
+    def mono(poly, theta_key=(), tau_key=()):
+        return Superfunction.monomial(m, n, p, poly, theta_key, tau_key)
+
+    th65, t1 = mono(one, (65,)), mono(one, (), (1,))
+    assert str(th65 * t1) == "th[65]*t[1]"
+    assert str(t1 * th65) == "-th[65]*t[1]"
+    assert (th65 * th65).is_zero() and (t1 * t1).is_zero()
+    assert str(mono(x1, (2, 66, 69), (1, 3)).diff_theta(66)) == "-x1*th[2,69]*t[1,3]"
+    rng = random.Random(65)
+    thetas, taus = (1, 2, 63, 64, 65, 66, 69, 70), (1, 2, 3)
+
+    def draw(parity=None, terms=4):
+        f = Superfunction.zero(m, n, p)
+        while f.terms == {} or len(f.terms) < terms:
+            theta_key = tuple(sorted(rng.sample(thetas, rng.randint(0, 3))))
+            tau_key = tuple(sorted(rng.sample(taus, rng.randint(0, 2))))
+            if parity is not None and (len(theta_key) + len(tau_key)) % 2 != parity:
+                continue
+            poly = Polynomial(m, {(rng.randint(0, 2),): random_fraction(rng)})
+            f = f + mono(poly, theta_key, tau_key)
+        return f
+
+    for _ in range(30):
+        a, b = draw(), draw()
+        assert a * b == _reference_product(a, b)
+        assert b * a == _reference_product(b, a)
+    identity = [mono(one, (j,)) for j in range(1, n + 1)]
+    for _ in range(8):
+        x_imgs = [mono(x1) + draw(parity=0, terms=2)]
+        th_imgs = list(identity)
+        for j in thetas:
+            th_imgs[j - 1] = draw(parity=1, terms=2)
+        f = draw()
+        result = substitute_generators(f, x_imgs, th_imgs)
+        assert result == _naive_substitute(f, x_imgs, th_imgs)
+        _assert_lowest_terms(result)
+
+
 def test_kernel_matches_reference_on_generated_shapes():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     def index_keys(count):
-        bits = st.lists(st.booleans(), min_size=count, max_size=count)
-        return bits.map(lambda bits: tuple(i for i, bit in enumerate(bits, start=1) if bit))
+        if not count:
+            return st.just(())
+        indices = st.lists(st.integers(1, count), max_size=min(count, 4), unique=True)
+        return indices.map(lambda indices: tuple(sorted(indices)))
 
     def superfunctions(data, m, n, p, parity=None):
         keys = st.tuples(index_keys(n), index_keys(p))
@@ -536,7 +675,9 @@ def test_kernel_matches_reference_on_generated_shapes():
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.data())
     def check(data):
-        m, n, p = data.draw(st.sampled_from([(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 1)]))
+        m, n, p = data.draw(
+            st.sampled_from([(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 1), (1, 66, 2), (2, 70, 3)])
+        )
         a, b = superfunctions(data, m, n, p), superfunctions(data, m, n, p)
         product = a * b
         assert product == _reference_product(a, b)
