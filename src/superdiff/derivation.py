@@ -84,6 +84,8 @@ class SuperDerivation:
 
     @classmethod
     def d_dx(cls, i: int, m: int, n: int, p: int = 0) -> "SuperDerivation":
+        if not 1 <= i <= m:
+            raise DimensionError(f"variable index {i} out of range 1..{m}")
         base = cls.zero(m, n, p)
         coeffs = list(base.x_coeffs)
         coeffs[i - 1] = Superfunction.scalar(1, m, n, p)
@@ -91,6 +93,8 @@ class SuperDerivation:
 
     @classmethod
     def d_dtheta(cls, j: int, m: int, n: int, p: int = 0) -> "SuperDerivation":
+        if not 1 <= j <= n:
+            raise DimensionError(f"odd coordinate index {j} out of range 1..{n}")
         base = cls.zero(m, n, p)
         coeffs = list(base.th_coeffs)
         coeffs[j - 1] = Superfunction.scalar(1, m, n, p)

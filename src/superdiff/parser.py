@@ -728,10 +728,6 @@ def parse_any(text: str) -> tuple[str, object]:
 # -- printing ----------------------------------------------------------------
 
 
-def format_fraction(c: Fraction) -> str:
-    return str(c)
-
-
 def _term_strings(
     coeff: Fraction, exps: tuple[int, ...], theta_key: IndexTuple, tau_key: IndexTuple
 ) -> tuple[int, str]:
@@ -740,7 +736,7 @@ def _term_strings(
     magnitude = abs(coeff)
     parts: list[str] = []
     if magnitude != 1:
-        parts.append(format_fraction(magnitude))
+        parts.append(str(magnitude))
     for i, e in enumerate(exps, start=1):
         if e == 1:
             parts.append(f"x{i}")
@@ -751,7 +747,7 @@ def _term_strings(
     if tau_key:
         parts.append("t[" + ",".join(str(k) for k in tau_key) + "]")
     if not parts:
-        parts.append(format_fraction(magnitude))
+        parts.append(str(magnitude))
     return sign, "*".join(parts)
 
 

@@ -75,11 +75,12 @@ Every term of N has at least two odd factors, so N^k = 0 once
 2|k| > n + p: the sum has only |k| <= (n+p)//2.  The terms over one odd
 block th[K] are summed before the block's image th(K) is multiplied in
 once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
-The caches for one set of images live in a private plan, as integer
-numerators over the images' cleared denominators; morphisms build
-theirs once (per external rank) and keep it, since their images never
-change.  One substitution sums every term over one common denominator
-and divides once per output coefficient.
+The caches for one set of images live in a private plan, which clears
+each body over its own denominator and the rest over one shared D, so
+that the Taylor data of each exponent vector are the plan's own;
+morphisms build theirs once (per external rank) and keep it.  One
+substitution scales each term to one common denominator, sums every
+term over it and divides once per output coefficient.
 
 `Polynomial` and `Superfunction` take their ring operations from the
 private base `grassmann._Sparse`.  Public constructors validate their
@@ -91,7 +92,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import sub
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, LimitError, ParityError
@@ -638,16 +638,15 @@ class _SubstitutionPlan:
     carries th or t factors, so at least two odd ones, and the products
     N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.
 
-    The plan works over the integers, on packed keys.  Each image is
-    cleared once to integer numerators over the least common denominator
-    of its coefficients: b_i = B_i/D_i, N_i = M_i/E_i and the image of
-    th_j is F_j/G_j.  Body powers B_i^e (by repeated squaring) and
-    monomials B^e, the surviving M^k and the odd blocks
-    F(K) = F_K1 * ... * F_Kr are integer products, cached on first use
-    and checked against the exponent limit, so a plan holds only what its
-    substitutions needed; their denominators D^e, E^k and G(K) are
-    products of the cleared ones.  The images must already have passed
-    `_check_images`.
+    The plan works over the integers, on packed keys: b_i = B_i/d_i over
+    its own least denominator, so d^e grows only with x^e's own body
+    denominators, and N_i = M_i/D, image of th_j = F_j/D over the least
+    common denominator D of every nilpotent part and odd image.  Body
+    powers B_i^e (by repeated squaring) and monomials B^e, the surviving
+    M^k, the odd blocks F(K) = F_K1 * ... * F_Kr and the Taylor data of
+    each exponent vector depend on the plan alone; they are cached on
+    first use, the products checked against the exponent limit.  The
+    images must already have passed `_check_images`.
     """
 
     __slots__ = (
@@ -657,15 +656,15 @@ class _SubstitutionPlan:
         "x_images",
         "th_images",
         "_bound",
+        "_den",
         "_body_dens",
-        "_nil_dens",
-        "_th_dens",
         "_nilpotent",
         "_th",
         "_body_powers",
         "_body_monomials",
         "_nil_powers",
         "_odd_blocks",
+        "_taylor",
     )
 
     def __init__(
@@ -679,18 +678,13 @@ class _SubstitutionPlan:
         self.m, self.n, self.p = m, n, p
         self.x_images, self.th_images = tuple(x_images), tuple(th_images)
         self._bound = (n + p) // 2
-        unit_key = ((), ())
-        bodies = [_cleared(g.body_polynomial().terms) for g in x_images]
-        nilpotent = [
-            _cleared_buckets({k: c for k, c in g.terms.items() if k != unit_key}, n)
-            for g in x_images
-        ]
-        odd = [_cleared_buckets(g.terms, n) for g in th_images]
+        images = self.x_images + self.th_images
+        rests = [{key: c for key, c in g.terms.items() if key != ((), ())} for g in images]
+        self._den = _common_denominator(poly for rest in rests for poly in rest.values())
+        cleared = [_cleared_buckets(rest, n, self._den)[0] for rest in rests]
+        self._nilpotent, self._th = cleared[: len(x_images)], cleared[len(x_images) :]
+        bodies = [_cleared(g.body_polynomial().terms) for g in self.x_images]
         self._body_dens = [den for _, den in bodies]
-        self._nil_dens = [den for _, den in nilpotent]
-        self._th_dens = [den for _, den in odd]
-        self._nilpotent = [buckets for buckets, _ in nilpotent]
-        self._th = [buckets for buckets, _ in odd]
         zero = (0,) * len(x_images)
         one = {0: 1}
         self._body_powers = [{0: one, 1: body} for body, _ in bodies]
@@ -698,6 +692,7 @@ class _SubstitutionPlan:
         unit = {0: one}
         self._nil_powers = {zero: unit}
         self._odd_blocks = {(): unit}
+        self._taylor: dict[int, tuple[int, list]] = {}  # packed e: (d^e, data)
 
     def _limited_product(self, a: Integers, b: Integers) -> Integers:
         """a * b, checked against the exponent limit: it is an operand again."""
@@ -741,11 +736,13 @@ class _SubstitutionPlan:
         return found
 
     def _expansion(self, exps: Exponents) -> list:
-        """Taylor data of x^exps: (k, B^(exps-k), prod C(exps_i, k_i)).
+        """Taylor data of x^exps: (k, B^(exps-k), multiplier).
 
         k runs over exps' lower multi-indices with |k| <= (n+p)//2 whose
         M^k and body monomial are nonzero, so the list has the same
-        length for every large exponent.
+        length for every large exponent.  The multiplier, prod C(exps_i,
+        k_i) d_i^k_i * D^((n+p)//2 - |k|), puts each term over d^exps *
+        D^((n+p)//2); `substitute` keeps the list, beside d^exps.
         """
         ks: list[Exponents] = [()]
         for i, e in enumerate(exps):
@@ -755,7 +752,9 @@ class _SubstitutionPlan:
         for k in ks:
             body = self._body_monomial(tuple(e - j for e, j in zip(exps, k)))
             if body and self._nil_power(k):
-                mult = math.prod(math.comb(e, j) for e, j in zip(exps, k))
+                mult = self._den ** (self._bound - sum(k)) * math.prod(
+                    math.comb(e, j) * d**j for e, j, d in zip(exps, k, self._body_dens)
+                )
                 found.append((k, body, mult))
         return found
 
@@ -770,36 +769,26 @@ class _SubstitutionPlan:
         return found
 
     def substitute(self, f: Superfunction) -> Superfunction:
-        m, n = self.m, self.n
-        den = _common_denominator(f.terms.values())
+        m, n, den = self.m, self.n, self._den
         source_m = len(self.x_images)
+        f_den = _common_denominator(f.terms.values())
+        taylor = self._taylor
         by_block: dict[IndexTuple, list[tuple[IndexTuple, Integers]]] = {}
-        expansions: dict[int, list] = {}
+        body_dens = set()
+        top = 0
         for (theta_key, tau_key), poly in f.terms.items():
-            coeffs = _numerators(poly.terms, den)
+            coeffs = _numerators(poly.terms, f_den)
             by_block.setdefault(theta_key, []).append((tau_key, coeffs))
+            top = max(top, len(theta_key))
             for e in coeffs:
-                if e not in expansions:
-                    expansions[e] = self._expansion(_unpack(e, source_m))
-        # Every term is summed over one denominator
-        #     L = den * prod_i D_i^emax_i * E_i^kmax_i * prod_j G_j,
-        # with the integer multiplier L / (den * D^(e-k) * E^k * G(K)),
-        # and the sum is divided by L once.
-        shifts = [(_unpack(e, source_m), k) for e, data in expansions.items() for k, _, _ in data]
-        emax = [max(column) for column in zip(*(map(sub, e, k) for e, k in shifts))]
-        kmax = [max(column) for column in zip(*(k for _, k in shifts))]
-        denominators = list(zip(self._body_dens, emax, self._nil_dens, kmax))
-        for e, data in expansions.items():
-            exps = _unpack(e, source_m)
-            for index, (k, body, mult) in enumerate(data):
-                for (d, d_top, q, q_top), power, j in zip(denominators, exps, k):
-                    mult *= d ** (d_top - power + j) * q ** (q_top - j)
-                data[index] = (k, body, mult)
-        th_dens = self._th_dens
-        all_th = math.prod(th_dens)
-        common = den * all_th * math.prod(
-            d**d_top * q**q_top for d, d_top, q, q_top in denominators
-        )
+                if e not in taylor:
+                    exps = _unpack(e, source_m)
+                    taylor[e] = (math.prod(map(pow, self._body_dens, exps)), self._expansion(exps))
+                body_dens.add(taylor[e][0])
+        # The image of c_e x^e th^K t^J has the denominator
+        # f_den * d^e * D^((n+p)//2 + |K|), so every term is scaled by
+        # (body_den / d^e) * D^(top-|K|) and the sum divided once.
+        body_den = math.lcm(*body_dens)
         signs = _SIGNS
         acc: IntegerBuckets = {}
         zero = (0,) * source_m
@@ -807,19 +796,19 @@ class _SubstitutionPlan:
             odd = self._odd_block(theta_key)
             if not odd:
                 continue
-            block_scale = all_th // math.prod(th_dens[j - 1] for j in theta_key)
             # S_K = sum_J (-1)^(|K||J|) poly_J(images) t^J, then S_K * th(K)
             target = {} if theta_key else acc
+            block_scale = den ** (top - len(theta_key))
             for tau_key, poly in entries:
                 tau = _mask(((), tau_key), n)
-                flip = len(theta_key) % 2 and len(tau_key) % 2
-                scale_j = -block_scale if flip else block_scale
+                sign = -1 if len(theta_key) % 2 and len(tau_key) % 2 else 1
                 # poly(b + N) = sum_k P_k N^k, P_k = sum_e c_e prod C(e_i, k_i) b^(e-k);
                 # N^0 = 1, so P_0 is summed in place
                 parts = {zero: target.setdefault(tau, {})}
                 for e, coeff in poly.items():
-                    coeff *= scale_j
-                    for k, body, mult in expansions[e]:
+                    body_e, data = taylor[e]
+                    coeff *= sign * block_scale * (body_den // body_e)
+                    for k, body, mult in data:
                         part = parts.setdefault(k, {})
                         scale = coeff * mult
                         for e2, c2 in body.items():
@@ -836,7 +825,7 @@ class _SubstitutionPlan:
             if theta_key:
                 _check_limit(target.values(), m)
                 _multiply_buckets_into(acc, target, odd)
-        return _from_integers(m, n, self.p, acc, common)
+        return _from_integers(m, n, self.p, acc, f_den * body_den * den ** (self._bound + top))
 
 
 def substitute_generators(

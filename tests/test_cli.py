@@ -80,6 +80,12 @@ def test_exit_code_exponent_limit(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "apply", phi, at_limit, "--m", "1", "--n", "2")
     assert code == 0
     assert out.strip() == "x1^2147483647 + 2147483647*x1^2147483646*th[1,2]"
+    fractional = write(
+        tmp_path, "psi.txt", "x1 -> x1 + 1/3*th[1,2]\nth1 -> th[1]\nth2 -> 1/5*th[2]\n"
+    )
+    code, out, _ = run_cli(capsys, "apply", fractional, at_limit, "--m", "1", "--n", "2")
+    assert code == 0
+    assert out.strip() == "x1^2147483647 + 2147483647/3*x1^2147483646*th[1,2]"
     past = write(tmp_path, "g.txt", "x1^2147483648\n")
     for operator in (phi, field):
         code, out, err = run_cli(capsys, "apply", operator, past, "--m", "1", "--n", "2")
@@ -249,6 +255,24 @@ def test_exit_code_domain_mismatch(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compose", a, b)
     assert code == 4
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "operator, message",
+    [
+        ("th1*d/dth0", "odd coordinate index 0 out of range 1..1"),
+        ("d/dx0", "variable index 0 out of range 1..0"),
+        ("x1*d/dx0", "variable index 0 out of range 1..1"),
+        ("x0", "variable index 0 out of range 1..0"),
+    ],
+)
+def test_exit_code_operator_index_zero(tmp_path, capsys, operator, message):
+    # d/dx0 and d/dth0 are out of range like x0, never the last coordinate
+    op = write(tmp_path, "op.txt", operator + "\n")
+    f = write(tmp_path, "f.txt", "th1\n")
+    code, out, err = run_cli(capsys, "apply", op, f)
+    assert (code, out) == (4, "")
+    assert err == f"invalid input: {message}\n"
 
 
 def test_exit_code_parity_violation(tmp_path, capsys):

@@ -15,7 +15,7 @@ from superdiff import (
     symmetrize_apply,
     unordered_partitions,
 )
-from superdiff.errors import DomainError, ParityError
+from superdiff.errors import DimensionError, DomainError, ParityError
 from superdiff.grassmann import merge_indices
 from superdiff.sampling import (
     random_body,
@@ -103,6 +103,16 @@ def test_coordinate_operators():
     assert X.apply(f) == Superfunction.coordinate(1, 2, 2).scale(2)
     g = Superfunction.theta(1, 2, 2) * Superfunction.theta(2, 2, 2)
     assert D.apply(g) == -Superfunction.theta(1, 2, 2)
+
+
+def test_coordinate_operator_indices_are_checked():
+    assert SuperDerivation.d_dx(2, 2, 2).x_coeffs[1] == Superfunction.scalar(1, 2, 2)
+    assert SuperDerivation.d_dtheta(2, 2, 2).th_coeffs[1] == Superfunction.scalar(1, 2, 2)
+    for i in (0, -1, 3):
+        with pytest.raises(DimensionError, match=f"variable index {i} out of range 1..2"):
+            SuperDerivation.d_dx(i, 2, 2)
+        with pytest.raises(DimensionError, match=f"odd coordinate index {i} out of range 1..2"):
+            SuperDerivation.d_dtheta(i, 2, 2)
 
 
 def test_parity_and_filtration():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from superdiff import Polynomial, SuperDerivation, Superfunction
 from superdiff import parser as fmt
 from superdiff.errors import DimensionError, ParseError
 from superdiff.sampling import (
@@ -229,6 +230,48 @@ def test_morphism_fixpoint_fuzzed():
         phi = _point_morphism(point)
         text = fmt.format_morphism(phi)
         assert fmt.format_morphism(fmt.parse_morphism(text)) == text
+
+
+def test_format_parse_fixpoint_on_generated_shapes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def index_keys(count):
+        if not count:
+            return st.just(())
+        indices = st.lists(st.integers(1, count), max_size=min(count, 4), unique=True)
+        return indices.map(lambda indices: tuple(sorted(indices)))
+
+    def superfunctions(data, m, n, p):
+        coeffs = st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * m),
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            max_size=3,
+        )
+        keys = st.tuples(index_keys(n), index_keys(p))
+        terms = data.draw(st.dictionaries(keys, coeffs, max_size=4))
+        return Superfunction(m, n, p, {key: Polynomial(m, c) for key, c in terms.items()})
+
+    def fields(data, m, n, p):
+        coeffs = [Superfunction.zero(m, n, p)] * (m + n)
+        for slot in data.draw(st.lists(st.integers(0, m + n - 1), max_size=3, unique=True)):
+            coeffs[slot] = superfunctions(data, m, n, p)
+        return SuperDerivation(m, n, p, coeffs[:m], coeffs[m:])
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, n, p = data.draw(st.sampled_from([(1, 1, 0), (2, 3, 2), (1, 70, 2), (3, 66, 3)]))
+        f = superfunctions(data, m, n, p)
+        text = fmt.format_superfunction(f)
+        assert fmt.format_superfunction(fmt.parse_superfunction(text)) == text
+        assert fmt.parse_superfunction(text, m, n, p) == f
+        field = fields(data, m, n, p)
+        text = fmt.format_derivation(field)
+        assert fmt.format_derivation(fmt.parse_derivation(text)) == text
+        assert fmt.parse_derivation(text, m, n, p) == field
+
+    check()
 
 
 def test_format_fraction_forms():

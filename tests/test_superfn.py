@@ -383,6 +383,65 @@ def test_substitution_with_image_denominators():
         _assert_lowest_terms(result)
 
 
+def test_one_plan_denominator_with_coprime_parts(monkeypatch):
+    # body 1/3, nilpotent part 1/5, odd images 1/7: the bodies keep their
+    # own denominators, the rest share D = 35, and each term of f is scaled
+    # by its own powers of them
+    m, n, p = 2, 2, 1
+    c = Fraction
+    x1, x2 = Polynomial.variable(1, m), Polynomial.variable(2, m)
+    one = Polynomial.const(1, m)
+    x_imgs = [
+        Superfunction(m, n, p, {((), ()): x1.scale(c(1, 3)), ((1, 2), ()): one.scale(c(1, 5))}),
+        Superfunction(m, n, p, {
+            ((), ()): x2 + one.scale(c(2, 3)),
+            ((1,), (1,)): x1.scale(c(4, 5)),
+        }),
+    ]
+    th_imgs = [
+        Superfunction(m, n, p, {((2,), ()): one.scale(c(1, 7)), ((1,), ()): x2}),
+        Superfunction(m, n, p, {((1,), ()): one, ((), (1,)): x1.scale(c(3, 7))}),
+    ]
+
+    def poly(terms):
+        return Polynomial(m, {e: c(*q) for e, q in terms.items()})
+
+    f = Superfunction(m, n, p, {
+        ((), ()): poly({(0, 0): (1, 2), (1, 0): (1, 1), (2, 1): (-3, 4), (0, 3): (5, 1)}),
+        ((1,), ()): poly({(2, 0): (1, 2), (0, 1): (2, 9)}),
+        ((2,), (1,)): poly({(1, 1): (7, 1)}),
+        ((1, 2), ()): poly({(0, 0): (1, 1), (3, 0): (-1, 6)}),
+        ((1, 2), (1,)): poly({(1, 2): (1, 4)}),
+    })
+    g = Superfunction(m, n, p, {
+        ((), (1,)): poly({(1, 0): (1, 11), (4, 0): (2, 1), (0, 3): (1, 13)}),
+        ((1,), ()): poly({(2, 0): (3, 1), (1, 3): (-1, 8)}),
+        ((1, 2), ()): poly({(3, 0): (1, 17)}),
+    })
+    seen = []
+    expansion = _SubstitutionPlan._expansion
+
+    def counted(plan, exps):
+        seen.append(exps)
+        return expansion(plan, exps)
+
+    monkeypatch.setattr(_SubstitutionPlan, "_expansion", counted)
+    plan = _SubstitutionPlan(m, n, p, x_imgs, th_imgs)
+    first = plan.substitute(f)
+    assert first == _naive_substitute(f, x_imgs, th_imgs)
+    _assert_lowest_terms(first)
+    assert sorted(seen) == sorted({e for poly in f.terms.values() for e in poly.terms})
+    seen.clear()
+    second = plan.substitute(g)
+    assert second == _naive_substitute(g, x_imgs, th_imgs)
+    _assert_lowest_terms(second)
+    # only the exponents f did not have are expanded
+    assert sorted(seen) == [(1, 3), (4, 0)]
+    for h, result in ((f, first), (g, second)):
+        assert _SubstitutionPlan(m, n, p, x_imgs, th_imgs).substitute(h) == result
+    assert plan.substitute(f) == first
+
+
 def test_cancellation_and_empty_operands():
     m, n, p = 2, 2, 1
     one = Polynomial.const(1, m)
@@ -561,6 +620,22 @@ def test_substitution_at_the_exponent_limit():
     assert str(result) == "x1^2147483647 + 2147483647*x1^2147483646*th[1,2]"
     with pytest.raises(LimitError):
         substitute_generators(f, [x_imgs[0] ** 2], [th1, th2])
+    # x1's body is x1 itself: a fraction in a nilpotent part, an odd image
+    # or another coordinate's body is never raised to the power 2**31 - 1
+    m = 2
+    x1, x2 = Superfunction.coordinate(1, m, n), Superfunction.coordinate(2, m, n)
+    th1, th2 = Superfunction.theta(1, m, n), Superfunction.theta(2, m, n)
+    third = Fraction(1, 3)
+    power = Polynomial(m, {(LIMIT, 0): 1})
+    f = Superfunction(m, n, 0, {((), ()): power, ((2,), ()): power})
+    for x_imgs, th_imgs, nil, odd in (
+        ([x1 + (th1 * th2).scale(third), x2], [th1, th2], "2147483647/3", ""),
+        ([x1 + th1 * th2, x2], [th1, th2.scale(Fraction(1, 5))], "2147483647", "1/5*"),
+        ([x1 + th1 * th2, x2.scale(third)], [th1, th2], "2147483647", ""),
+    ):
+        assert str(substitute_generators(f, x_imgs, th_imgs)) == (
+            f"x1^2147483647 + {nil}*x1^2147483646*th[1,2] + {odd}x1^2147483647*th[2]"
+        )
 
 
 @pytest.mark.parametrize(
