@@ -7,12 +7,10 @@ A `SuperDerivation` is a first-order operator
 whose coefficients are superfunctions (possibly involving external odd
 constants t[k]).  It acts on a superfunction by differentiating term by
 term and multiplying each result by the coefficient from the left.  The
-action runs on the integer kernel of `superfn`: a field clears its m + n
-coefficients over one common denominator on first use and keeps them
-(fields never change, and a series applies one field many times), the
-argument is cleared once, its derivatives are taken on the integer
-numerators, and every c_i * d_i(f) is summed as integers before the
-result's Fractions are built once.
+action reads the stored form of `superfn` directly: the derivatives of
+the argument are taken on its integer numerators, and every
+c_i * d_i(f) is summed as integers over the lcm of the coefficients'
+denominators, then reduced once.
 
 The module also provides the combinatorial helpers used by the group
 layer: ordered two-block splits and unordered partitions of an index
@@ -31,17 +29,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar, 
 
 from .errors import DimensionError, DomainError, InvertibilityError, ParityError
 from .substitution import UnderlyingMorphism, _coordinates
-from .superfn import (
-    IntegerBuckets,
-    Superfunction,
-    _cleared_buckets,
-    _combination,
-    _common_denominator,
-    _diff_theta_buckets,
-    _diff_x_buckets,
-    _from_integers,
-    _multiply_buckets_into,
-)
+from .grassmann import IntegerBuckets, _combination, _multiply_buckets_into
+from .superfn import Superfunction, _diff_theta_buckets, _diff_x_buckets
 
 Scalar = Union[int, Fraction]
 IndexTuple = tuple[int, ...]
@@ -50,7 +39,7 @@ IndexTuple = tuple[int, ...]
 class SuperDerivation:
     """A super vector field with superfunction coefficients."""
 
-    __slots__ = ("m", "n", "p", "x_coeffs", "th_coeffs", "_integers")
+    __slots__ = ("m", "n", "p", "x_coeffs", "th_coeffs")
 
     def __init__(
         self,
@@ -75,7 +64,6 @@ class SuperDerivation:
         self.p = p
         self.x_coeffs = x_coeffs
         self.th_coeffs = th_coeffs
-        self._integers: Optional[tuple[list[IntegerBuckets], int]] = None
 
     @classmethod
     def zero(cls, m: int, n: int, p: int = 0) -> "SuperDerivation":
@@ -209,29 +197,20 @@ class SuperDerivation:
 
     # -- action ----------------------------------------------------------
 
-    def _cleared(self) -> tuple[list[IntegerBuckets], int]:
-        """The m + n coefficients as integer buckets over one common
-        denominator, cleared on first use and kept: a field never changes."""
-        if self._integers is None:
-            coeffs = self.x_coeffs + self.th_coeffs
-            den = _common_denominator(poly for g in coeffs for poly in g.terms.values())
-            self._integers = [_cleared_buckets(g.terms, self.n, den)[0] for g in coeffs], den
-        return self._integers
-
     def apply(self, f: Superfunction) -> Superfunction:
         """Act on a superfunction: sum_i c_i * d_i(f), over the integers."""
         if (f.m, f.n, f.p) != (self.m, self.n, self.p):
             raise DimensionError("field and superfunction live on different domains")
-        coeffs, den = self._cleared()
-        terms, den_f = _cleared_buckets(f.terms, self.n)
+        coeffs = self.x_coeffs + self.th_coeffs
+        den = math.lcm(*[c._den for c in coeffs])
         total: IntegerBuckets = {}
-        m = self.m
+        m, data = self.m, f._data
         for i, c in enumerate(coeffs):
             if c:
-                d = _diff_x_buckets(terms, i) if i < m else _diff_theta_buckets(terms, i - m + 1)
+                d = _diff_x_buckets(data, i) if i < m else _diff_theta_buckets(data, i - m + 1)
                 if d:
-                    _multiply_buckets_into(total, c, d)
-        return _from_integers(m, self.n, self.p, total, den * den_f)
+                    _multiply_buckets_into(total, c._data, d, den // c._den)
+        return Superfunction._checked((m, self.n, self.p), total, den * f._den)
 
     def bracket(self, other: "SuperDerivation") -> "SuperDerivation":
         """The supercommutator [self, other].
@@ -413,8 +392,7 @@ def _series(
     The one terminating series of the group layer: `step` raises a
     nilpotent filtration (th factors, or external t factors), so some
     power of it vanishes.  Works on superfunctions and on fields alike;
-    the terms are summed over the integers, one field coefficient at a
-    time, and each output Fraction is built once.
+    the terms are summed once, by `_combine`.
     """
     terms = [first]
     while True:
@@ -423,6 +401,13 @@ def _series(
             break
         terms.append(term)
     weights = [Fraction(1)] + [coeff(k) for k in range(1, len(terms))]
+    return _combine(weights, terms)
+
+
+def _combine(weights: Sequence[Scalar], terms: Sequence[_Term]) -> _Term:
+    """sum_k weights[k] * terms[k], superfunctions or fields of one ring,
+    summed over the integers one field coefficient at a time."""
+    first = terms[0]
     if isinstance(first, Superfunction):
         return _combination(weights, terms)
     columns = zip(*(term.x_coeffs + term.th_coeffs for term in terms))

@@ -1,42 +1,73 @@
-"""Exact arithmetic in finitely generated Grassmann algebras.
+"""Exact arithmetic in finitely generated Grassmann algebras, and the one
+stored form of every sparse element of superdiff.
 
 An element of the algebra with anticommuting generators t[1], ..., t[n]
-is stored sparsely as a dict mapping index tuples to rational
-coefficients::
+is a rational combination of monomials t[I], I a strictly increasing
+tuple of generator indices (1-based)::
 
     3 + 2*t[1] - 1/2*t[1,3]   <->   {(): 3, (1,): 2, (1, 3): -1/2}
-
-Keys are strictly increasing tuples of generator indices (1-based); the
-empty tuple holds the scalar part.  Zero coefficients are never stored.
-All coefficients are `fractions.Fraction`, so every operation is exact.
 
 Multiplication reorders generator products into increasing index order
 and picks up one sign flip per transposition; squares of generators
 vanish.  The parity of a monomial t[i1]*...*t[ik] is k mod 2, and
 parity-homogeneous elements supercommute.
 
-The ring operations that `GrassmannElement` shares with `Polynomial` and
-`Superfunction` (ring check, sum, negation, scaling, powers, equality,
-hashing) live once, in the private base `_Sparse`.  Public constructors
-check every key and coefficient; kernel-built results are not re-checked.
+`GrassmannElement`, `Polynomial` and `Superfunction` (module `superfn`)
+store one form, FLINT's `fmpq_poly` canonical form: integer numerators
+over one positive denominator, in lowest terms.  `_data` maps a bitmask
+of odd factors to a dict from packed exponents to nonzero numerators,
+and `_den` is the denominator; the gcd of `_den` and every numerator is
+1, and zero is `{}` over 1.  Here t[k] is bit k - 1 of the mask, and the
+exponent key is always 0, as there are no even variables: the case
+m = 0, n = 0 of a superfunction.  So equal elements have equal stored
+forms, and equality, hashing and `is_zero` read them directly.  Stored
+dicts never change once built, so results may share them.
 
-`Fraction` coefficients are what every element stores and every caller
-sees.  The products of `Polynomial` and `Superfunction` (module
-`superfn`) work inside over the integers, with one common denominator
-per operand, and hand back Fractions in lowest terms; the Grassmann
-product here, on few and short terms, stays with Fractions.
+`.terms` is a read-only view: the element as a dict of index tuples (or
+exponent tuples) to `Fraction`s (or `Polynomial`s), built at each read
+and not kept, so that only one form is held in memory.
+
+An exponent tuple is packed into one int with a 32-bit field per
+variable (e_i in bits 32i .. 32i+31), so a monomial product is one
+integer addition.  Exponents are limited to 2**31 - 1, the largest value
+whose field keeps its top (guard) bit clear: the public constructors
+and the parser raise `LimitError` past it, so no stored key has a guard
+bit set.  A sum of two such keys has every field below 2**32, so nothing
+carries into the next field, and its guard bit is set exactly when that
+exponent passed the limit; derivatives only lower a nonzero field.  So
+every product is checked (`_check_limit`) before it is stored or
+multiplied again, and no exponent past the limit is ever misread.
+
+The product multiplies pairs of numerators as `int` and sums them per
+key; the sign of two masks is the parity of the inversions between them
+(Dorst-Fontijne-Mann's bitmap blades), looked up in the memo `_SIGNS`.
+The ring operations (ring check, linear combinations, product, powers,
+equality, hashing) live once, in the private base `_Sparse`.  Public
+constructors check every key and coefficient; kernel-built results are
+not re-checked, only reduced to lowest terms.  The pack, unpack and mask
+memos are `lru_cache`s of 2**16 entries, and `_SIGNS` is emptied when
+it reaches that size.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, ParityError
+from .errors import DimensionError, LimitError, ParityError
 
 Scalar = Union[int, Fraction]
 IndexTuple = tuple[int, ...]
+Exponents = tuple[int, ...]
+# the stored form: packed exponents -> numerator, and mask -> those
+Integers = dict[int, int]
+IntegerBuckets = dict[int, Integers]
+
+_WIDTH = 32  # bits per exponent field; the top one is the guard bit
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = (1 << (_WIDTH - 1)) - 1
 
 
 @lru_cache(maxsize=1 << 16)
@@ -89,29 +120,162 @@ def _index_key(key: Iterable[int], bound: int, label: str) -> IndexTuple:
     return key
 
 
-def _accumulate(total: dict, pairs: Iterable[tuple]) -> dict:
-    """Add each (key, value) of `pairs` into `total`; `_Sparse._build` drops zeros."""
-    for key, value in pairs:
-        total[key] = total[key] + value if key in total else value
+# -- packed keys -------------------------------------------------------------
+
+
+@lru_cache(maxsize=1 << 16)
+def _pack(exps: Exponents) -> int:
+    """exps[i] in bits [32 i, 32 i + 32) of one int; LimitError past the limit."""
+    key = 0
+    for e in reversed(exps):
+        if e > _LIMIT:
+            raise LimitError(f"exponent {e} exceeds the limit {_LIMIT}")
+        key = key << _WIDTH | e
+    return key
+
+
+@lru_cache(maxsize=1 << 16)
+def _guard(m: int) -> int:
+    """The guard bit of each of m fields: the bits no stored key has set."""
+    return sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(m))
+
+
+@lru_cache(maxsize=1 << 16)
+def _unpack(key: int, m: int) -> Exponents:
+    """The m exponents of a packed key; LimitError if a guard bit is set."""
+    exps = tuple(key >> (_WIDTH * i) & _FIELD for i in range(m))
+    if key & _guard(m):
+        raise LimitError(f"exponent {max(exps)} exceeds the limit {_LIMIT}")
+    return exps
+
+
+def _check_limit(buckets: IntegerBuckets, m: int) -> IntegerBuckets:
+    """`buckets`, a product of m variables; LimitError unless every key
+    may be stored and multiplied again."""
+    guard = _guard(m)
+    if guard:
+        for poly in buckets.values():
+            for e in poly:
+                if e & guard:
+                    _unpack(e, m)  # raises
+    return buckets
+
+
+@lru_cache(maxsize=1 << 16)
+def _mask(indices: IndexTuple) -> int:
+    """Index i at bit i - 1."""
+    return sum(1 << (i - 1) for i in indices)
+
+
+@lru_cache(maxsize=1 << 16)
+def _indices(mask: int) -> IndexTuple:
+    """The increasing indices of a mask; the inverse of `_mask`."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+# -- the kernel ----------------------------------------------------------------
+
+# _SIGNS[a, b]: the sign, -1 or 1, of the product of the blades with
+# disjoint masks a and b, from the transpositions into canonical order
+_SIGNS: dict[tuple[int, int], int] = {}
+
+
+def _sign(a: int, b: int) -> int:
+    """Fill in _SIGNS[a, b]: each factor of b moves left past every factor
+    of a with a higher bit.  The table is emptied when it is full."""
+    swaps, rest = 0, b
+    while rest:
+        low = rest & -rest
+        swaps += (a // low).bit_count()
+        rest ^= low
+    if len(_SIGNS) >= 1 << 16:
+        _SIGNS.clear()
+    sign = _SIGNS[a, b] = -1 if swaps & 1 else 1
+    return sign
+
+
+def _multiply_into(total: Integers, a: Integers, b: Integers, factor: int = 1) -> Integers:
+    """Add `factor` times the product of integer polynomials a and b into
+    `total`; zero entries of `a` are skipped."""
+    for ea, ca in a.items():
+        if not ca:
+            continue
+        ca *= factor
+        for eb, cb in b.items():
+            e = ea + eb
+            total[e] = total.get(e, 0) + ca * cb
     return total
 
 
+def _multiply_buckets_into(
+    total: IntegerBuckets, a: IntegerBuckets, b: IntegerBuckets, factor: int = 1
+) -> IntegerBuckets:
+    """Add `factor` times the product of the stored numerators a and b into `total`."""
+    signs = _SIGNS
+    for ka, pa in a.items():
+        for kb, pb in b.items():
+            if ka & kb:
+                continue
+            sign = signs.get((ka, kb)) or _sign(ka, kb)
+            _multiply_into(total.setdefault(ka | kb, {}), pa, pb, sign * factor)
+    return total
+
+
+def _reduced(data: IntegerBuckets, den: int) -> tuple[IntegerBuckets, int]:
+    """`data` over `den` in the stored form: zero numerators and empty
+    buckets dropped, numerators and denominator divided by their gcd."""
+    out = {}
+    g = den
+    for key, bucket in data.items():
+        if not all(bucket.values()):
+            bucket = {e: c for e, c in bucket.items() if c}
+        if bucket:
+            out[key] = bucket
+            if g != 1:
+                g = math.gcd(g, *bucket.values())
+    if g != 1 and out:
+        out = {key: {e: c // g for e, c in bucket.items()} for key, bucket in out.items()}
+    return out, den // g
+
+
+def _over_lcm(coeffs: Mapping[int, Fraction]) -> tuple[Integers, int]:
+    """The nonzero `coeffs` as numerators over their least common
+    denominator, which is their stored form."""
+    coeffs = {key: c for key, c in coeffs.items() if c}
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}, den
+
+
 class _Sparse:
-    """Ring operations on `terms`, a dict from keys to nonzero coefficients.
+    """Ring operations on the stored form `_data` over `_den`.
 
     A subclass reads and sets the slots that fix its ring in `_space` and
-    `_assign`, and adds its checked `__init__`, `_product`, `_one` and
-    calculus.  `_build` makes kernel results: it checks nothing and only
-    drops zero coefficients.
+    `_assign`, names its number of even variables `m`, and adds its
+    checked `__init__`, its `terms` view, `_one` and calculus.
     """
 
     __slots__ = ()
 
     @classmethod
-    def _build(cls, space: tuple, terms: Mapping) -> "_Sparse":
+    def _stored(cls, space: tuple, data: IntegerBuckets, den: int) -> "_Sparse":
+        """The element with exactly this stored form; checks nothing."""
         self = object.__new__(cls)
         self._assign(space)
-        self.terms = {key: value for key, value in terms.items() if value}
+        self._data = data
+        self._den = den
+        return self
+
+    @classmethod
+    def _build(cls, space: tuple, data: IntegerBuckets, den: int = 1) -> "_Sparse":
+        """A kernel result, put in the stored form by `_reduced`."""
+        return cls._stored(space, *_reduced(data, den))
+
+    @classmethod
+    def _checked(cls, space: tuple, data: IntegerBuckets, den: int) -> "_Sparse":
+        """A product: `_build`, then LimitError if an exponent that would
+        be stored passed the limit."""
+        self = cls._build(space, data, den)
+        _check_limit(self._data, self.m)
         return self
 
     def _check(self, other: "_Sparse") -> tuple:
@@ -125,18 +289,19 @@ class _Sparse:
         return space
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._data
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._data)
 
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._build(self._check(other), _accumulate(dict(self.terms), other.terms.items()))
+        self._check(other)
+        return _combination((1, 1), (self, other))
 
     def __neg__(self):
-        return self._build(self._space(), {k: -v for k, v in self.terms.items()})
+        return _combination((-1,), (self,))
 
     def __sub__(self, other):
         return self + (-other)
@@ -146,17 +311,15 @@ class _Sparse:
             return self.scale(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        self._check(other)
-        return self._product(other)
+        space = self._check(other)
+        total = _multiply_buckets_into({}, self._data, other._data)
+        return self._checked(space, total, self._den * other._den)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    # only a scalar on the left reaches it: the scalar branch of __mul__
+    __rmul__ = __mul__
 
     def scale(self, c: Scalar):
-        c = _as_fraction(c)
-        return self._build(self._space(), {k: v * c for k, v in self.terms.items()})
+        return _combination((_as_fraction(c),), (self,))
 
     def __pow__(self, exponent: int):
         """By repeated squaring: about 2 log2(exponent) products."""
@@ -175,29 +338,55 @@ class _Sparse:
         return (
             isinstance(other, type(self))
             and self._space() == other._space()
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._data == other._data
         )
 
     def __hash__(self):
-        return hash((*self._space(), frozenset(self.terms.items())))
+        buckets = frozenset((key, frozenset(poly.items())) for key, poly in self._data.items())
+        return hash((*self._space(), self._den, buckets))
+
+
+def _combination(weights: Sequence[Scalar], elements: Sequence[_Sparse]) -> _Sparse:
+    """sum_k weights[k] * elements[k], summed over one common denominator
+    and reduced once; the elements share the ring of the first."""
+    first = elements[0]
+    dens = [w.denominator * f._den for w, f in zip(weights, elements)]
+    common = math.lcm(*dens)
+    total: IntegerBuckets = {}
+    for w, f, den in zip(weights, elements, dens):
+        scale = w.numerator * (common // den)
+        for key, poly in f._data.items():
+            bucket = total.get(key)
+            if bucket is None:
+                total[key] = {e: scale * c for e, c in poly.items()}
+            else:
+                for e, c in poly.items():
+                    bucket[e] = bucket.get(e, 0) + scale * c
+    return first._build(first._space(), total, common)
 
 
 class GrassmannElement(_Sparse):
     """An element of the Grassmann algebra on n anticommuting generators."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "_data", "_den")
+    m = 0  # no even variables: every exponent key is 0
 
     def __init__(self, n: int, terms: Mapping[IndexTuple, Scalar]):
         if n < 0:
             raise DimensionError("number of generators must be nonnegative")
-        clean: dict[IndexTuple, Fraction] = {}
-        for key, coeff in terms.items():
-            key = _index_key(key, n, "generator")
-            c = _as_fraction(coeff)
-            if c:
-                clean[key] = c
+        coeffs = {
+            _mask(_index_key(key, n, "generator")): _as_fraction(c) for key, c in terms.items()
+        }
+        numerators, self._den = _over_lcm(coeffs)
         self.n = n
-        self.terms = clean
+        self._data = {mask: {0: c} for mask, c in numerators.items()}
+
+    @property
+    def terms(self) -> dict[IndexTuple, Fraction]:
+        """Index tuples to nonzero Fractions: a view, built at each read."""
+        den = self._den
+        return {_indices(mask): Fraction(poly[0], den) for mask, poly in self._data.items()}
 
     # -- constructors ------------------------------------------------
 
@@ -232,34 +421,22 @@ class GrassmannElement(_Sparse):
     @property
     def body(self) -> Fraction:
         """The scalar part; the algebra map onto the ground field."""
-        return self.terms.get((), Fraction(0))
+        scalar = self._data.get(0)
+        return Fraction(scalar[0], self._den) if scalar else Fraction(0)
 
     def soul(self) -> "GrassmannElement":
         """The complement of the body: all terms of positive degree."""
-        return self._build((self.n,), {k: c for k, c in self.terms.items() if k})
+        return self._build((self.n,), {k: c for k, c in self._data.items() if k}, self._den)
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements, None for mixed, 0 for zero."""
-        if not self.terms:
+        if not self._data:
             return 0
-        parities = {len(k) % 2 for k in self.terms}
+        parities = {mask.bit_count() % 2 for mask in self._data}
         return parities.pop() if len(parities) == 1 else None
-
-    # -- arithmetic --------------------------------------------------
 
     # an entry of this class, so that it can be wrapped for this class alone
     __mul__ = _Sparse.__mul__
-
-    def _product(self, other: "GrassmannElement") -> "GrassmannElement":
-        def pairs():
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    merged = merge_indices(ka, kb)
-                    if merged is not None:
-                        sign, key = merged
-                        yield key, ca * cb if sign > 0 else -ca * cb
-
-        return self._build((self.n,), _accumulate({}, pairs()))
 
     # -- printing ----------------------------------------------------
 

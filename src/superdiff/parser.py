@@ -45,7 +45,7 @@ from fractions import Fraction
 from operator import add
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .derivation import SuperDerivation
+from .derivation import SuperDerivation, _combine
 from .errors import DimensionError, ParseError
 from .grassmann import GrassmannElement, GrassmannMorphism, _index_key, merge_indices
 from .morphism import SuperMorphism
@@ -61,10 +61,12 @@ class Token(NamedTuple):
     offset: int
 
 
+# Whitespace before a token is skipped inside the match; a character that
+# starts no token is matched as `bad`, the end of the text as `end`.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<newline>\n)
+    [ \t\r]*
+    (?: (?P<newline>\n)
   | (?P<ddx>d/dx(?P<ddx_i>\d+))
   | (?P<ddth>d/dth(?P<ddth_i>\d+))
   | (?P<xvar>x(?P<x_i>\d+))
@@ -76,6 +78,9 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<arrow>->)
   | (?P<op>[+\-*^/()\[\],;:{}])
+  | (?P<end>\Z)
+  | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -95,25 +100,22 @@ _TOKEN_KINDS = {
     "int": ("int", "int"),
     "arrow": ("arrow", None),
     "op": (None, None),
+    "end": ("end", None),
 }
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
+    for match in _TOKEN_RE.finditer(text):
         group = match.lastgroup
-        if group != "ws":
-            kind, digits = _TOKEN_KINDS[group]  # type: ignore[index]
-            value = match.group(group)
-            tokens.append(
-                Token(kind or value, int(match.group(digits)) if digits else value, pos)
-            )
-        pos = match.end()
-    tokens.append(Token("end", None, len(text)))
+        pos = match.start(group)
+        if group == "bad":
+            raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
+        kind, digits = _TOKEN_KINDS[group]  # type: ignore[index]
+        value = match.group(group) or None  # the end token has no text
+        tokens.append(Token(kind or value, int(match.group(digits)) if digits else value, pos))
+        if group == "end":
+            break
     return tokens
 
 
@@ -209,9 +211,7 @@ class _Monomial(NamedTuple):
         return self._replace(coeff=self.coeff**k, exps=tuple(e * k for e in self.exps))
 
     def superfunction(self, dims: Dimensions) -> Superfunction:
-        m, n, p = dims
-        poly = Polynomial._build((m,), {self.exps: self.coeff})
-        return Superfunction._build((m, n, p), {(self.theta, self.tau): poly})
+        return Superfunction._term(tuple(dims), self.coeff, self.exps, (self.theta, self.tau))
 
 
 class _Parser:
@@ -245,28 +245,28 @@ class _Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expression(self) -> Value:
+        """A signed sum, its terms collected and summed once."""
         tok = self.peek()
-        negate = False
+        weights = [1]
         if tok.kind in ("+", "-"):
             self.advance()
-            negate = tok.kind == "-"
-        value = self.parse_term()
-        if negate:
-            value = -value
+            weights[0] = -1 if tok.kind == "-" else 1
+        terms = [self.parse_term()]
         while True:
             tok = self.peek()
             if tok.kind in ("+", "-"):
                 self.advance()
                 rhs = self.parse_term()
-                if isinstance(value, SuperDerivation) != isinstance(rhs, SuperDerivation):
+                if isinstance(terms[0], SuperDerivation) != isinstance(rhs, SuperDerivation):
                     raise ParseError(
                         tok.offset,
                         (),
                         "cannot add a superfunction and a differential operator",
                     )
-                value = value + rhs if tok.kind == "+" else value - rhs
+                weights.append(-1 if tok.kind == "-" else 1)
+                terms.append(rhs)
             elif tok.kind in _EXPR_FOLLOW or tok.kind in ("arrow", ",", "]"):
-                return value
+                return terms[0] if weights == [1] else _combine(weights, terms)
             else:
                 raise ParseError(
                     tok.offset,
@@ -445,9 +445,9 @@ def _grassmann(value: Superfunction, n: int, offset: int) -> GrassmannElement:
     """A superfunction in the t generators alone, as an element of Λ_n."""
     terms = {}
     for (theta_key, tau_key), poly in value.terms.items():
-        if theta_key or any(sum(e) for e in poly.terms):
+        if theta_key or poly.degree() > 0:
             raise ParseError(offset, (), "Grassmann images may only use t generators")
-        terms[tau_key] = poly.terms.get((0,) * value.m, Fraction(0))
+        terms[tau_key] = poly.terms[(0,) * value.m]
     return GrassmannElement(n, terms)
 
 
@@ -770,10 +770,11 @@ def _monomial_order(exps: tuple[int, ...]) -> tuple:
 
 def _superfunction_terms(f: Superfunction) -> list[tuple[int, str]]:
     out: list[tuple[int, str]] = []
-    for (theta_key, tau_key) in sorted(f.terms):
-        poly = f.terms[(theta_key, tau_key)]
-        for exps in sorted(poly.terms, key=_monomial_order):
-            out.append(_term_strings(poly.terms[exps], exps, theta_key, tau_key))
+    terms = f.terms  # a view, built at each read
+    for theta_key, tau_key in sorted(terms):
+        coeffs = terms[theta_key, tau_key].terms
+        for exps in sorted(coeffs, key=_monomial_order):
+            out.append(_term_strings(coeffs[exps], exps, theta_key, tau_key))
     return out
 
 
@@ -786,10 +787,8 @@ def format_polynomial(poly: Polynomial) -> str:
 
 
 def format_grassmann(a: GrassmannElement) -> str:
-    out: list[tuple[int, str]] = []
-    for key in sorted(a.terms):
-        out.append(_term_strings(a.terms[key], (), (), key))
-    return _join_terms(out)
+    terms = a.terms  # a view, built at each read
+    return _join_terms([_term_strings(terms[key], (), (), key) for key in sorted(terms)])
 
 
 def format_derivation(field: SuperDerivation) -> str:

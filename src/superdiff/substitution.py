@@ -208,7 +208,7 @@ class UnderlyingMorphism(_Substitution):
         matrix_x = [[Fraction(0)] * m for _ in range(m)]
         shift = [Fraction(0)] * m
         for i, g in enumerate(self.images_x):
-            base = g.terms.get(((), ()), Polynomial.zero(m))
+            base = g.body_polynomial()
             if base.degree() > 1:
                 return None
             for exps, coeff in base.terms.items():

@@ -7,57 +7,36 @@ The coordinate ring handled here is generated by
 * external odd constants t[1], ..., t[p] coming from a Grassmann
   algebra the ring is tensored with.
 
-A `Superfunction` is stored sparsely as a dict mapping a pair of index
-tuples (K, J) -- K for the th factors, J for the t factors, both
-strictly increasing -- to a `Polynomial` in the even coordinates::
-
-    2*x1^2*x2*th[1,3] + 1/3*th[2]*t[2]
-        <->  {((1, 3), ()): 2*x1^2*x2, ((2,), (2,)): 1/3}
-
-The canonical monomial order puts all th factors before all t factors;
+A `Superfunction` is a rational combination of monomials
+x^e * th[K] * t[J], with K and J strictly increasing index tuples.  The
+canonical monomial order puts all th factors before all t factors;
 reordering an input expression into this form is where the sign flips
 happen.  The parity of a term is (len(K) + len(J)) mod 2.  Coefficients
 are exact rationals throughout.
 
-Fractions are the representation at the boundary; products and
-substitution compute inside over the integers, as FLINT's `fmpq_poly`
-does.  Each operand is cleared once to integer numerators over one
-common denominator (the lcm of its coefficients' denominators), pairs
-are multiplied and summed as `int`, and each output coefficient is
-built once as `Fraction(total, denominator)`, which puts it in lowest
-terms.  The derivative rules (d/dx_i and the signed left d/dth_j) exist
-once, on integer numerators; `diff`, `diff_x` and `diff_theta` clear,
-differentiate and divide, and the field action of `derivation` sums its
-products c_i * d_i(f) in the same integer buckets, with each field's
-coefficients cleared once per field.  `derivation`'s terminating series
-sums its terms the same way (`_combination`).
+`Polynomial` and `Superfunction` keep the one stored form of
+`grassmann._Sparse`: integer numerators over one positive denominator,
+in lowest terms, keyed by a bitmask and packed exponents (e_i in bits
+32i .. 32i+31 of one int).  A polynomial keeps its numerators under the
+mask 0.  A superfunction's mask has th[j] at bit j - 1 and t[k] at bit
+n + k - 1, so the canonical order of the factors is the order of their
+bits, two terms multiply to zero exactly when their masks meet, and the
+sign of a product is the parity of the inversions between the two
+masks.  The layout has no bound on m, n or p.  Products, derivatives
+(d/dx_i and the signed left d/dth_j, on the numerators), substitution,
+the field action of `derivation` and its series read and build the
+stored form directly, and each result is reduced to lowest terms once.
 
-Inside, the keys are packed as well.  An exponent tuple is one int with
-a 32-bit field per variable (e_i in bits 32i .. 32i+31), so a monomial
-product is one integer addition and d/dx_i one subtraction.  A (K, J)
-key is one bitmask: th[j] at bit j - 1 and t[k] at bit n + k - 1, so
-the canonical order of the factors is the order of their bits, two
-terms multiply to zero exactly when their masks meet, and the sign of a
-product is the parity of the inversions between the two masks
-(Dorst-Fontijne-Mann's bitmap blades), looked up in the memo `_SIGNS`.
-The layout has no bound on m, n or p.  Packing happens only where the
-kernel reads `.terms` (`_numerators`, `_cleared_buckets`), unpacking only
-where it builds them (`_divided`, `_from_integers`); `.terms` itself
-always holds tuples.  The pack, unpack and mask memos are `lru_cache`s
-of 2**16 entries, and `_SIGNS` is emptied when it reaches that size.
+`.terms` is a read-only view, built at each read and not kept::
 
-Exponents are limited to 2**31 - 1, the largest value whose field keeps
-its top (guard) bit clear; anything larger raises `LimitError`.  The
-invariant is that no key used as a product operand has a guard bit
-set.  Packing checks it on input.  A sum of two keys with clear guard
-bits has every field below 2**32, so nothing carries into the next
-field, and its guard bit is set exactly when that exponent passed the
-limit; derivatives only lower a nonzero field.  So a product result is
-checked (`_check_limit`) before it is multiplied again -- the plan's
-body powers and monomials, nilpotent powers and odd blocks, and the sum
-over one odd block before the block image multiplies it -- and every
-result is checked as it is unpacked.  No exponent past the limit is
-ever misread.
+    2*x1^2*x2*th[1,3] + 1/3*th[2]*t[2]
+        <->  {((1, 3), ()): 2*x1^2*x2, ((2,), (2,)): 1/3}
+
+a superfunction's maps (K, J) to `Polynomial` coefficients, a
+polynomial's maps exponent tuples to `Fraction`s.  Exponents past
+2**31 - 1 cannot be stored: the public constructors refuse them with
+`LimitError`, and every product is checked before it is stored (see
+`grassmann`).
 
 The nilpotent filtration used by the higher layers counts th factors
 only: `j_degree` is the minimum len(K) over the stored terms, and
@@ -75,185 +54,64 @@ Every term of N has at least two odd factors, so N^k = 0 once
 2|k| > n + p: the sum has only |k| <= (n+p)//2.  The terms over one odd
 block th[K] are summed before the block's image th(K) is multiplied in
 once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
-The caches for one set of images live in a private plan, which clears
+The caches for one set of images live in a private plan, which keeps
 each body over its own denominator and the rest over one shared D, so
 that the Taylor data of each exponent vector are the plan's own;
 morphisms build theirs once (per external rank) and keep it.  One
 substitution scales each term to one common denominator, sums every
-term over it and divides once per output coefficient.
-
-`Polynomial` and `Superfunction` take their ring operations from the
-private base `grassmann._Sparse`.  Public constructors validate their
-input; results built by the kernel are not re-checked.
+term over it and reduces the result once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, LimitError, ParityError
+from .errors import DimensionError, ParityError
 from .grassmann import (
+    _FIELD,
+    _SIGNS,
+    _WIDTH,
     GrassmannElement,
     GrassmannMorphism,
-    _accumulate,
+    IntegerBuckets,
+    Integers,
     _as_fraction,
+    _check_limit,
     _index_key,
+    _indices,
+    _mask,
+    _multiply_buckets_into,
+    _multiply_into,
+    _over_lcm,
+    _pack,
+    _reduced,
+    _sign,
     _Sparse,
+    _unpack,
 )
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 TermKey = tuple[IndexTuple, IndexTuple]
-Coefficients = Mapping[Exponents, Fraction]
-# the same with integer numerators, over a denominator kept beside them,
-# and packed keys: exponents as one int, (K, J) as one bitmask
-Integers = dict[int, int]
-IntegerBuckets = dict[int, Integers]
-
-_WIDTH = 32  # bits per exponent field; the top one is the guard bit
-_FIELD = (1 << _WIDTH) - 1
-_LIMIT = (1 << (_WIDTH - 1)) - 1
-
-
-@lru_cache(maxsize=1 << 16)
-def _pack(exps: Exponents) -> int:
-    """exps[i] in bits [32 i, 32 i + 32) of one int; LimitError past the limit."""
-    key = 0
-    for e in reversed(exps):
-        if e > _LIMIT:
-            raise LimitError(f"exponent {e} exceeds the limit {_LIMIT}")
-        key = key << _WIDTH | e
-    return key
-
-
-@lru_cache(maxsize=1 << 16)
-def _guard(m: int) -> int:
-    """The guard bit of each of m fields: the bits no operand key has set."""
-    return sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(m))
-
-
-@lru_cache(maxsize=1 << 16)
-def _unpack(key: int, m: int) -> Exponents:
-    """The m exponents of a packed key; LimitError if a guard bit is set."""
-    exps = tuple(key >> (_WIDTH * i) & _FIELD for i in range(m))
-    if key & _guard(m):
-        raise LimitError(f"exponent {max(exps)} exceeds the limit {_LIMIT}")
-    return exps
-
-
-def _check_limit(polys: Iterable[Integers], m: int) -> None:
-    """LimitError unless every key of `polys` may be an operand again."""
-    guard = _guard(m)
-    for poly in polys:
-        for e in poly:
-            if e & guard:
-                _unpack(e, m)  # raises
-
-
-@lru_cache(maxsize=1 << 16)
-def _mask(key: TermKey, n: int) -> int:
-    """th[j] at bit j - 1 and t[k] at bit n + k - 1, so that the canonical
-    order of the factors is the order of their bits."""
-    theta_key, tau_key = key
-    return sum(1 << (j - 1) for j in theta_key) + sum(1 << (n + k - 1) for k in tau_key)
-
-
-@lru_cache(maxsize=1 << 16)
-def _term_key(mask: int, n: int) -> TermKey:
-    """The (K, J) key of a mask; the inverse of `_mask`."""
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    return tuple(i + 1 for i in bits if i < n), tuple(i + 1 - n for i in bits if i >= n)
-
-
-# _SIGNS[a, b]: whether the product of the blades with disjoint masks a and b
-# takes an odd number of transpositions into canonical order
-_SIGNS: dict[tuple[int, int], bool] = {}
-
-
-def _negated(a: int, b: int) -> bool:
-    """Fill in _SIGNS[a, b]: each factor of b moves left past every factor
-    of a with a higher bit.  The table is emptied when it is full."""
-    swaps, rest = 0, b
-    while rest:
-        low = rest & -rest
-        swaps += (a // low).bit_count()
-        rest ^= low
-    if len(_SIGNS) >= 1 << 16:
-        _SIGNS.clear()
-    negate = _SIGNS[a, b] = bool(swaps & 1)
-    return negate
-
-
-def _numerators(terms: Coefficients, den: int) -> Integers:
-    """The integer numerators of `terms` over `den`, a multiple of every
-    denominator, keyed by packed exponents."""
-    if den == 1:
-        return {_pack(e): c.numerator for e, c in terms.items()}
-    return {_pack(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
-def _cleared(terms: Coefficients) -> tuple[Integers, int]:
-    """Integer numerators of `terms` over their least common denominator."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return _numerators(terms, den), den
-
-
-def _common_denominator(polys: Iterable["Polynomial"]) -> int:
-    """The least common denominator of every coefficient of `polys`."""
-    return math.lcm(*[c.denominator for poly in polys for c in poly.terms.values()])
-
-
-def _cleared_buckets(
-    terms: Mapping[TermKey, "Polynomial"], n: int, den: Optional[int] = None
-) -> tuple[IntegerBuckets, int]:
-    """Integer numerators of every coefficient of `terms`, a superfunction's
-    terms with n odd coordinates, over one common denominator: `den` if
-    given (a multiple of every denominator), else the least."""
-    if den is None:
-        den = _common_denominator(terms.values())
-    return {_mask(key, n): _numerators(poly.terms, den) for key, poly in terms.items()}, den
-
-
-def _divided(total: Integers, den: int, m: int) -> dict[Exponents, Fraction]:
-    """The nonzero entries of `total` as Fractions over `den`, each built
-    once, keyed by exponent tuples of length m."""
-    return {_unpack(e, m): Fraction(c, den) for e, c in total.items() if c}
-
-
-def _pruned(buckets: IntegerBuckets) -> IntegerBuckets:
-    """`buckets` without zero numerators and empty buckets, so that it is
-    empty exactly when it is zero."""
-    out = {}
-    for key, bucket in buckets.items():
-        bucket = {e: c for e, c in bucket.items() if c}
-        if bucket:
-            out[key] = bucket
-    return out
-
-
-def _diff_integers(poly: Integers, i: int) -> Integers:
-    """d/dx_i of an integer polynomial, i 0-based: each exponent e_i lowered
-    by one, its numerator multiplied by e_i."""
-    shift = _WIDTH * i
-    return {e - (1 << shift): c * k for e, c in poly.items() if (k := e >> shift & _FIELD)}
 
 
 def _diff_x_buckets(buckets: IntegerBuckets, i: int) -> IntegerBuckets:
-    """d/dx_i of integer buckets, i 0-based; buckets that vanish are dropped."""
+    """d/dx_i of stored numerators, i 0-based: each exponent e_i lowered by
+    one, its numerator multiplied by e_i; buckets that vanish are dropped."""
+    shift = _WIDTH * i
     out = {}
     for key, poly in buckets.items():
-        poly = _diff_integers(poly, i)
+        poly = {e - (1 << shift): c * k for e, c in poly.items() if (k := e >> shift & _FIELD)}
         if poly:
             out[key] = poly
     return out
 
 
 def _diff_theta_buckets(buckets: IntegerBuckets, j: int) -> IntegerBuckets:
-    """Left derivative of integer buckets along th[j], j 1-based, with the
+    """Left derivative of stored numerators along th[j], j 1-based, with the
     signs that `Superfunction.diff_theta` explains: one per th factor at a
     lower bit.  Distinct K give distinct keys."""
     bit = 1 << (j - 1)
@@ -265,57 +123,29 @@ def _diff_theta_buckets(buckets: IntegerBuckets, j: int) -> IntegerBuckets:
     return out
 
 
-def _multiply_into(total: Integers, a: Integers, b: Integers, negate: bool = False) -> Integers:
-    """Add the product of integer polynomials a and b into `total`, negated if
-    asked; zero entries of `a` are skipped."""
-    for ea, ca in a.items():
-        if not ca:
-            continue
-        if negate:
-            ca = -ca
-        for eb, cb in b.items():
-            e = ea + eb
-            total[e] = total.get(e, 0) + ca * cb
-    return total
-
-
-def _multiply_buckets_into(
-    total: IntegerBuckets, a: IntegerBuckets, b: IntegerBuckets
-) -> IntegerBuckets:
-    """Add the superfunction product of a and b, both integer buckets, into `total`."""
-    signs = _SIGNS
-    for ka, pa in a.items():
-        for kb, pb in b.items():
-            if ka & kb:
-                continue
-            negate = signs.get((ka, kb))
-            if negate is None:
-                negate = _negated(ka, kb)
-            _multiply_into(total.setdefault(ka | kb, {}), pa, pb, negate)
-    return total
-
-
 class Polynomial(_Sparse):
-    """A polynomial in m commuting variables with rational coefficients.
+    """A polynomial in m commuting variables with rational coefficients."""
 
-    Sparse dict from exponent tuples (length m) to nonzero Fractions.
-    """
-
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "_data", "_den")
 
     def __init__(self, m: int, terms: Mapping[Exponents, Scalar]):
         if m < 0:
             raise DimensionError("number of variables must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
+        coeffs = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
             if len(exps) != m or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for {m} variables")
-            c = _as_fraction(coeff)
-            if c:
-                clean[exps] = c
+            coeffs[_pack(exps)] = _as_fraction(coeff)
+        numerators, self._den = _over_lcm(coeffs)
         self.m = m
-        self.terms = clean
+        self._data = {0: numerators} if numerators else {}
+
+    @property
+    def terms(self) -> dict[Exponents, Fraction]:
+        """Exponent tuples to nonzero Fractions: a view, built at each read."""
+        m, den = self.m, self._den
+        return {_unpack(e, m): Fraction(c, den) for e, c in self._data.get(0, {}).items()}
 
     @classmethod
     def zero(cls, m: int) -> "Polynomial":
@@ -343,86 +173,63 @@ class Polynomial(_Sparse):
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def _product(self, other: "Polynomial") -> "Polynomial":
-        a, da = _cleared(self.terms)
-        b, db = _cleared(other.terms)
-        return self._build((self.m,), _divided(_multiply_into({}, a, b), da * db, self.m))
+        m = self.m
+        return max((sum(_unpack(e, m)) for poly in self._data.values() for e in poly), default=-1)
 
     def diff(self, i: int) -> "Polynomial":
         """Partial derivative with respect to the i-th variable (1-based)."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"variable index {i} out of range 1..{self.m}")
-        a, den = _cleared(self.terms)
-        return self._build((self.m,), _divided(_diff_integers(a, i - 1), den, self.m))
+        return self._build((self.m,), _diff_x_buckets(self._data, i - 1), self._den)
 
     def extend(self, m_new: int) -> "Polynomial":
         """Reinterpret in a ring with extra trailing variables."""
         if m_new < self.m:
             raise DimensionError("cannot shrink the variable count")
-        pad = (0,) * (m_new - self.m)
-        return self._build((m_new,), {e + pad: c for e, c in self.terms.items()})
+        # the new variables take the empty top fields of every packed key
+        return self._stored((m_new,), self._data, self._den)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.m}, {self.terms!r})"
 
 
-def _from_integers(
-    m: int, n: int, p: int, buckets: IntegerBuckets, den: int
-) -> "Superfunction":
-    """The superfunction whose (K, J) coefficient is buckets[mask of (K, J)] / den."""
-    return Superfunction._build(
-        (m, n, p),
-        {
-            _term_key(mask, n): Polynomial._build((m,), _divided(bucket, den, m))
-            for mask, bucket in buckets.items()
-        },
-    )
-
-
-def _combination(
-    weights: Sequence[Fraction], elements: Sequence["Superfunction"]
-) -> "Superfunction":
-    """sum_k weights[k] * elements[k], summed over one common denominator
-    with each output Fraction built once; the elements share one ring."""
-    first = elements[0]
-    dens = [
-        w.denominator * _common_denominator(f.terms.values())
-        for w, f in zip(weights, elements)
-    ]
-    common = math.lcm(*dens)
-    total: IntegerBuckets = {}
-    for w, f, den in zip(weights, elements, dens):
-        scale = w.numerator * (common // den)
-        for key, poly in _cleared_buckets(f.terms, f.n, den // w.denominator)[0].items():
-            bucket = total.setdefault(key, {})
-            for e, c in poly.items():
-                bucket[e] = bucket.get(e, 0) + scale * c
-    return _from_integers(first.m, first.n, first.p, total, common)
-
-
 class Superfunction(_Sparse):
     """An element of the coordinate ring described in the module docstring."""
 
-    __slots__ = ("m", "n", "p", "terms")
+    __slots__ = ("m", "n", "p", "_data", "_den")
 
     def __init__(self, m: int, n: int, p: int, terms: Mapping[TermKey, Polynomial]):
         if n < 0 or p < 0:
             raise DimensionError("coordinate counts must be nonnegative")
-        clean: dict[TermKey, Polynomial] = {}
+        polys = {}
         for (theta_key, tau_key), poly in terms.items():
-            key = (_index_key(theta_key, n, "th"), _index_key(tau_key, p, "t"))
+            theta_key, tau_key = _index_key(theta_key, n, "th"), _index_key(tau_key, p, "t")
             if poly.m != m:
                 raise DimensionError(
                     f"coefficient polynomial has {poly.m} variables, expected {m}"
                 )
-            if not poly.is_zero():
-                clean[key] = poly
-        self.m = m
-        self.n = n
-        self.p = p
-        self.terms = clean
+            if poly:
+                polys[_mask(theta_key) | _mask(tau_key) << n] = poly
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the whole is as well
+        den = math.lcm(*[poly._den for poly in polys.values()])
+        self.m, self.n, self.p = m, n, p
+        self._data = {
+            mask: {e: c * (den // poly._den) for e, c in poly._data[0].items()}
+            for mask, poly in polys.items()
+        }
+        self._den = den
+
+    @property
+    def terms(self) -> dict[TermKey, Polynomial]:
+        """(K, J) keys to nonzero Polynomial coefficients: a view, built at
+        each read."""
+        m, n, den = self.m, self.n, self._den
+        theta = (1 << n) - 1
+        return {
+            (_indices(mask & theta), _indices(mask >> n)): Polynomial._build((m,), {0: poly}, den)
+            for mask, poly in self._data.items()
+        }
 
     # -- constructors ------------------------------------------------
 
@@ -466,6 +273,13 @@ class Superfunction(_Sparse):
     ) -> "Superfunction":
         return cls(m, n, p, {(tuple(theta_key), tuple(tau_key)): poly})
 
+    @classmethod
+    def _term(cls, space: tuple, coeff: Fraction, exps: Exponents, key: TermKey) -> _Sparse:
+        """coeff * x^exps * th[K] * t[J] on `space` for key = (K, J), already
+        checked; LimitError for an exponent past the limit."""
+        mask = _mask(key[0]) | _mask(key[1]) << space[1]
+        return cls._build(space, {mask: {_pack(exps): coeff.numerator}}, coeff.denominator)
+
     def _one(self) -> "Superfunction":
         return self.scalar(1, self.m, self.n, self.p)
 
@@ -479,28 +293,29 @@ class Superfunction(_Sparse):
 
     def body_polynomial(self) -> Polynomial:
         """Coefficient of the unit monomial (no th, no t factors)."""
-        return self.terms.get(((), ()), Polynomial.zero(self.m))
+        return Polynomial._build((self.m,), {0: self._data.get(0, {})}, self._den)
 
     def parity(self) -> Optional[int]:
         """0 or 1 for homogeneous elements, None for mixed, 0 for zero."""
-        if not self.terms:
+        if not self._data:
             return 0
-        parities = {(len(k) + len(j)) % 2 for k, j in self.terms}
+        parities = {mask.bit_count() % 2 for mask in self._data}
         return parities.pop() if len(parities) == 1 else None
 
     def j_degree(self) -> Union[int, float]:
         """Minimal number of th factors in any term; +inf for zero."""
-        return min((len(k) for k, _ in self.terms), default=math.inf)
+        theta = (1 << self.n) - 1
+        return min(((mask & theta).bit_count() for mask in self._data), default=math.inf)
 
     def reduce_mod_j(self, k: int) -> "Superfunction":
         """Drop every term with at least k odd-coordinate factors."""
-        return self._build(
-            self._space(), {key: poly for key, poly in self.terms.items() if len(key[0]) < k}
-        )
+        theta = (1 << self.n) - 1
+        kept = {mask: poly for mask, poly in self._data.items() if (mask & theta).bit_count() < k}
+        return self._build(self._space(), kept, self._den)
 
-    def max_degree(self) -> int:
-        """Largest total polynomial degree among coefficients; -1 if zero."""
-        return max((poly.degree() for poly in self.terms.values()), default=-1)
+    # the largest total degree among the coefficients, -1 if zero: the same
+    # reading of the stored form as a polynomial's degree
+    max_degree = Polynomial.degree
 
     # -- arithmetic --------------------------------------------------
 
@@ -508,19 +323,13 @@ class Superfunction(_Sparse):
     __add__ = _Sparse.__add__
     __mul__ = _Sparse.__mul__
 
-    def _product(self, other: "Superfunction") -> "Superfunction":
-        a, da = _cleared_buckets(self.terms, self.n)
-        b, db = _cleared_buckets(other.terms, self.n)
-        return _from_integers(self.m, self.n, self.p, _multiply_buckets_into({}, a, b), da * db)
-
     # -- derivatives -------------------------------------------------
 
     def diff_x(self, i: int) -> "Superfunction":
         """Derivative along the i-th even coordinate, term by term."""
         if not 1 <= i <= self.m:
             raise DimensionError(f"variable index {i} out of range 1..{self.m}")
-        a, den = _cleared_buckets(self.terms, self.n)
-        return _from_integers(self.m, self.n, self.p, _diff_x_buckets(a, i - 1), den)
+        return self._build(self._space(), _diff_x_buckets(self._data, i - 1), self._den)
 
     def diff_theta(self, j: int) -> "Superfunction":
         """Left derivative along the j-th odd coordinate.
@@ -532,8 +341,7 @@ class Superfunction(_Sparse):
         """
         if not 1 <= j <= self.n:
             raise DimensionError(f"odd coordinate index {j} out of range 1..{self.n}")
-        a, den = _cleared_buckets(self.terms, self.n)
-        return _from_integers(self.m, self.n, self.p, _diff_theta_buckets(a, j), den)
+        return self._build(self._space(), _diff_theta_buckets(self._data, j), self._den)
 
     # -- reshaping ---------------------------------------------------
 
@@ -543,26 +351,28 @@ class Superfunction(_Sparse):
             raise DimensionError("cannot shrink the external rank")
         if p_new == self.p:
             return self
-        return self._build((self.m, self.n, p_new), self.terms)
+        return self._stored((self.m, self.n, p_new), self._data, self._den)
 
     def embed(self, m_new: int, n_new: int, p_new: int) -> "Superfunction":
         """View the element on a larger superdomain (coordinates appended)."""
         if m_new < self.m or n_new < self.n or p_new < self.p:
             raise DimensionError("cannot shrink coordinate counts")
-        return self._build(
-            (m_new, n_new, p_new), {key: poly.extend(m_new) for key, poly in self.terms.items()}
-        )
+        # packed exponents keep their fields; the t bits move up
+        theta, shift = (1 << self.n) - 1, n_new - self.n
+        data = {mask & theta | (mask & ~theta) << shift: poly for mask, poly in self._data.items()}
+        return self._stored((m_new, n_new, p_new), data, self._den)
 
     def restrict_rank(self, p_new: int) -> "Superfunction":
         """Adjust the external rank, shrinking only past unused generators."""
         if p_new >= self.p:
             return self.lift(p_new)
-        for _, tau_key in self.terms:
-            if tau_key and tau_key[-1] > p_new:
+        for mask in self._data:
+            if mask >> (self.n + p_new):
                 raise DimensionError(
-                    f"term uses t[{tau_key[-1]}], cannot restrict to rank {p_new}"
+                    f"term uses t[{(mask >> self.n).bit_length()}], "
+                    f"cannot restrict to rank {p_new}"
                 )
-        return self._build((self.m, self.n, p_new), self.terms)
+        return self._stored((self.m, self.n, p_new), self._data, self._den)
 
     def external_coefficient(self, tau_key: Iterable[int]) -> "Superfunction":
         """Coefficient of t[J] when the element is written with every
@@ -575,19 +385,20 @@ class Superfunction(_Sparse):
             sum_J  t[J] * external_coefficient(J).lift(p)  ==  self
         """
         tau_key = tuple(tau_key)
-        sign_flip = len(tau_key) % 2
-        out: dict[TermKey, Polynomial] = {}
-        for (theta_key, jkey), poly in self.terms.items():
-            if jkey != tau_key:
+        theta = (1 << self.n) - 1
+        tau = _mask(tau_key) << self.n
+        out: IntegerBuckets = {}
+        for mask, poly in self._data.items():
+            if mask & ~theta != tau:
                 continue
-            if sign_flip and len(theta_key) % 2:
-                poly = -poly
-            out[(theta_key, ())] = poly
-        return self._build((self.m, self.n, 0), out)
+            if len(tau_key) % 2 and (mask & theta).bit_count() % 2:
+                poly = {e: -c for e, c in poly.items()}
+            out[mask & theta] = poly
+        return self._build((self.m, self.n, 0), out, self._den)
 
     def external_support(self) -> list[IndexTuple]:
         """Sorted list of t index tuples appearing in the element."""
-        support = {j for _, j in self.terms}
+        support = {_indices(mask >> self.n) for mask in self._data}
         return sorted(support, key=lambda j: (len(j), j))
 
     def __str__(self) -> str:
@@ -638,8 +449,8 @@ class _SubstitutionPlan:
     carries th or t factors, so at least two odd ones, and the products
     N^k = N_1^k_1 * ... * N_m^k_m vanish once 2|k| > n + p.
 
-    The plan works over the integers, on packed keys: b_i = B_i/d_i over
-    its own least denominator, so d^e grows only with x^e's own body
+    The plan works on the stored numerators: b_i = B_i/d_i over its own
+    least denominator, so d^e grows only with x^e's own body
     denominators, and N_i = M_i/D, image of th_j = F_j/D over the least
     common denominator D of every nilpotent part and odd image.  Body
     powers B_i^e (by repeated squaring) and monomials B^e, the surviving
@@ -679,26 +490,29 @@ class _SubstitutionPlan:
         self.x_images, self.th_images = tuple(x_images), tuple(th_images)
         self._bound = (n + p) // 2
         images = self.x_images + self.th_images
-        rests = [{key: c for key, c in g.terms.items() if key != ((), ())} for g in images]
-        self._den = _common_denominator(poly for rest in rests for poly in rest.values())
-        cleared = [_cleared_buckets(rest, n, self._den)[0] for rest in rests]
+        # the body (mask 0) and the rest of each image, over their own least
+        # denominators; then every rest over their lcm D
+        rests = [_reduced({k: b for k, b in g._data.items() if k}, g._den) for g in images]
+        self._den = math.lcm(*[den for _, den in rests])
+        cleared = [
+            {k: {e: c * (self._den // den) for e, c in b.items()} for k, b in rest.items()}
+            for rest, den in rests
+        ]
         self._nilpotent, self._th = cleared[: len(x_images)], cleared[len(x_images) :]
-        bodies = [_cleared(g.body_polynomial().terms) for g in self.x_images]
+        bodies = [_reduced({0: g._data.get(0, {})}, g._den) for g in self.x_images]
         self._body_dens = [den for _, den in bodies]
         zero = (0,) * len(x_images)
         one = {0: 1}
-        self._body_powers = [{0: one, 1: body} for body, _ in bodies]
+        self._body_powers = [{0: one, 1: body.get(0, {})} for body, _ in bodies]
         self._body_monomials = {zero: one}
         unit = {0: one}
         self._nil_powers = {zero: unit}
-        self._odd_blocks = {(): unit}
+        self._odd_blocks = {0: unit}
         self._taylor: dict[int, tuple[int, list]] = {}  # packed e: (d^e, data)
 
     def _limited_product(self, a: Integers, b: Integers) -> Integers:
         """a * b, checked against the exponent limit: it is an operand again."""
-        found = _multiply_into({}, a, b)
-        _check_limit([found], self.m)
-        return found
+        return _check_limit({0: _multiply_into({}, a, b)}, self.m)[0]
 
     def _body_power(self, i: int, e: int) -> Integers:
         """B_i^e, by repeated squaring."""
@@ -730,8 +544,8 @@ class _SubstitutionPlan:
             lower = k[:i] + (k[i] - 1,) + k[i + 1 :]
             found = self._nilpotent[i]
             if any(lower):
-                found = _pruned(_multiply_buckets_into({}, self._nil_power(lower), found))
-                _check_limit(found.values(), self.m)
+                found = _multiply_buckets_into({}, self._nil_power(lower), found)
+                found = _check_limit(_reduced(found, 1)[0], self.m)
             self._nil_powers[k] = found
         return found
 
@@ -758,28 +572,34 @@ class _SubstitutionPlan:
                 found.append((k, body, mult))
         return found
 
-    def _odd_block(self, theta_key: IndexTuple) -> IntegerBuckets:
-        found = self._odd_blocks.get(theta_key)
+    def _odd_block(self, theta: int) -> IntegerBuckets:
+        """F(K) for the th mask of K, the images of its factors multiplied
+        from the left."""
+        found = self._odd_blocks.get(theta)
         if found is None:
-            found = self._th[theta_key[-1] - 1]
-            if len(theta_key) > 1:
-                found = _pruned(_multiply_buckets_into({}, self._odd_block(theta_key[:-1]), found))
-                _check_limit(found.values(), self.m)
-            self._odd_blocks[theta_key] = found
+            last = theta.bit_length() - 1
+            found = self._th[last]
+            rest = theta ^ (1 << last)
+            if rest:
+                found = _multiply_buckets_into({}, self._odd_block(rest), found)
+                found = _check_limit(_reduced(found, 1)[0], self.m)
+            self._odd_blocks[theta] = found
         return found
 
     def substitute(self, f: Superfunction) -> Superfunction:
         m, n, den = self.m, self.n, self._den
-        source_m = len(self.x_images)
-        f_den = _common_denominator(f.terms.values())
+        source_m, source_n = f.m, f.n
+        theta_bits = (1 << source_n) - 1
         taylor = self._taylor
-        by_block: dict[IndexTuple, list[tuple[IndexTuple, Integers]]] = {}
+        # the numerators of f by th mask K, each with its t mask J at
+        # the images' bits
+        by_block: dict[int, list[tuple[int, Integers]]] = {}
         body_dens = set()
         top = 0
-        for (theta_key, tau_key), poly in f.terms.items():
-            coeffs = _numerators(poly.terms, f_den)
-            by_block.setdefault(theta_key, []).append((tau_key, coeffs))
-            top = max(top, len(theta_key))
+        for mask, coeffs in f._data.items():
+            theta = mask & theta_bits
+            by_block.setdefault(theta, []).append((mask >> source_n << n, coeffs))
+            top = max(top, theta.bit_count())
             for e in coeffs:
                 if e not in taylor:
                     exps = _unpack(e, source_m)
@@ -787,21 +607,21 @@ class _SubstitutionPlan:
                 body_dens.add(taylor[e][0])
         # The image of c_e x^e th^K t^J has the denominator
         # f_den * d^e * D^((n+p)//2 + |K|), so every term is scaled by
-        # (body_den / d^e) * D^(top-|K|) and the sum divided once.
+        # (body_den / d^e) * D^(top-|K|) and the sum reduced once.
         body_den = math.lcm(*body_dens)
         signs = _SIGNS
         acc: IntegerBuckets = {}
         zero = (0,) * source_m
-        for theta_key, entries in by_block.items():
-            odd = self._odd_block(theta_key)
+        for theta, entries in by_block.items():
+            odd = self._odd_block(theta)
             if not odd:
                 continue
+            size = theta.bit_count()
             # S_K = sum_J (-1)^(|K||J|) poly_J(images) t^J, then S_K * th(K)
-            target = {} if theta_key else acc
-            block_scale = den ** (top - len(theta_key))
-            for tau_key, poly in entries:
-                tau = _mask(((), tau_key), n)
-                sign = -1 if len(theta_key) % 2 and len(tau_key) % 2 else 1
+            target = {} if theta else acc
+            block_scale = den ** (top - size)
+            for tau, poly in entries:
+                sign = -1 if size & tau.bit_count() & 1 else 1
                 # poly(b + N) = sum_k P_k N^k, P_k = sum_e c_e prod C(e_i, k_i) b^(e-k);
                 # N^0 = 1, so P_0 is summed in place
                 parts = {zero: target.setdefault(tau, {})}
@@ -815,17 +635,15 @@ class _SubstitutionPlan:
                             part[e2] = part.get(e2, 0) + scale * c2
                 del parts[zero]
                 for k, part in parts.items():
-                    for mask, q in self._nil_powers[k].items():
-                        if mask & tau:
+                    for nil, q in self._nil_powers[k].items():
+                        if nil & tau:
                             continue
-                        negate = signs.get((mask, tau))
-                        if negate is None:
-                            negate = _negated(mask, tau)
-                        _multiply_into(target.setdefault(mask | tau, {}), part, q, negate)
-            if theta_key:
-                _check_limit(target.values(), m)
-                _multiply_buckets_into(acc, target, odd)
-        return _from_integers(m, n, self.p, acc, f_den * body_den * den ** (self._bound + top))
+                        swap = signs.get((nil, tau)) or _sign(nil, tau)
+                        _multiply_into(target.setdefault(nil | tau, {}), part, q, swap)
+            if theta:
+                _multiply_buckets_into(acc, _check_limit(target, m), odd)
+        total_den = f._den * body_den * den ** (self._bound + top)
+        return Superfunction._checked((m, n, self.p), acc, total_den)
 
 
 def substitute_generators(
@@ -881,8 +699,18 @@ def map_external(f: Superfunction, morphism: GrassmannMorphism) -> Superfunction
         raise DimensionError(
             f"element has external rank {f.p}, morphism expects {morphism.source_n}"
         )
-    out: dict[TermKey, Polynomial] = {}
-    for (theta_key, tau_key), poly in f.terms.items():
-        image = morphism.apply(GrassmannElement.monomial(tau_key, f.p))
-        _accumulate(out, (((theta_key, j), poly.scale(c)) for j, c in image.terms.items()))
-    return Superfunction._build((f.m, f.n, morphism.target_n), out)
+    n = f.n
+    images = [
+        (mask, poly, morphism.apply(GrassmannElement.monomial(_indices(mask >> n), f.p)))
+        for mask, poly in f._data.items()
+    ]
+    common = math.lcm(*[image._den for _, _, image in images])
+    total: IntegerBuckets = {}
+    for mask, poly, image in images:
+        theta = mask & ((1 << n) - 1)
+        for tau, c in image._data.items():
+            bucket = total.setdefault(theta | tau << n, {})
+            scale = c[0] * (common // image._den)
+            for e, coeff in poly.items():
+                bucket[e] = bucket.get(e, 0) + scale * coeff
+    return Superfunction._build((f.m, n, morphism.target_n), total, f._den * common)

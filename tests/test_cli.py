@@ -91,6 +91,11 @@ def test_exit_code_exponent_limit(tmp_path, capsys):
         code, out, err = run_cli(capsys, "apply", operator, past, "--m", "1", "--n", "2")
         assert (code, out) == (6, "")
         assert err == "limit exceeded: exponent 2147483648 exceeds the limit 2147483647\n"
+    # an image past the limit is refused as it is read, not judged uninvertible
+    image = write(tmp_path, "h.txt", "x1 -> x1^2147483648\nth1 -> th1\n")
+    code, out, err = run_cli(capsys, "factorize", image)
+    assert (code, out) == (6, "")
+    assert err == "limit exceeded: exponent 2147483648 exceeds the limit 2147483647\n"
 
 
 def test_bracket_verb(tmp_path, capsys):

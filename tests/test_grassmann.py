@@ -32,6 +32,25 @@ def test_merge_overlap_is_none():
     assert merge_indices((3,), (3,)) is None
 
 
+def test_product_matches_merge_indices_reference():
+    rng = random.Random(31)
+    for n in (1, 3, 5, 8):
+        for _ in range(30):
+            a, b = random_grassmann(rng, n, terms=5), random_grassmann(rng, n, terms=5)
+            expected = {}
+            for ka, ca in a.terms.items():
+                for kb, cb in b.terms.items():
+                    merged = merge_indices(ka, kb)
+                    if merged is not None:
+                        sign, key = merged
+                        expected[key] = expected.get(key, 0) + sign * ca * cb
+            expected = {key: c for key, c in expected.items() if c}
+            product = a * b
+            assert product.terms == expected
+            reference = GrassmannElement(n, expected)
+            assert product == reference and hash(product) == hash(reference)
+
+
 def test_generators_anticommute():
     a, b = gen(1), gen(2)
     assert (a * b + b * a).is_zero()

@@ -25,6 +25,12 @@ def test_tokenizer_offsets():
     assert kinds[1] == ("+", 3)
     assert kinds[2] == ("th", 5)
     assert tokens[-1].kind == "end"
+    assert [(t.kind, t.offset) for t in fmt.tokenize("x1 \t\r\n ")] == [
+        ("xvar", 0), ("newline", 5), ("end", 7)
+    ]
+    with pytest.raises(ParseError, match="at byte 6: unexpected character '@'") as info:
+        fmt.tokenize("x1 \t\r @")
+    assert info.value.offset == 6
 
 
 def test_expression_basics():
@@ -375,3 +381,15 @@ def test_parse_any_tokenizes_once(monkeypatch):
         calls.clear()
         assert fmt.parse_any(text)[0] == kind
         assert calls == [text]
+
+
+def test_long_sum_round_trip():
+    # 4000 terms, summed once: the parse is linear in the number of terms
+    text = " + ".join(["x1*th[1]"] + [f"{k}*x1^{k}*th[1]" for k in range(2, 4001)])
+    f = fmt.parse_superfunction(text)
+    assert len(f.terms[(1,), ()].terms) == 4000
+    assert fmt.format_superfunction(f) == text
+    assert fmt.parse_superfunction(fmt.format_superfunction(-f)) == -f
+    assert fmt.parse_superfunction(f"{text} - ({text})").is_zero()
+    with pytest.raises(ParseError, match="cannot add a superfunction and a differential operator"):
+        fmt.parse_expression_text(text + " + d/dx1")

@@ -14,6 +14,7 @@ from superdiff import (
 from superdiff.errors import DimensionError, LimitError, ParityError
 from superdiff.grassmann import merge_indices
 from superdiff.sampling import (
+    random_exponents,
     random_fraction,
     random_grassmann,
     random_grassmann_morphism,
@@ -534,6 +535,47 @@ def test_max_degree():
 # -- what every element type shares -------------------------------------
 
 
+def _sparse_draw(rng, m, n, p, terms=5):
+    """`terms` random monomials with at most three th and two t factors,
+    the th indices from a pool that passes 64 when n does."""
+    pool = sorted({1, 2, 3, 64, 65, n} & set(range(1, n + 1)))
+    f = Superfunction.zero(m, n, p)
+    for _ in range(terms):
+        theta_key = sorted(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+        tau_key = sorted(rng.sample(range(1, p + 1), rng.randint(0, min(2, p))))
+        poly = Polynomial(m, {random_exponents(rng, m, 3): random_fraction(rng)})
+        f = f + Superfunction.monomial(m, n, p, poly, theta_key, tau_key)
+    return f
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 2, 0), (2, 2, 1), (1, 3, 3), (2, 70, 2)])
+def test_one_stored_form_whatever_the_route(m, n, p):
+    rng = random.Random(f"stored form {m}|{n};{p}")
+    for _ in range(15):
+        a, b, c = (_sparse_draw(rng, m, n, p) for _ in range(3))
+        expected = _reference_product(a, b)
+        product = a * b
+        coefficients = {key: poly.terms for key, poly in expected.terms.items()}
+        assert {key: poly.terms for key, poly in product.terms.items()} == coefficients
+        _assert_lowest_terms(product)
+        routes = [
+            product,
+            (product + c) - c,
+            c.scale(0) + product,
+            product.lift(p + 2).restrict_rank(p),
+            product.embed(m, n, p),
+            Superfunction(m, n, p, product.terms),
+        ]
+        for value in routes:
+            assert value == expected and hash(value) == hash(expected)
+        wider = Superfunction(
+            m + 1, n + 1, p + 1, {key: poly.extend(m + 1) for key, poly in expected.terms.items()}
+        )
+        embedded = product.embed(m + 1, n + 1, p + 1)
+        assert embedded == wider and hash(embedded) == hash(wider)
+        assert embedded.restrict_rank(p) == wider.restrict_rank(p)
+
+
 def test_public_constructors_reject_bad_input():
     with pytest.raises(ValueError):
         Polynomial(2, {(1,): 1})
@@ -592,19 +634,16 @@ def test_powers_up_to_the_exponent_limit():
 
 
 def test_exponents_past_the_limit_are_refused_as_operands():
+    # an operand past the limit cannot be built, so no kernel entry sees one
     m, n = 2, 2
-    big = Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(2**31, 0): 1})})
-    one = Superfunction.scalar(1, m, n)
-    coordinates = ([x(1, m, n, 0), x(2, m, n, 0)], [th(1, m, n, 0), th(2, m, n, 0)])
-    for compute in (
-        lambda: big * one,
-        lambda: one * big,
-        lambda: big.diff_x(2),
-        lambda: big.diff_theta(1),
-        lambda: substitute_generators(big, *coordinates),
+    for build in (
+        lambda: Polynomial(m, {(2**31, 0): 1}),
+        lambda: Polynomial(m, {(0, 2**40): 0}),
+        lambda: Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(2**31, 0): 1})}),
+        lambda: Superfunction.from_polynomial(Polynomial(m, {(1, 2**31): 1}), n),
     ):
-        with pytest.raises(LimitError):
-            compute()
+        with pytest.raises(LimitError, match="exceeds the limit 2147483647"):
+            build()
     top = Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(LIMIT, 0): 1})})
     assert top.diff_x(1) == (
         Superfunction(m, n, 0, {((1,), ()): Polynomial(m, {(LIMIT - 1, 0): LIMIT})})
