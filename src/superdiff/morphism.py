@@ -44,7 +44,7 @@ from .errors import (
     InvertibilityError,
     ParityError,
 )
-from .grassmann import GrassmannMorphism
+from .grassmann import GrassmannMorphism, _mask
 from .substitution import UnderlyingMorphism, _coordinates, _Substitution
 from .superfn import Polynomial, Superfunction, map_external
 
@@ -320,10 +320,14 @@ def factorize(
 
     fields: FieldFamily = {}
     for index_set in subsets_of_rank(p):
+        tau = _mask(index_set)
         values: list[Superfunction] = []
         for image, body_image in zip(phi.images, body_images):
-            target = Superfunction(
-                m, n, p, {key: c for key, c in image.terms.items() if key[1] == index_set}
+            # the terms of the image over t[I] exactly, read from its stored form
+            target = Superfunction._build(
+                (m, n, p),
+                {mask: poly for mask, poly in image._data.items() if mask >> n == tau},
+                image._den,
             )
             for partition in unordered_partitions(index_set):
                 if len(partition.blocks) < 2:

@@ -33,21 +33,49 @@ the offending token and the set of token kinds that were acceptable.
 Each document is tokenized once and read by one statement loop; every
 statement fault is reported before any dimension fault.
 
+The parser reads into the stored form of `grassmann`.  Each run of
+monomial factors in a product (numbers, x, th and t atoms, and their
+powers) is folded into one term in that layout: a numerator and a
+denominator, packed exponents and an odd mask, the sign of each product
+taken from the kernel's memo.  The guard bits are checked after every
+power and product, so an exponent past the limit raises LimitError and
+never carries into the next field.  The monomial terms of a sum go
+straight into one stored form over the lcm of their denominators;
+parenthesised factors and operators take the Superfunction product,
+`premultiply` and `_combine`.
+
 Printers emit one canonical spelling per object (terms sorted, signs
 absorbed into the joining operator, coefficient 1 suppressed); parsing
 a canonical string and printing the result reproduces it byte for byte.
+They read the stored numerators and denominator directly, each
+coefficient reduced by one gcd.  An integer with more digits than
+Python converts to or from text (`sys.get_int_max_str_digits`, 4300 by
+default) raises LimitError, in the tokenizer and in the printers.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
-from operator import add
+import sys
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .derivation import SuperDerivation, _combine
-from .errors import DimensionError, ParseError
-from .grassmann import GrassmannElement, GrassmannMorphism, _index_key, merge_indices
+from .errors import DimensionError, LimitError, ParseError
+from .grassmann import (
+    _LIMIT,
+    _SIGNS,
+    _WIDTH,
+    GrassmannElement,
+    GrassmannMorphism,
+    IntegerBuckets,
+    _guard,
+    _index_key,
+    _indices,
+    _mask,
+    _sign,
+    _unpack,
+)
 from .morphism import SuperMorphism
 from .substitution import UnderlyingMorphism
 from .superfn import Polynomial, Superfunction
@@ -112,8 +140,17 @@ def tokenize(text: str) -> list[Token]:
         if group == "bad":
             raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
         kind, digits = _TOKEN_KINDS[group]  # type: ignore[index]
-        value = match.group(group) or None  # the end token has no text
-        tokens.append(Token(kind or value, int(match.group(digits)) if digits else value, pos))
+        if digits:
+            try:
+                value = int(match.group(digits))
+            except ValueError:  # sys.get_int_max_str_digits exists where this is raised
+                raise LimitError(
+                    f"integer at byte {pos} has more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
+        else:
+            value = match.group(group) or None  # the end token has no text
+        tokens.append(Token(kind or value, value, pos))
         if group == "end":
             break
     return tokens
@@ -183,35 +220,41 @@ MAX_NESTING = 100
 
 
 class _Monomial(NamedTuple):
-    """One term coeff * x^exps * th[theta] * t[tau], folded while a product is read."""
+    """num/den * x^key * the odd factors of mask: one term in the stored
+    layout (packed exponents; th[j] at bit j - 1, t[k] at bit n + k - 1),
+    into which a run of factors of a product is folded."""
 
-    coeff: Fraction
-    exps: tuple[int, ...]
-    theta: IndexTuple
-    tau: IndexTuple
+    num: int
+    den: int
+    key: int
+    mask: int
 
     def times(self, other: "_Monomial") -> "_Monomial":
-        theta = merge_indices(self.theta, other.theta)
-        tau = merge_indices(self.tau, other.tau)
-        if theta is None or tau is None:
-            return self._replace(coeff=Fraction(0))
-        sign = theta[0] * tau[0]
-        # moving the second factor's th block past the first's t block
-        if (len(other.theta) * len(self.tau)) % 2:
-            sign = -sign
-        coeff = self.coeff * other.coeff
-        exps = tuple(map(add, self.exps, other.exps))
-        return _Monomial(coeff if sign > 0 else -coeff, exps, theta[1], tau[1])
+        """The product, its keys added unchecked (see `_Parser.fold`)."""
+        a, b = self.mask, other.mask
+        num = self.num * other.num
+        if a & b:
+            num = 0  # an odd factor twice
+        elif a and b:
+            num *= _SIGNS.get((a, b)) or _sign(a, b)
+        return _Monomial(num, self.den * other.den, self.key + other.key, a | b)
 
     def power(self, k: int) -> "_Monomial":
+        """The k-th power, its key multiplied unchecked (see `_Parser.fold`)."""
+        if k == 1:
+            return self
         if k == 0:
-            return self._replace(coeff=Fraction(1), exps=(0,) * len(self.exps), theta=(), tau=())
-        if k > 1 and (self.theta or self.tau):
-            return self._replace(coeff=Fraction(0))  # odd factors square to zero
-        return self._replace(coeff=self.coeff**k, exps=tuple(e * k for e in self.exps))
+            return _ONE
+        if self.mask:
+            return self._replace(num=0)  # odd factors square to zero
+        return _Monomial(self.num**k, self.den**k, self.key * k, self.mask)
 
-    def superfunction(self, dims: Dimensions) -> Superfunction:
-        return Superfunction._term(tuple(dims), self.coeff, self.exps, (self.theta, self.tau))
+
+_ONE = _Monomial(1, 1, 0, 0)
+
+# A factor as read: a value, or a monomial atom with its power (applied
+# when its run is folded), and the offset of its first token.
+Factor = tuple[Union[Value, _Monomial], int, int]
 
 
 class _Parser:
@@ -220,7 +263,6 @@ class _Parser:
         self.pos = 0
         self.dims = dims
         self.depth = 0
-        self.unit = _Monomial(Fraction(1), (0,) * dims.m, (), ())
 
     # -- token plumbing ------------------------------------------------
 
@@ -245,46 +287,66 @@ class _Parser:
     # -- expressions ----------------------------------------------------
 
     def parse_expression(self) -> Value:
-        """A signed sum, its terms collected and summed once."""
+        """A signed sum.  Its monomial terms are summed into one stored form
+        over the lcm of their denominators; the other terms (products with
+        parentheses, operators) are summed with it once, by `_combine`."""
         tok = self.peek()
-        weights = [1]
+        sign = 1
         if tok.kind in ("+", "-"):
             self.advance()
-            weights[0] = -1 if tok.kind == "-" else 1
-        terms = [self.parse_term()]
+            sign = -1 if tok.kind == "-" else 1
+        term = self.parse_term()
+        operators = isinstance(term, SuperDerivation)
+        monomials: list[tuple[int, _Monomial]] = []
+        weights: list[int] = []
+        terms: list[Value] = []
         while True:
+            if isinstance(term, _Monomial):
+                monomials.append((sign, term))
+            else:
+                weights.append(sign)
+                terms.append(term)
             tok = self.peek()
             if tok.kind in ("+", "-"):
                 self.advance()
-                rhs = self.parse_term()
-                if isinstance(terms[0], SuperDerivation) != isinstance(rhs, SuperDerivation):
+                sign = -1 if tok.kind == "-" else 1
+                term = self.parse_term()
+                if isinstance(term, SuperDerivation) != operators:
                     raise ParseError(
                         tok.offset,
                         (),
                         "cannot add a superfunction and a differential operator",
                     )
-                weights.append(-1 if tok.kind == "-" else 1)
-                terms.append(rhs)
             elif tok.kind in _EXPR_FOLLOW or tok.kind in ("arrow", ",", "]"):
-                return terms[0] if weights == [1] else _combine(weights, terms)
+                break
             else:
                 raise ParseError(
                     tok.offset,
                     ("+", "-") + _EXPR_FOLLOW,
                     f"unexpected {tok.kind} in expression",
                 )
+        if monomials:
+            den = math.lcm(*[mono.den for _, mono in monomials])
+            total: IntegerBuckets = {}
+            for sign, mono in monomials:
+                bucket = total.setdefault(mono.mask, {})
+                bucket[mono.key] = bucket.get(mono.key, 0) + sign * mono.num * (den // mono.den)
+            weights.append(1)
+            terms.append(Superfunction._build(self.dims, total, den))
+        return terms[0] if weights == [1] else _combine(weights, terms)
 
-    def parse_term(self) -> Value:
-        """A product; runs of monomial factors are folded into one term, and
-        only parenthesised factors are multiplied as superfunctions."""
+    def parse_term(self) -> Union[Value, _Monomial]:
+        """A product.  Each run of monomial factors is folded into one
+        term; when every factor is one, that term is the result.  Only
+        parenthesised factors are multiplied as superfunctions."""
         factors = [self.parse_factor()]
         while self.peek().kind == "*":
             self.advance()
             factors.append(self.parse_factor())
         segments: list[Superfunction] = []
-        mono = self.unit
+        run: list[tuple[_Monomial, int]] = []
         operator: Optional[SuperDerivation] = None
-        for value, offset in factors:
+        for value, power, offset in factors:
             if operator is not None:
                 raise ParseError(
                     offset,
@@ -294,14 +356,17 @@ class _Parser:
             if isinstance(value, SuperDerivation):
                 operator = value
             elif isinstance(value, _Monomial):
-                mono = mono.times(value)
+                run.append((value, power))
             else:
-                if mono != self.unit:
-                    segments.append(mono.superfunction(self.dims))
-                    mono = self.unit
+                if run:
+                    segments.append(self.superfunction(self.fold(run)))
+                    run = []
                 segments.append(value)
-        if mono != self.unit or not segments:
-            segments.append(mono.superfunction(self.dims))
+        mono = self.fold(run)
+        if operator is None and not segments:
+            return mono
+        if mono != _ONE or not segments:
+            segments.append(self.superfunction(mono))
         coeff = segments[0]
         for segment in segments[1:]:
             coeff = coeff * segment
@@ -309,9 +374,30 @@ class _Parser:
             return coeff
         return operator.premultiply(coeff)
 
-    def parse_factor(self) -> tuple[Union[Value, _Monomial], int]:
+    def fold(self, run: list[tuple[_Monomial, int]]) -> _Monomial:
+        """The product of monomial atoms raised to their powers, in lowest
+        terms.  The guard bits are checked after every `^` and product, so
+        an exponent past the limit raises LimitError before its packed
+        field can carry into the next."""
+        m = self.dims.m
+        guard = _guard(m)
+        mono = _ONE
+        for atom, k in run:
+            if atom.key and k > _LIMIT:  # an x atom's one field is 1
+                raise LimitError(f"exponent {k} exceeds the limit {_LIMIT}")
+            mono = mono.times(atom.power(k))
+            if mono.key & guard:
+                _unpack(mono.key, m)  # raises
+        g = math.gcd(mono.num, mono.den)
+        return mono if g == 1 else mono._replace(num=mono.num // g, den=mono.den // g)
+
+    def superfunction(self, mono: _Monomial) -> Superfunction:
+        return Superfunction._build(self.dims, {mono.mask: {mono.key: mono.num}}, mono.den)
+
+    def parse_factor(self) -> Factor:
         offset = self.peek().offset
         value = self.parse_atom()
+        power = 1
         if self.peek().kind == "^":
             caret = self.advance()
             exponent = int(self.expect("int").value)  # type: ignore[arg-type]
@@ -319,8 +405,11 @@ class _Parser:
                 raise ParseError(
                     caret.offset, (), "cannot raise a differential operator to a power"
                 )
-            value = value.power(exponent) if isinstance(value, _Monomial) else value**exponent
-        return value, offset
+            if isinstance(value, _Monomial):
+                power = exponent
+            else:
+                value = value**exponent
+        return value, power, offset
 
     def parse_index_list(self) -> IndexTuple:
         self.expect("[")
@@ -344,31 +433,30 @@ class _Parser:
         if tok.kind in ("int", "xvar", "thvar", "tvar", "th", "t"):
             self.advance()
         if tok.kind == "int":
-            value = Fraction(tok.value)  # type: ignore[arg-type]
+            den = 1
             if self.peek().kind == "/":
                 self.advance()
                 denom_tok = self.expect("int")
                 if denom_tok.value == 0:
                     raise ParseError(denom_tok.offset, ("int",), "zero denominator")
-                value /= denom_tok.value  # type: ignore[operator]
-            return self.unit._replace(coeff=value)
+                den = denom_tok.value
+            return _Monomial(tok.value, den, 0, 0)  # type: ignore[arg-type]
         if tok.kind == "xvar":
             if not 1 <= tok.value <= m:  # type: ignore[operator]
                 raise DimensionError(f"variable index {tok.value} out of range 1..{m}")
-            exps = tuple(int(i == tok.value) for i in range(1, m + 1))
-            return self.unit._replace(exps=exps)
+            return _Monomial(1, 1, 1 << _WIDTH * (tok.value - 1), 0)  # type: ignore[operator]
         if tok.kind == "thvar":
             if not 1 <= tok.value <= n:  # type: ignore[operator]
                 raise DimensionError(f"odd coordinate index {tok.value} out of range 1..{n}")
-            return self.unit._replace(theta=(tok.value,))
+            return _Monomial(1, 1, 0, 1 << (tok.value - 1))  # type: ignore[operator]
         if tok.kind == "tvar":
             if not 1 <= tok.value <= p:  # type: ignore[operator]
                 raise DimensionError(f"external index {tok.value} out of range 1..{p}")
-            return self.unit._replace(tau=(tok.value,))
+            return _Monomial(1, 1, 0, 1 << (n + tok.value - 1))  # type: ignore[operator]
         if tok.kind == "th":
-            return self.unit._replace(theta=_index_key(self.parse_index_list(), n, "th"))
+            return _Monomial(1, 1, 0, _mask(_index_key(self.parse_index_list(), n, "th")))
         if tok.kind == "t":
-            return self.unit._replace(tau=_index_key(self.parse_index_list(), p, "t"))
+            return _Monomial(1, 1, 0, _mask(_index_key(self.parse_index_list(), p, "t")) << n)
         if tok.kind == "d_dx":
             self.advance()
             return SuperDerivation.d_dx(int(tok.value), m, n, p)  # type: ignore[arg-type]
@@ -728,15 +816,29 @@ def parse_any(text: str) -> tuple[str, object]:
 # -- printing ----------------------------------------------------------------
 
 
+def _magnitude(num: int, den: int) -> str:
+    """|num/den| in lowest terms, as `Fraction` prints it; LimitError for
+    an integer with more digits than Python converts to text."""
+    g = math.gcd(num, den)
+    num, den = abs(num) // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # sys.get_int_max_str_digits exists where this is raised
+        raise LimitError(
+            f"a coefficient has more than {sys.get_int_max_str_digits()} digits to print"
+        ) from None
+
+
 def _term_strings(
-    coeff: Fraction, exps: tuple[int, ...], theta_key: IndexTuple, tau_key: IndexTuple
+    num: int, den: int, exps: tuple[int, ...], theta_key: IndexTuple, tau_key: IndexTuple
 ) -> tuple[int, str]:
-    """(sign, body) for one additive term, sign split off for joining."""
-    sign = -1 if coeff < 0 else 1
-    magnitude = abs(coeff)
+    """(sign, body) for the term num/den * x^exps * th[K] * t[J], sign
+    split off for joining."""
+    sign = -1 if num < 0 else 1
+    magnitude = _magnitude(num, den)
     parts: list[str] = []
-    if magnitude != 1:
-        parts.append(str(magnitude))
+    if magnitude != "1":
+        parts.append(magnitude)
     for i, e in enumerate(exps, start=1):
         if e == 1:
             parts.append(f"x{i}")
@@ -747,7 +849,7 @@ def _term_strings(
     if tau_key:
         parts.append("t[" + ",".join(str(k) for k in tau_key) + "]")
     if not parts:
-        parts.append(str(magnitude))
+        parts.append(magnitude)
     return sign, "*".join(parts)
 
 
@@ -769,12 +871,17 @@ def _monomial_order(exps: tuple[int, ...]) -> tuple:
 
 
 def _superfunction_terms(f: Superfunction) -> list[tuple[int, str]]:
+    """The terms of f in canonical order, read from its stored numerators:
+    blocks by (th tuple, t tuple), then exponents by `_monomial_order`."""
+    m, n, den = f.m, f.n, f._den
+    theta = (1 << n) - 1
+    blocks = sorted(((_indices(mask & theta), _indices(mask >> n)), mask) for mask in f._data)
     out: list[tuple[int, str]] = []
-    terms = f.terms  # a view, built at each read
-    for theta_key, tau_key in sorted(terms):
-        coeffs = terms[theta_key, tau_key].terms
-        for exps in sorted(coeffs, key=_monomial_order):
-            out.append(_term_strings(coeffs[exps], exps, theta_key, tau_key))
+    for (theta_key, tau_key), mask in blocks:
+        coeffs = [(_unpack(e, m), c) for e, c in f._data[mask].items()]
+        coeffs.sort(key=lambda term: _monomial_order(term[0]))
+        for exps, num in coeffs:
+            out.append(_term_strings(num, den, exps, theta_key, tau_key))
     return out
 
 
@@ -787,8 +894,8 @@ def format_polynomial(poly: Polynomial) -> str:
 
 
 def format_grassmann(a: GrassmannElement) -> str:
-    terms = a.terms  # a view, built at each read
-    return _join_terms([_term_strings(terms[key], (), (), key) for key in sorted(terms)])
+    terms = sorted((_indices(mask), poly[0]) for mask, poly in a._data.items())
+    return _join_terms([_term_strings(num, a._den, (), (), key) for key, num in terms])
 
 
 def format_derivation(field: SuperDerivation) -> str:
@@ -852,7 +959,7 @@ def format_morphism(phi: SuperMorphism) -> str:
 
 
 def format_grassmann_morphism(gm: GrassmannMorphism) -> str:
-    visible = _visible_rank(key for img in gm.images for key in img.terms)
+    visible = _visible_rank(_indices(mask) for img in gm.images for mask in img._data)
     lines = [] if visible == gm.target_n else [f"target: {gm.target_n}"]
     lines += [f"t[{i}] -> {format_grassmann(img)}" for i, img in enumerate(gm.images, 1)]
     return "\n".join(lines)

@@ -273,13 +273,6 @@ class Superfunction(_Sparse):
     ) -> "Superfunction":
         return cls(m, n, p, {(tuple(theta_key), tuple(tau_key)): poly})
 
-    @classmethod
-    def _term(cls, space: tuple, coeff: Fraction, exps: Exponents, key: TermKey) -> _Sparse:
-        """coeff * x^exps * th[K] * t[J] on `space` for key = (K, J), already
-        checked; LimitError for an exponent past the limit."""
-        mask = _mask(key[0]) | _mask(key[1]) << space[1]
-        return cls._build(space, {mask: {_pack(exps): coeff.numerator}}, coeff.denominator)
-
     def _one(self) -> "Superfunction":
         return self.scalar(1, self.m, self.n, self.p)
 

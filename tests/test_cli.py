@@ -360,3 +360,25 @@ def test_exit_code_internal_error(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "invert", write(tmp_path, "phi.txt", PSI))
     assert (code, out) == (5, "")
     assert err == "internal error: RuntimeError: boom\n"
+
+
+# Python's limit on the digits of an int converted to or from text, 0 if none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT <= 5000, reason="no digit limit below 5001 on int/str conversion"
+)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2^20000*x1\n", "a coefficient has more than {limit} digits to print"),
+        ("1" * 5001 + "*x1\n", "integer at byte 0 has more than {limit} digits"),
+    ],
+)
+def test_exit_code_digit_limit(tmp_path, capsys, text, message):
+    # an integer Python will not convert to or from text is a limit, not a crash
+    identity = write(tmp_path, "id.txt", "x1 -> x1\nth1 -> th1\n")
+    code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", text))
+    assert (code, out) == (6, "")
+    assert err == f"limit exceeded: {message.format(limit=DIGIT_LIMIT)}\n"

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from superdiff import Polynomial, SuperDerivation, Superfunction
 from superdiff import parser as fmt
-from superdiff.errors import DimensionError, ParseError
+from superdiff.errors import DimensionError, LimitError, ParseError
 from superdiff.sampling import (
     random_derivation,
     random_grassmann,
@@ -68,10 +69,14 @@ def test_parenthesized_products():
         "-2/4*x1*(x1 + th1*t1)*th2*t2*(x2 - th1*t3)",
         "0*th1",
         "0^0*x1",
+        "th[2,1]*x1",
+        "x1*x3",
+        "2/3*x1*3/4*th1*t1*th2",
     ],
 )
 def test_products_fold_like_superfunction_products(text):
-    # every factor parsed alone, then multiplied as superfunctions
+    # every factor parsed alone, then multiplied as superfunctions; a
+    # fault is the same fault either way
     dims = {"m": 2, "n": 2, "p": 3}
     factors = []
     depth, start = 0, 0
@@ -80,11 +85,52 @@ def test_products_fold_like_superfunction_products(text):
         if ch == "*" and depth == 0:
             factors.append(text[start:i])
             start = i + 1
-    sign = -1 if factors[0].startswith("-") else 1
-    expected = fmt.parse_superfunction(factors[0].lstrip("-"), **dims) * sign
-    for factor in factors[1:]:
-        expected = expected * fmt.parse_superfunction(factor, **dims)
-    assert fmt.parse_superfunction(text, **dims) == expected
+
+    def by_factors():
+        sign = -1 if factors[0].startswith("-") else 1
+        expected = fmt.parse_superfunction(factors[0].lstrip("-"), **dims) * sign
+        for factor in factors[1:]:
+            expected = expected * fmt.parse_superfunction(factor, **dims)
+        return expected
+
+    assert _outcome(lambda: fmt.parse_superfunction(text, **dims)) == _outcome(by_factors)
+
+
+def _outcome(parse):
+    """The value `parse` returns, or the type and message of its fault."""
+    try:
+        return parse()
+    except (ParseError, DimensionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text, exponent",
+    [
+        # the packed sum of the first two would carry into the x2 field
+        ("x1^2147483647*x1^2147483647*x1^2147483647", 4294967294),
+        # a zero coefficient does not hide the exponent
+        ("0*x1^2147483647*x1", 2147483648),
+        ("th1*th1*x2^2147483647*x2", 2147483648),
+        ("x1^2147483648*x2", 2147483648),
+        # a power whose packed field would overflow the x1 field exactly
+        ("x1^4294967296*x2", 4294967296),
+    ],
+)
+def test_folded_exponents_past_the_limit(text, exponent):
+    with pytest.raises(LimitError, match=f"^exponent {exponent} exceeds the limit 2147483647$"):
+        fmt.parse_superfunction(text, m=2)
+
+
+def test_fault_order_in_products_with_large_exponents():
+    # a later fault in the product is reported as before: the run of
+    # monomial factors is folded only where its product is needed
+    with pytest.raises(ParseError, match="strictly increasing"):
+        fmt.parse_superfunction("x1^2147483648*th[2,1]")
+    with pytest.raises(ParseError, match="a differential operator must end its product"):
+        fmt.parse_expression_text("x1^2147483647*x1*d/dx1*x1")
+    with pytest.raises(LimitError, match="exponent 2147483648"):
+        fmt.parse_expression_text("x1^2147483647*x1*(x1)*d/dx1*x1")
 
 
 def test_derivation_parsing():
@@ -393,3 +439,79 @@ def test_long_sum_round_trip():
     assert fmt.parse_superfunction(f"{text} - ({text})").is_zero()
     with pytest.raises(ParseError, match="cannot add a superfunction and a differential operator"):
         fmt.parse_expression_text(text + " + d/dx1")
+
+
+# -- the printers against the `.terms` view ------------------------------------
+
+
+def _reference_term_strings(coeff, exps, theta_key, tau_key):
+    """(sign, body) of one term, printed from a Fraction."""
+    sign = -1 if coeff < 0 else 1
+    magnitude = abs(coeff)
+    parts = []
+    if magnitude != 1:
+        parts.append(str(magnitude))
+    for i, e in enumerate(exps, start=1):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    if theta_key:
+        parts.append("th[" + ",".join(str(j) for j in theta_key) + "]")
+    if tau_key:
+        parts.append("t[" + ",".join(str(k) for k in tau_key) + "]")
+    if not parts:
+        parts.append(str(magnitude))
+    return sign, "*".join(parts)
+
+
+def _reference_superfunction_terms(f):
+    """The canonical terms of f, read from the `.terms` view."""
+    out = []
+    terms = f.terms
+    for theta_key, tau_key in sorted(terms):
+        coeffs = terms[theta_key, tau_key].terms
+        for exps in sorted(coeffs, key=fmt._monomial_order):
+            out.append(_reference_term_strings(coeffs[exps], exps, theta_key, tau_key))
+    return out
+
+
+def _reference_grassmann(a):
+    terms = a.terms
+    return fmt._join_terms(
+        [_reference_term_strings(terms[key], (), (), key) for key in sorted(terms)]
+    )
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 1, 0), (2, 2, 3), (3, 1, 2), (2, 40, 30)])
+def test_printers_match_the_terms_view(monkeypatch, m, n, p):
+    rng = random.Random(1000 * m + 10 * n + p)
+    functions = [Superfunction.zero(m, n, p)]
+    for _ in range(30):
+        f = random_superfunction(rng, m, n, p, degree=3, terms=5)
+        g = random_superfunction(rng, m, n, p, degree=2, terms=3)
+        # products and odd scales give larger numerators over mixed denominators
+        functions += [f, f * g - g.scale(Fraction(-7, 12)), f.scale(Fraction(5, 18)) + g]
+    fields = [SuperDerivation.zero(m, n, p)]
+    fields += [random_derivation(rng, m, n, p, degree=2) for _ in range(20)]
+    elements = [random_grassmann(rng, n + p, terms=6) for _ in range(40)]
+    elements += [a * b - b.scale(Fraction(3, 4)) for a, b in zip(elements, elements[1:])]
+    morphisms = []
+    if n + p <= 8:
+        morphisms = [random_point(rng, m, n, p, degree=1).morphism for _ in range(3)]
+
+    def outputs():
+        return (
+            [fmt.format_superfunction(f) for f in functions],
+            [fmt.format_derivation(d) for d in fields],
+            [fmt.format_grassmann(a) for a in elements],
+            [fmt.format_morphism(phi) for phi in morphisms],
+        )
+
+    printed = outputs()
+    monkeypatch.setattr(fmt, "_superfunction_terms", _reference_superfunction_terms)
+    monkeypatch.setattr(fmt, "format_grassmann", _reference_grassmann)
+    assert printed == outputs()
+    # the draws reach negative and fractional coefficients and zero
+    texts = printed[0] + printed[2]
+    assert "0" in texts and any("/" in t for t in texts) and any(t.startswith("-") for t in texts)
