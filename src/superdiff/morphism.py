@@ -319,6 +319,15 @@ def factorize(
     body_images = [g.lift(p) for g in body.images]
 
     fields: FieldFamily = {}
+    operators: FieldFamily = {}
+
+    def operator(block: IndexTuple) -> SuperDerivation:
+        """t[block]·X_block, built once."""
+        if block not in operators:
+            prefix = Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), block)
+            operators[block] = fields[block].lift(p).premultiply(prefix)
+        return operators[block]
+
     for index_set in subsets_of_rank(p):
         tau = _mask(index_set)
         values: list[Superfunction] = []
@@ -334,12 +343,7 @@ def factorize(
                     continue
                 if any(block not in fields for block in partition.blocks):
                     continue  # a zero component kills the whole product
-                ops = []
-                for block in partition.blocks:
-                    prefix = Superfunction.monomial(
-                        m, n, p, Polynomial.const(1, m), (), block
-                    )
-                    ops.append((prefix, fields[block]))
+                ops = [operator(block) for block in partition.blocks]
                 target = target - symmetrize_apply(ops, body_image)
             values.append(inverse.apply(target))
         pushed = pushforward(inverse, SuperDerivation(m, n, p, values[:m], values[m:]))

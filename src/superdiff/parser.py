@@ -30,7 +30,9 @@ A differential atom may only stand last in a product; sums never mix
 functions with operators.  Parentheses nest at most MAX_NESTING (100)
 levels deep; a deeper `(` is a parse error at its offset.  Every parse error carries the byte offset of
 the offending token and the set of token kinds that were acceptable.
-Each document is tokenized once and read by one statement loop; every
+Each document is tokenized once, and that one pass over the text gives
+the tokens, the dimensions its indices need and the kind of document
+(`Tokens`); one statement loop then reads the tokens, and every
 statement fault is reported before any dimension fault.
 
 The parser reads into the stored form of `grassmann`.  Each run of
@@ -50,7 +52,10 @@ a canonical string and printing the result reproduces it byte for byte.
 They read the stored numerators and denominator directly, each
 coefficient reduced by one gcd.  An integer with more digits than
 Python converts to or from text (`sys.get_int_max_str_digits`, 4300 by
-default) raises LimitError, in the tokenizer and in the printers.
+default) raises LimitError, in the tokenizer and in the printers; a
+number raised to a power is refused by the printers' message as soon as
+k·log10 of its numerator or denominator passes that limit, before the
+power is taken.
 """
 
 from __future__ import annotations
@@ -70,7 +75,6 @@ from .grassmann import (
     GrassmannMorphism,
     IntegerBuckets,
     _guard,
-    _index_key,
     _indices,
     _mask,
     _sign,
@@ -89,70 +93,108 @@ class Token(NamedTuple):
     offset: int
 
 
+class Tokens(list):
+    """The tokens of one text, and what the same pass saw of it: the
+    largest x, th and t index it names (`seen`) and the kind of document
+    (`document`: "factored" if it names phi0, else "morphism" if it has
+    an arrow, else "derivation" if it has d/dx or d/dth, else
+    "superfunction")."""
+
+    __slots__ = ("seen", "document")
+
+
 # Whitespace before a token is skipped inside the match; a character that
-# starts no token is matched as `bad`, the end of the text as `end`.
+# starts no token is matched as `bad`, the end of the text as `end`.  The
+# alternatives come roughly in order of frequency; `tokenize` tells them
+# apart by `lastindex`.
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r]*
-    (?: (?P<newline>\n)
-  | (?P<ddx>d/dx(?P<ddx_i>\d+))
-  | (?P<ddth>d/dth(?P<ddth_i>\d+))
-  | (?P<xvar>x(?P<x_i>\d+))
-  | (?P<thvar>th(?P<th_i>\d+))
-  | (?P<tvar>t(?P<t_i>\d+))
-  | (?P<th>th)
-  | (?P<t>t\b)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<arrow>->)
-  | (?P<op>[+\-*^/()\[\],;:{}])
-  | (?P<end>\Z)
-  | (?P<bad>.)
+    (?: ([*\[\],+/^();:{}]|-(?!>))   # 1 punctuation: its own kind and value
+      | (\d+)                       # 2 int
+      | x(\d+)                      # 3 xvar
+      | (th)(\d+)?                  # 4 th, 5 thvar
+      | (t)(?:(\d+)|\b)             # 6 t, 7 tvar
+      | (\n)                        # 8 newline
+      | (->)                        # 9 arrow
+      | d/d(?:x(\d+)|th(\d+))       # 10 d_dx, 11 d_dth
+      | ([A-Za-z_][A-Za-z0-9_]*)    # 12 ident
+      | ()\Z                        # 13 end
+      | (.)                         # 14 bad
     )
     """,
     re.VERBOSE,
 )
 
-# Token kind of each group of _TOKEN_RE and the group holding its integer
-# value; without one, the matched text is the value (and an op its kind).
-_TOKEN_KINDS = {
-    "newline": ("newline", None),
-    "ddx": ("d_dx", "ddx_i"),
-    "ddth": ("d_dth", "ddth_i"),
-    "xvar": ("xvar", "x_i"),
-    "thvar": ("thvar", "th_i"),
-    "tvar": ("tvar", "t_i"),
-    "th": ("th", None),
-    "t": ("t", None),
-    "ident": ("ident", None),
-    "int": ("int", "int"),
-    "arrow": ("arrow", None),
-    "op": (None, None),
-    "end": ("end", None),
+# The tokens whose value is an index: kind, the slot of `Tokens.seen` it
+# raises and the length of the name before the digits.
+_INDEXED = {
+    3: ("xvar", 0, 1), 5: ("thvar", 1, 2), 7: ("tvar", 2, 1),
+    10: ("d_dx", 0, 4), 11: ("d_dth", 1, 5),
+}
+# The tokens whose value is their text: kind, and the slot of `Tokens.seen`
+# that the indices of a following `[` raise (0: none; None: unchanged).
+_WORDS = {
+    4: ("th", 1), 6: ("t", 2), 8: ("newline", None), 9: ("arrow", None), 12: ("ident", 0),
+    13: ("end", None),
 }
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastgroup
-        pos = match.start(group)
-        if group == "bad":
-            raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
-        kind, digits = _TOKEN_KINDS[group]  # type: ignore[index]
-        if digits:
-            try:
-                value = int(match.group(digits))
-            except ValueError:  # sys.get_int_max_str_digits exists where this is raised
-                raise LimitError(
-                    f"integer at byte {pos} has more than "
-                    f"{sys.get_int_max_str_digits()} digits"
-                ) from None
-        else:
-            value = match.group(group) or None  # the end token has no text
-        tokens.append(Token(kind or value, value, pos))
-        if group == "end":
-            break
+def tokenize(text: str) -> Tokens:
+    """The tokens of `text`, in one pass that also records `Tokens.seen`
+    and `Tokens.document`.  An index inside brackets belongs to the
+    nearest th, t or X before the `[`."""
+    tokens = Tokens()
+    append = tokens.append
+    new = tuple.__new__  # a Token, without NamedTuple's Python-level __new__
+    seen = [0, 0, 0]
+    owner = pending = 0  # the slot of `seen` that the open bracket's indices raise
+    kinds = set()  # of the tokens other than punctuation and int
+    phi0 = False
+    try:
+        for match in _TOKEN_RE.finditer(text):
+            i = match.lastindex
+            pos = match.start(i)
+            if i == 1:
+                op = match.group(1)
+                if op == "[":
+                    owner, pending = pending, 0
+                elif op == "]":
+                    owner = 0
+                append(new(Token, (op, op, pos)))
+            elif i == 2:
+                value = int(match.group(2))
+                if owner and value > seen[owner]:
+                    seen[owner] = value
+                append(new(Token, ("int", value, pos)))
+            elif i in _INDEXED:
+                kind, slot, length = _INDEXED[i]
+                pos -= length
+                value = int(match.group(i))
+                seen[slot] = max(seen[slot], value)
+                kinds.add(kind)
+                append(new(Token, (kind, value, pos)))
+            elif i == 14:
+                raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
+            else:
+                word = match.group(i) or None  # the end token has no text
+                kind, owns = _WORDS[i]
+                if owns is not None:
+                    pending = 2 if word == "X" else owns
+                kinds.add(kind)
+                phi0 = phi0 or word == "phi0"
+                append(new(Token, (kind, word, pos)))
+                if i == 13:  # the end, which one more empty match would repeat
+                    break
+    except ValueError:  # from int(); sys.get_int_max_str_digits exists where it is raised
+        raise LimitError(
+            f"integer at byte {pos} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+    tokens.seen = Dimensions(*seen)
+    tokens.document = (
+        "factored" if phi0 else "morphism" if "arrow" in kinds
+        else "derivation" if kinds & {"d_dx", "d_dth"} else "superfunction"
+    )
     return tokens
 
 
@@ -163,52 +205,18 @@ class Dimensions(NamedTuple):
 
 
 def _infer_dimensions(
-    tokens: Sequence[Token],
-    m: Optional[int],
-    n: Optional[int],
-    p: Optional[int],
+    tokens: Tokens, m: Optional[int], n: Optional[int], p: Optional[int]
 ) -> Dimensions:
-    """Smallest dimensions covering every index in the token stream.
+    """Smallest dimensions covering every index in the text (`Tokens.seen`).
 
     Explicitly supplied bounds are enforced: an index beyond one of them
-    is a parse error at the offending token.
+    is a DimensionError.
     """
-    seen_m = seen_n = seen_p = 0
-    # indices inside brackets belong to the nearest preceding th / t / X
-    bracket_owner: Optional[str] = None
-    pending: Optional[str] = None
-    for tok in tokens:
-        if tok.kind in ("xvar", "d_dx"):
-            seen_m = max(seen_m, int(tok.value))  # type: ignore[arg-type]
-        elif tok.kind in ("thvar", "d_dth"):
-            seen_n = max(seen_n, int(tok.value))  # type: ignore[arg-type]
-        elif tok.kind == "tvar":
-            seen_p = max(seen_p, int(tok.value))  # type: ignore[arg-type]
-        if tok.kind == "th":
-            pending = "n"
-        elif tok.kind == "t":
-            pending = "p"
-        elif tok.kind == "ident":
-            pending = "p" if tok.value == "X" else None
-        elif tok.kind == "[":
-            bracket_owner = pending
-            pending = None
-        elif tok.kind == "]":
-            bracket_owner = None
-        elif tok.kind == "int" and bracket_owner == "n":
-            seen_n = max(seen_n, int(tok.value))  # type: ignore[arg-type]
-        elif tok.kind == "int" and bracket_owner == "p":
-            seen_p = max(seen_p, int(tok.value))  # type: ignore[arg-type]
-    for bound, seen, label in ((m, seen_m, "x"), (n, seen_n, "th"), (p, seen_p, "t")):
+    bounds = (m, n, p)
+    for bound, seen, label in zip(bounds, tokens.seen, ("x", "th", "t")):
         if bound is not None and seen > bound:
-            raise DimensionError(
-                f"{label} index {seen} exceeds the declared bound {bound}"
-            )
-    return Dimensions(
-        m if m is not None else seen_m,
-        n if n is not None else seen_n,
-        p if p is not None else seen_p,
-    )
+            raise DimensionError(f"{label} index {seen} exceeds the declared bound {bound}")
+    return Dimensions(*(s if b is None else b for b, s in zip(bounds, tokens.seen)))
 
 
 Value = Union[Superfunction, SuperDerivation]
@@ -240,17 +248,25 @@ class _Monomial(NamedTuple):
         return _Monomial(num, self.den * other.den, self.key + other.key, a | b)
 
     def power(self, k: int) -> "_Monomial":
-        """The k-th power, its key multiplied unchecked (see `_Parser.fold`)."""
+        """The k-th power, its key multiplied unchecked (see `_Parser.fold`);
+        LimitError, before the power is taken, for a numerator or
+        denominator that would have more digits than Python prints."""
         if k == 1:
             return self
         if k == 0:
             return _ONE
         if self.mask:
             return self._replace(num=0)  # odd factors square to zero
+        limit = _digit_limit()
+        if limit and k * math.log10(max(self.num, self.den)) > limit:
+            raise LimitError(f"a coefficient has more than {limit} digits to print")
         return _Monomial(self.num**k, self.den**k, self.key * k, self.mask)
 
 
 _ONE = _Monomial(1, 1, 0, 0)
+
+# Python's limit on the digits of an int converted to or from text, 0 if none
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # A factor as read: a value, or a monomial atom with its power (applied
 # when its run is folded), and the offset of its first token.
@@ -258,7 +274,7 @@ Factor = tuple[Union[Value, _Monomial], int, int]
 
 
 class _Parser:
-    def __init__(self, tokens: Sequence[Token], dims: Dimensions):
+    def __init__(self, tokens: Tokens, dims: Dimensions):
         self.tokens = tokens
         self.pos = 0
         self.dims = dims
@@ -306,9 +322,9 @@ class _Parser:
             else:
                 weights.append(sign)
                 terms.append(term)
-            tok = self.peek()
+            tok = self.tokens[self.pos]
             if tok.kind in ("+", "-"):
-                self.advance()
+                self.pos += 1
                 sign = -1 if tok.kind == "-" else 1
                 term = self.parse_term()
                 if isinstance(term, SuperDerivation) != operators:
@@ -339,9 +355,10 @@ class _Parser:
         """A product.  Each run of monomial factors is folded into one
         term; when every factor is one, that term is the result.  Only
         parenthesised factors are multiplied as superfunctions."""
+        tokens = self.tokens
         factors = [self.parse_factor()]
-        while self.peek().kind == "*":
-            self.advance()
+        while tokens[self.pos].kind == "*":
+            self.pos += 1
             factors.append(self.parse_factor())
         segments: list[Superfunction] = []
         run: list[tuple[_Monomial, int]] = []
@@ -395,94 +412,102 @@ class _Parser:
         return Superfunction._build(self.dims, {mono.mask: {mono.key: mono.num}}, mono.den)
 
     def parse_factor(self) -> Factor:
-        offset = self.peek().offset
+        tokens = self.tokens
+        offset = tokens[self.pos].offset
         value = self.parse_atom()
-        power = 1
-        if self.peek().kind == "^":
-            caret = self.advance()
-            exponent = int(self.expect("int").value)  # type: ignore[arg-type]
-            if isinstance(value, SuperDerivation):
-                raise ParseError(
-                    caret.offset, (), "cannot raise a differential operator to a power"
-                )
-            if isinstance(value, _Monomial):
-                power = exponent
-            else:
-                value = value**exponent
-        return value, power, offset
+        caret = tokens[self.pos]
+        if caret.kind != "^":
+            return value, 1, offset
+        self.pos += 1
+        exponent = self.expect("int").value
+        if isinstance(value, SuperDerivation):
+            raise ParseError(caret.offset, (), "cannot raise a differential operator to a power")
+        if isinstance(value, _Monomial):
+            return value, exponent, offset  # type: ignore[return-value]
+        return value**exponent, 1, offset  # type: ignore[operator]
 
     def parse_index_list(self) -> IndexTuple:
-        self.expect("[")
+        """`[i, j, ...]`, strictly increasing."""
+        tokens = self.tokens
+        if tokens[self.pos].kind != "[":
+            self.expect("[")  # raises
         indices: list[int] = []
         while True:
-            tok = self.expect("int")
-            indices.append(int(tok.value))  # type: ignore[arg-type]
-            if len(indices) >= 2 and indices[-2] >= indices[-1]:
-                raise ParseError(
-                    tok.offset, ("int",), "indices must be strictly increasing"
-                )
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            self.expect("]")
-            return tuple(indices)
+            self.pos += 1
+            kind, value, offset = tokens[self.pos]
+            if kind != "int":
+                self.expect("int")  # raises
+            if indices and indices[-1] >= value:  # type: ignore[operator]
+                raise ParseError(offset, ("int",), "indices must be strictly increasing")
+            indices.append(value)  # type: ignore[arg-type]
+            self.pos += 1
+            kind = tokens[self.pos].kind
+            if kind == "]":
+                self.pos += 1
+                return tuple(indices)
+            if kind != ",":
+                self.expect("]")  # raises
 
     def parse_atom(self) -> Union[Value, _Monomial]:
+        """One atom.  The index list of th[...] or t[...] increases, so
+        only its ends are checked against the bound."""
         m, n, p = self.dims
-        tok = self.peek()
-        if tok.kind in ("int", "xvar", "thvar", "tvar", "th", "t"):
-            self.advance()
-        if tok.kind == "int":
+        kind, value, offset = self.tokens[self.pos]
+        if kind in ("int", "xvar", "th", "t", "thvar", "tvar"):
+            self.pos += 1
+        if kind == "int":
             den = 1
-            if self.peek().kind == "/":
-                self.advance()
+            if self.tokens[self.pos].kind == "/":
+                self.pos += 1
                 denom_tok = self.expect("int")
                 if denom_tok.value == 0:
                     raise ParseError(denom_tok.offset, ("int",), "zero denominator")
                 den = denom_tok.value
-            return _Monomial(tok.value, den, 0, 0)  # type: ignore[arg-type]
-        if tok.kind == "xvar":
-            if not 1 <= tok.value <= m:  # type: ignore[operator]
-                raise DimensionError(f"variable index {tok.value} out of range 1..{m}")
-            return _Monomial(1, 1, 1 << _WIDTH * (tok.value - 1), 0)  # type: ignore[operator]
-        if tok.kind == "thvar":
-            if not 1 <= tok.value <= n:  # type: ignore[operator]
-                raise DimensionError(f"odd coordinate index {tok.value} out of range 1..{n}")
-            return _Monomial(1, 1, 0, 1 << (tok.value - 1))  # type: ignore[operator]
-        if tok.kind == "tvar":
-            if not 1 <= tok.value <= p:  # type: ignore[operator]
-                raise DimensionError(f"external index {tok.value} out of range 1..{p}")
-            return _Monomial(1, 1, 0, 1 << (n + tok.value - 1))  # type: ignore[operator]
-        if tok.kind == "th":
-            return _Monomial(1, 1, 0, _mask(_index_key(self.parse_index_list(), n, "th")))
-        if tok.kind == "t":
-            return _Monomial(1, 1, 0, _mask(_index_key(self.parse_index_list(), p, "t")) << n)
-        if tok.kind == "d_dx":
-            self.advance()
-            return SuperDerivation.d_dx(int(tok.value), m, n, p)  # type: ignore[arg-type]
-        if tok.kind == "d_dth":
-            self.advance()
-            return SuperDerivation.d_dtheta(int(tok.value), m, n, p)  # type: ignore[arg-type]
-        if tok.kind == "(":
+            return _Monomial(value, den, 0, 0)  # type: ignore[arg-type]
+        if kind == "xvar":
+            if not 1 <= value <= m:  # type: ignore[operator]
+                raise DimensionError(f"variable index {value} out of range 1..{m}")
+            return _Monomial(1, 1, 1 << _WIDTH * (value - 1), 0)  # type: ignore[operator]
+        if kind == "th" or kind == "t":
+            key = self.parse_index_list()
+            bound, shift = (n, 0) if kind == "th" else (p, n)
+            if key[0] < 1 or key[-1] > bound:
+                raise DimensionError(f"{kind} index out of range in {key}")
+            return _Monomial(1, 1, 0, _mask(key) << shift)
+        if kind == "thvar":
+            if not 1 <= value <= n:  # type: ignore[operator]
+                raise DimensionError(f"odd coordinate index {value} out of range 1..{n}")
+            return _Monomial(1, 1, 0, 1 << (value - 1))  # type: ignore[operator]
+        if kind == "tvar":
+            if not 1 <= value <= p:  # type: ignore[operator]
+                raise DimensionError(f"external index {value} out of range 1..{p}")
+            return _Monomial(1, 1, 0, 1 << (n + value - 1))  # type: ignore[operator]
+        if kind == "d_dx":
+            self.pos += 1
+            return SuperDerivation.d_dx(value, m, n, p)  # type: ignore[arg-type]
+        if kind == "d_dth":
+            self.pos += 1
+            return SuperDerivation.d_dtheta(value, m, n, p)  # type: ignore[arg-type]
+        if kind == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(
-                    tok.offset, (), f"parentheses nested more than {MAX_NESTING} levels deep"
+                    offset, (), f"parentheses nested more than {MAX_NESTING} levels deep"
                 )
-            self.advance()
+            self.pos += 1
             self.depth += 1
-            value = self.parse_expression()
+            inner = self.parse_expression()
             self.expect(")")
             self.depth -= 1
-            return value
+            return inner
         raise ParseError(
-            tok.offset,
+            offset,
             ("int", "xvar", "thvar", "tvar", "th", "t", "d_dx", "d_dth", "("),
-            f"expected an atom, found {tok.kind}",
+            f"expected an atom, found {kind}",
         )
 
 
 def _expression(
-    tokens: Sequence[Token], m: Optional[int], n: Optional[int], p: Optional[int]
+    tokens: Tokens, m: Optional[int], n: Optional[int], p: Optional[int]
 ) -> Value:
     parser = _Parser(tokens, _infer_dimensions(tokens, m, n, p))
     parser.skip_newlines()
@@ -700,7 +725,7 @@ MorphismResult = Union[SuperMorphism, GrassmannMorphism]
 
 
 def _morphism(
-    tokens: Sequence[Token], m: Optional[int], n: Optional[int], p: Optional[int]
+    tokens: Tokens, m: Optional[int], n: Optional[int], p: Optional[int]
 ) -> MorphismResult:
     dims = _infer_dimensions(tokens, m, n, p)
     main = _statements(_Parser(tokens, dims), _Block("morphism", 0))
@@ -764,7 +789,7 @@ def parse_morphism(
 Factored = tuple[UnderlyingMorphism, dict[IndexTuple, SuperDerivation], int]
 
 
-def _factored(tokens: Sequence[Token]) -> Factored:
+def _factored(tokens: Tokens) -> Factored:
     dims = _infer_dimensions(tokens, None, None, None)
     top = _statements(_Parser(tokens, dims), _Block("factored form", 0))
     phi0 = top.headers.get("phi0")
@@ -800,17 +825,15 @@ def parse_any(text: str) -> tuple[str, object]:
     "superfunction".
     """
     tokens = tokenize(text)
-    kinds = {tok.kind for tok in tokens}
-    if any(tok.kind == "ident" and tok.value == "phi0" for tok in tokens):
-        return ("factored", _factored(tokens))
-    if "arrow" in kinds:
+    kind = tokens.document
+    if kind == "factored":
+        return kind, _factored(tokens)
+    if kind == "morphism":
         result = _morphism(tokens, None, None, None)
         if isinstance(result, GrassmannMorphism):
-            return ("grassmann_morphism", result)
-        return ("morphism", result)
-    if "d_dx" in kinds or "d_dth" in kinds:
-        return ("derivation", _expression(tokens, None, None, None))
-    return ("superfunction", _expression(tokens, None, None, None))
+            return "grassmann_morphism", result
+        return kind, result
+    return kind, _expression(tokens, None, None, None)
 
 
 # -- printing ----------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -382,3 +383,20 @@ def test_exit_code_digit_limit(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", text))
     assert (code, out) == (6, "")
     assert err == f"limit exceeded: {message.format(limit=DIGIT_LIMIT)}\n"
+
+
+@pytest.mark.skipif(
+    not 4215 <= DIGIT_LIMIT < 10**9, reason="needs a digit limit that 2^14000 fits under"
+)
+def test_power_past_the_digit_limit_is_refused_while_parsing(tmp_path, capsys):
+    # 3^2147483647 would have about 1.02e9 digits (425 MB); its size is
+    # estimated before it is built, so the refusal takes no time
+    identity = write(tmp_path, "id.txt", "x1 -> x1\nth1 -> th1\n")
+    limit = f"limit exceeded: a coefficient has more than {DIGIT_LIMIT} digits to print\n"
+    for text in ("3^2147483647*x1\n", "3^10000*1/3^10000*x1\n"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", text))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (6, "", limit)
+    code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", "2^14000*x1\n"))
+    assert (code, out, err) == (0, f"{2**14000}*x1\n", "")

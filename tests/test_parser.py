@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -515,3 +517,221 @@ def test_printers_match_the_terms_view(monkeypatch, m, n, p):
     # the draws reach negative and fractional coefficients and zero
     texts = printed[0] + printed[2]
     assert "0" in texts and any("/" in t for t in texts) and any(t.startswith("-") for t in texts)
+
+
+# -- the one-pass lexer against the two-pass reference ------------------------
+
+# Python's limit on the digits of an int converted to or from text, 0 if none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    [ \t\r]*
+    (?: (?P<newline>\n)
+  | (?P<ddx>d/dx(?P<ddx_i>\d+))
+  | (?P<ddth>d/dth(?P<ddth_i>\d+))
+  | (?P<xvar>x(?P<x_i>\d+))
+  | (?P<thvar>th(?P<th_i>\d+))
+  | (?P<tvar>t(?P<t_i>\d+))
+  | (?P<th>th)
+  | (?P<t>t\b)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>\d+)
+  | (?P<arrow>->)
+  | (?P<op>[+\-*^/()\[\],;:{}])
+  | (?P<end>\Z)
+  | (?P<bad>.)
+    )
+    """,
+    re.VERBOSE,
+)
+
+_REFERENCE_TOKEN_KINDS = {
+    "newline": ("newline", None),
+    "ddx": ("d_dx", "ddx_i"),
+    "ddth": ("d_dth", "ddth_i"),
+    "xvar": ("xvar", "x_i"),
+    "thvar": ("thvar", "th_i"),
+    "tvar": ("tvar", "t_i"),
+    "th": ("th", None),
+    "t": ("t", None),
+    "ident": ("ident", None),
+    "int": ("int", "int"),
+    "arrow": ("arrow", None),
+    "op": (None, None),
+    "end": ("end", None),
+}
+
+
+def _reference_tokenize(text):
+    """Tokens by group name, one `Token` per match."""
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        pos = match.start(group)
+        if group == "bad":
+            raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
+        kind, digits = _REFERENCE_TOKEN_KINDS[group]
+        if digits:
+            try:
+                value = int(match.group(digits))
+            except ValueError:
+                raise LimitError(
+                    f"integer at byte {pos} has more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from None
+        else:
+            value = match.group(group) or None
+        tokens.append(fmt.Token(kind or value, value, pos))
+        if group == "end":
+            break
+    return tokens
+
+
+def _reference_dimensions(tokens):
+    """The largest x, th and t index, by a second walk over the tokens."""
+    seen_m = seen_n = seen_p = 0
+    bracket_owner = pending = None
+    for tok in tokens:
+        if tok.kind in ("xvar", "d_dx"):
+            seen_m = max(seen_m, tok.value)
+        elif tok.kind in ("thvar", "d_dth"):
+            seen_n = max(seen_n, tok.value)
+        elif tok.kind == "tvar":
+            seen_p = max(seen_p, tok.value)
+        if tok.kind == "th":
+            pending = "n"
+        elif tok.kind == "t":
+            pending = "p"
+        elif tok.kind == "ident":
+            pending = "p" if tok.value == "X" else None
+        elif tok.kind == "[":
+            bracket_owner = pending
+            pending = None
+        elif tok.kind == "]":
+            bracket_owner = None
+        elif tok.kind == "int" and bracket_owner == "n":
+            seen_n = max(seen_n, tok.value)
+        elif tok.kind == "int" and bracket_owner == "p":
+            seen_p = max(seen_p, tok.value)
+    return (seen_m, seen_n, seen_p)
+
+
+def _reference_document(tokens):
+    kinds = {tok.kind for tok in tokens}
+    if any(tok.kind == "ident" and tok.value == "phi0" for tok in tokens):
+        return "factored"
+    if "arrow" in kinds:
+        return "morphism"
+    if "d_dx" in kinds or "d_dth" in kinds:
+        return "derivation"
+    return "superfunction"
+
+
+def _lexed(text):
+    """What the lexer makes of `text`, and what the reference makes of it."""
+
+    def outcome(lex):
+        try:
+            return lex(text)
+        except (ParseError, LimitError) as exc:
+            return type(exc), str(exc), getattr(exc, "offset", None)
+
+    def one_pass(text):
+        tokens = fmt.tokenize(text)
+        assert all(type(tok) is fmt.Token for tok in tokens)
+        return list(tokens), tuple(tokens.seen), tokens.document
+
+    def reference(text):
+        tokens = _reference_tokenize(text)
+        return tokens, _reference_dimensions(tokens), _reference_document(tokens)
+
+    return outcome(one_pass), outcome(reference)
+
+
+def _canonical_texts(m, n, p):
+    """Canonical morphisms, factored forms, fields and Grassmann morphisms
+    at m|n;p; where a sampled point would be too large, image blocks and
+    component fields of the same spelling."""
+    rng = random.Random(7 + 1000 * m + 10 * n + p)
+
+    def sf(parity=None):
+        f = random_superfunction(rng, m, n, p, degree=3, terms=5, parity=parity)
+        return fmt.format_superfunction(f)
+
+    images = [f"x{i} -> {sf(0)}" for i in range(1, m + 1)]
+    images += [f"th{j} -> {sf(1)}" for j in range(1, n + 1)]
+    body = "\n".join(images[:m] + [f"th{j} -> th{j}" for j in range(1, n + 1)])
+    keys = sorted({tuple(sorted(rng.sample(range(1, p + 1), k))) for k in range(1, p + 1)})
+    components = [
+        f"X[{','.join(map(str, key))}]: "
+        + fmt.format_derivation(random_derivation(rng, m, n, 0, degree=2))
+        for key in keys[:6]
+    ]
+    texts = [
+        "\n".join(images),
+        "\n".join([f"p: {p}"] + images + ["inverse:", body]),
+        "\n".join([f"p: {p}", "phi0: {", body, "}"] + components),
+        fmt.format_grassmann_morphism(random_grassmann_morphism(rng, n + p, n + p)),
+    ]
+    texts += [fmt.format_derivation(random_derivation(rng, m, n, p, degree=2)) for _ in range(4)]
+    if n + p <= 8:
+        for _ in range(3):
+            point = random_point(rng, m, n, p, degree=1)
+            texts.append(fmt.format_morphism(point.morphism))
+            texts.append(fmt.format_factored(point.body, point.fields, point.p))
+    return texts
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 1, 0), (2, 2, 3), (3, 1, 2), (2, 40, 30)])
+def test_lexer_matches_the_reference_on_canonical_texts(m, n, p):
+    documents = set()
+    for text in _canonical_texts(m, n, p):
+        mine, reference = _lexed(text)
+        assert mine == reference, text
+        documents.add(mine[2])
+    assert documents == {"morphism", "factored", "derivation"}
+
+
+LEXER_EDGE_CASES = [
+    "",
+    " \t\r \t\r\n\r\n \t",
+    "x1 \t\r\n\t\r + \r\tth1",
+    "th [1,\n2]*t\n[3] + X [4]",
+    "th[1,\n2,\n 3]\nt[5]",
+    "X[1,2]: th[1]*d/dx1",
+    "X [3] : d/dth2\np: 4",
+    "x1[7] + [9] + th2[8] + t3[6]",
+    "th[[2],5] + t[] + th[3]",
+    "theta + tx + t_ + t_1 + t1x + th12abc + x12abc + xy",
+    "d/dx12 + d/dth3*x2 + d/dx + d/dth + d/d + d/ dx1 + dx1",
+    "x1 - x2 -> -x3 --> x4 - > x5 ->-x6 -",
+    "phi0 + phi0x + X + Xs",
+    "t[1] -> t[1,2]\ntarget: 4",
+    "x1 @ x2",
+    "x1 + é",
+    "té",
+    "x١٢ + th[٣]",
+    "2/3*x1^4 + (x2)^2*t3",
+    "x1 -> x1; th1 -> th1; inverse: x1 -> x1",
+]
+
+
+@pytest.mark.parametrize("text", LEXER_EDGE_CASES)
+def test_lexer_matches_the_reference_on_edge_cases(text):
+    mine, reference = _lexed(text)
+    assert mine == reference
+
+
+@pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT <= 5000, reason="no digit limit below 5001 on int/str conversion"
+)
+@pytest.mark.parametrize("spelling", ["{}", "x{}", "th{}", "t{}", "d/dx{}", "d/dth{}", "th[{}]"])
+def test_lexer_long_integers_match_the_reference(spelling):
+    text = "x1 + " + spelling.format("1" * 5001)
+    mine, reference = _lexed(text)
+    assert mine == reference
+    offset = 8 if spelling == "th[{}]" else 5  # the token's own offset
+    assert mine[:2] == (
+        LimitError, f"integer at byte {offset} has more than {DIGIT_LIMIT} digits"
+    )
