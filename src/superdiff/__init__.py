@@ -29,7 +29,7 @@ from .superfn import (
     map_external,
     substitute_generators,
 )
-from .substitution import UnderlyingMorphism, invert_matrix
+from .substitution import UnderlyingMorphism
 from .derivation import (
     IndexPartition,
     SuperDerivation,
@@ -105,7 +105,6 @@ __all__ = [
     "gr_push",
     "hom_apply",
     "invert",
-    "invert_matrix",
     "is_invertible",
     "log_unipotent",
     "map_external",

@@ -256,15 +256,10 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     pp = max(left.p, right.p)
 
     def pad(d: SuperDerivation) -> SuperDerivation:
-        return SuperDerivation(
-            mm,
-            nn,
-            pp,
-            [g.embed(mm, nn, pp) for g in d.x_coeffs]
-            + [Superfunction.zero(mm, nn, pp)] * (mm - d.m),
-            [g.embed(mm, nn, pp) for g in d.th_coeffs]
-            + [Superfunction.zero(mm, nn, pp)] * (nn - d.n),
-        )
+        """d on mm|nn;pp: each part embedded, then zeros for the new slots."""
+        zero = Superfunction.zero(mm, nn, pp)
+        x, th = ([g.embed(mm, nn, pp) for g in part] for part in (d.x_coeffs, d.th_coeffs))
+        return SuperDerivation(mm, nn, pp, x + [zero] * (mm - d.m), th + [zero] * (nn - d.n))
 
     result = pad(left).bracket(pad(right))
     _emit(

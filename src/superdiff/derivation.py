@@ -5,9 +5,16 @@ A `SuperDerivation` is a first-order operator
     sum_i  c_i * d/dx_i  +  sum_j  g_j * d/dth_j
 
 whose coefficients are superfunctions (possibly involving external odd
-constants t[k]).  It acts on a superfunction by differentiating term by
-term and multiplying each result by the coefficient from the left.  The
-action reads the stored form of `superfn` directly: the derivatives of
+constants t[k]).  A field is its coefficient vector: m + n
+superfunctions, the d/dx slots first, stored as one tuple.  Every
+coefficient-wise operation (negation, scaling, premultiplication,
+lifting, and the relabelling and t-component maps of the other modules)
+is one `_map` over that vector, and every sum of fields is one
+`_combine`, which sums each slot over the integers.
+
+A field acts on a superfunction by differentiating term by term and
+multiplying each result by the coefficient from the left.  The action
+reads the stored form of `superfn` directly: the derivatives of
 the argument are taken on its integer numerators, and every
 c_i * d_i(f) is summed as integers over the lcm of the coefficients'
 denominators, then reduced once.
@@ -37,9 +44,13 @@ IndexTuple = tuple[int, ...]
 
 
 class SuperDerivation:
-    """A super vector field with superfunction coefficients."""
+    """A super vector field with superfunction coefficients.
 
-    __slots__ = ("m", "n", "p", "x_coeffs", "th_coeffs")
+    The field is its coefficient vector: m + n superfunctions, the d/dx
+    slots first.  `x_coeffs` and `th_coeffs` are views of its two parts.
+    """
+
+    __slots__ = ("m", "n", "p", "_coeffs")
 
     def __init__(
         self,
@@ -56,58 +67,65 @@ class SuperDerivation:
                 f"expected {m} even and {n} odd coefficients, "
                 f"got {len(x_coeffs)} and {len(th_coeffs)}"
             )
-        for g in x_coeffs + th_coeffs:
+        coeffs = x_coeffs + th_coeffs
+        for g in coeffs:
             if (g.m, g.n, g.p) != (m, n, p):
                 raise DimensionError("coefficient lives on the wrong domain")
         self.m = m
         self.n = n
         self.p = p
-        self.x_coeffs = x_coeffs
-        self.th_coeffs = th_coeffs
+        self._coeffs = coeffs
+
+    @classmethod
+    def _of(cls, m: int, n: int, p: int, coeffs: Sequence[Superfunction]) -> "SuperDerivation":
+        """The field with coefficient vector `coeffs`, d/dx slots first."""
+        return cls(m, n, p, coeffs[:m], coeffs[m:])
+
+    @property
+    def x_coeffs(self) -> tuple[Superfunction, ...]:
+        return self._coeffs[: self.m]
+
+    @property
+    def th_coeffs(self) -> tuple[Superfunction, ...]:
+        return self._coeffs[self.m :]
 
     @classmethod
     def zero(cls, m: int, n: int, p: int = 0) -> "SuperDerivation":
-        z = Superfunction.zero(m, n, p)
-        return cls(m, n, p, [z] * m, [z] * n)
+        return cls._of(m, n, p, [Superfunction.zero(m, n, p)] * (m + n))
+
+    @classmethod
+    def _unit(cls, slot: int, m: int, n: int, p: int) -> "SuperDerivation":
+        """The field with coefficient 1 in slot `slot` of the vector, 0 elsewhere."""
+        coeffs = [Superfunction.zero(m, n, p)] * (m + n)
+        coeffs[slot] = Superfunction.scalar(1, m, n, p)
+        return cls._of(m, n, p, coeffs)
 
     @classmethod
     def d_dx(cls, i: int, m: int, n: int, p: int = 0) -> "SuperDerivation":
         if not 1 <= i <= m:
             raise DimensionError(f"variable index {i} out of range 1..{m}")
-        base = cls.zero(m, n, p)
-        coeffs = list(base.x_coeffs)
-        coeffs[i - 1] = Superfunction.scalar(1, m, n, p)
-        return cls(m, n, p, coeffs, base.th_coeffs)
+        return cls._unit(i - 1, m, n, p)
 
     @classmethod
     def d_dtheta(cls, j: int, m: int, n: int, p: int = 0) -> "SuperDerivation":
         if not 1 <= j <= n:
             raise DimensionError(f"odd coordinate index {j} out of range 1..{n}")
-        base = cls.zero(m, n, p)
-        coeffs = list(base.th_coeffs)
-        coeffs[j - 1] = Superfunction.scalar(1, m, n, p)
-        return cls(m, n, p, base.x_coeffs, coeffs)
+        return cls._unit(m + j - 1, m, n, p)
 
     def is_zero(self) -> bool:
-        return all(g.is_zero() for g in self.x_coeffs + self.th_coeffs)
+        return all(g.is_zero() for g in self._coeffs)
 
     # -- grading -------------------------------------------------------
 
     def parity(self) -> Optional[int]:
         """Total parity (counting th and t factors); None if mixed."""
         parities = set()
-        for g in self.x_coeffs:
+        for slot, g in enumerate(self._coeffs):
             q = g.parity()
             if q is None:
                 return None
             if not g.is_zero():
-                parities.add(q)
-        for g in self.th_coeffs:
-            q = g.parity()
-            if q is None:
-                return None
-            if not g.is_zero():
-                parities.add((q + 1) % 2)
+                parities.add((q + (slot >= self.m)) % 2)  # d/dth is odd
         if not parities:
             return 0
         return parities.pop() if len(parities) == 1 else None
@@ -118,12 +136,10 @@ class SuperDerivation:
         Coefficients of d/dx contribute their j_degree, coefficients of
         d/dth contribute one less; the zero field reports +inf.
         """
-        degree: Union[int, float] = math.inf
-        for g in self.x_coeffs:
-            degree = min(degree, g.j_degree())
-        for g in self.th_coeffs:
-            degree = min(degree, g.j_degree() - 1)
-        return degree
+        return min(
+            (g.j_degree() - (slot >= self.m) for slot, g in enumerate(self._coeffs)),
+            default=math.inf,
+        )
 
     # -- linear structure ----------------------------------------------
 
@@ -131,38 +147,31 @@ class SuperDerivation:
         if (self.m, self.n, self.p) != (other.m, other.n, other.p):
             raise DimensionError("fields live on different domains")
 
+    def _map(
+        self, fn: Callable[[Superfunction], Superfunction], p: Optional[int] = None
+    ) -> "SuperDerivation":
+        """The field whose coefficients are fn(c), at rank p (this field's by default)."""
+        return SuperDerivation._of(
+            self.m, self.n, self.p if p is None else p, [fn(c) for c in self._coeffs]
+        )
+
     def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
         if not isinstance(other, SuperDerivation):
             return NotImplemented
         self._check(other)
-        return SuperDerivation(
-            self.m,
-            self.n,
-            self.p,
-            [a + b for a, b in zip(self.x_coeffs, other.x_coeffs)],
-            [a + b for a, b in zip(self.th_coeffs, other.th_coeffs)],
-        )
+        return _combine((1, 1), (self, other))
 
     def __neg__(self) -> "SuperDerivation":
-        return SuperDerivation(
-            self.m,
-            self.n,
-            self.p,
-            [-g for g in self.x_coeffs],
-            [-g for g in self.th_coeffs],
-        )
+        return self._map(lambda g: -g)
 
     def __sub__(self, other: "SuperDerivation") -> "SuperDerivation":
-        return self + (-other)
+        if not isinstance(other, SuperDerivation):
+            return NotImplemented
+        self._check(other)
+        return _combine((1, -1), (self, other))
 
     def scale(self, c: Scalar) -> "SuperDerivation":
-        return SuperDerivation(
-            self.m,
-            self.n,
-            self.p,
-            [g.scale(c) for g in self.x_coeffs],
-            [g.scale(c) for g in self.th_coeffs],
-        )
+        return self._map(lambda g: g.scale(c))
 
     def __mul__(self, other: Scalar) -> "SuperDerivation":
         if isinstance(other, (int, Fraction)):
@@ -176,24 +185,12 @@ class SuperDerivation:
 
     def premultiply(self, g: Superfunction) -> "SuperDerivation":
         """The operator f -> g * self(f); still a derivation."""
-        return SuperDerivation(
-            self.m,
-            self.n,
-            self.p,
-            [g * c for c in self.x_coeffs],
-            [g * c for c in self.th_coeffs],
-        )
+        return self._map(lambda c: g * c)
 
     def lift(self, p_new: int) -> "SuperDerivation":
         if p_new == self.p:
             return self
-        return SuperDerivation(
-            self.m,
-            self.n,
-            p_new,
-            [g.lift(p_new) for g in self.x_coeffs],
-            [g.lift(p_new) for g in self.th_coeffs],
-        )
+        return self._map(lambda g: g.lift(p_new), p_new)
 
     # -- action ----------------------------------------------------------
 
@@ -201,7 +198,7 @@ class SuperDerivation:
         """Act on a superfunction: sum_i c_i * d_i(f), over the integers."""
         if (f.m, f.n, f.p) != (self.m, self.n, self.p):
             raise DimensionError("field and superfunction live on different domains")
-        coeffs = self.x_coeffs + self.th_coeffs
+        coeffs = self._coeffs
         den = math.lcm(*[c._den for c in coeffs])
         total: IntegerBuckets = {}
         m, data = self.m, f._data
@@ -237,26 +234,17 @@ class SuperDerivation:
         else:
             sign = -1 if (qa * qb) % 2 else 1
         m, n, p = self.m, self.n, self.p
-        x_out = []
-        for i in range(1, m + 1):
-            gen = Superfunction.coordinate(i, m, n, p)
-            x_out.append(
-                self.apply(other.apply(gen)) - other.apply(self.apply(gen)).scale(sign)
-            )
-        th_out = []
-        for j in range(1, n + 1):
-            gen = Superfunction.theta(j, m, n, p)
-            th_out.append(
-                self.apply(other.apply(gen)) - other.apply(self.apply(gen)).scale(sign)
-            )
-        return SuperDerivation(m, n, p, x_out, th_out)
+        values = [
+            self.apply(other.apply(gen)) - other.apply(self.apply(gen)).scale(sign)
+            for gen in _coordinates(m, n, p)
+        ]
+        return SuperDerivation._of(m, n, p, values)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SuperDerivation)
             and (self.m, self.n, self.p) == (other.m, other.n, other.p)
-            and self.x_coeffs == other.x_coeffs
-            and self.th_coeffs == other.th_coeffs
+            and self._coeffs == other._coeffs
         )
 
     def __str__(self) -> str:
@@ -348,15 +336,15 @@ def symmetrize_apply(ops: Sequence[PrefixedOp], f: Superfunction) -> Superfuncti
     fields = [_normalize_op(op) for op in ops]
     if not fields:
         return f
-    total = Superfunction.zero(f.m, f.n, f.p)
+    values = []
     for order in permutations(range(len(fields))):
         value = f
         for idx in reversed(order):
             value = fields[idx].apply(value)
             if value.is_zero():
                 break
-        total = total + value
-    return total.scale(Fraction(1, math.factorial(len(fields))))
+        values.append(value)
+    return _combine([Fraction(1, len(values))] * len(values), values)
 
 
 # -- transport along substitutions ---------------------------------------
@@ -373,9 +361,9 @@ def pushforward(phi0: UnderlyingMorphism, field: SuperDerivation) -> SuperDeriva
         raise DimensionError("substitution and field live on different domains")
     if phi0.inverse is None:
         raise InvertibilityError("pushforward needs a certified inverse")
-    inv, m = phi0.inverse, field.m
+    inv = phi0.inverse
     out = [inv.apply(field.apply(g.lift(field.p))) for g in phi0.images]
-    return SuperDerivation(m, field.n, field.p, out[:m], out[m:])
+    return SuperDerivation._of(field.m, field.n, field.p, out)
 
 
 # -- exponential and logarithm -------------------------------------------
@@ -410,9 +398,9 @@ def _combine(weights: Sequence[Scalar], terms: Sequence[_Term]) -> _Term:
     first = terms[0]
     if isinstance(first, Superfunction):
         return _combination(weights, terms)
-    columns = zip(*(term.x_coeffs + term.th_coeffs for term in terms))
+    columns = zip(*(term._coeffs for term in terms))
     sums = [_combination(weights, column) for column in columns]
-    return SuperDerivation(first.m, first.n, first.p, sums[: first.m], sums[first.m :])
+    return SuperDerivation._of(first.m, first.n, first.p, sums)
 
 
 def _exp_coeff(k: int) -> Fraction:
@@ -461,7 +449,7 @@ def log_unipotent(phi: UnderlyingMorphism) -> SuperDerivation:
         _series(lambda f: phi.apply(f) - f, g, _log_coeff) - g
         for g in _coordinates(m, phi.n)
     ]
-    field = SuperDerivation(m, phi.n, 0, coeffs[:m], coeffs[m:])
+    field = SuperDerivation._of(m, phi.n, 0, coeffs)
     if field.parity() != 0:
         raise ParityError("logarithm produced a field of mixed parity")
     return field

@@ -70,7 +70,6 @@ _FIELD = (1 << _WIDTH) - 1
 _LIMIT = (1 << (_WIDTH - 1)) - 1
 
 
-@lru_cache(maxsize=1 << 16)
 def merge_indices(a: IndexTuple, b: IndexTuple) -> Optional[tuple[int, IndexTuple]]:
     """Merge two increasing index tuples of anticommuting symbols.
 

@@ -30,6 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from .derivation import (
     SuperDerivation,
+    _combine,
     _exp_coeff,
     _series,
     exp_nilpotent,
@@ -247,15 +248,21 @@ def _validate_family(
     return clean
 
 
+def _prefixed(key: IndexTuple, field: SuperDerivation, p: int) -> SuperDerivation:
+    """t[key] * X at rank p, for a field X without external part."""
+    m, n = field.m, field.n
+    prefix = Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), key)
+    return field.lift(p).premultiply(prefix)
+
+
 def _family_operator(
     m: int, n: int, p: int, fields: Mapping[IndexTuple, SuperDerivation]
 ) -> SuperDerivation:
     """The even rank-p derivation  sum_I t[I] * X_I."""
-    total = SuperDerivation.zero(m, n, p)
-    for key in sorted(fields, key=lambda k: (len(k), k)):
-        prefix = Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), key)
-        total = total + fields[key].lift(p).premultiply(prefix)
-    return total
+    terms = [SuperDerivation.zero(m, n, p)] + [
+        _prefixed(key, fields[key], p) for key in sorted(fields, key=lambda k: (len(k), k))
+    ]
+    return _combine([1] * len(terms), terms)
 
 
 def expand_factored(
@@ -324,8 +331,7 @@ def factorize(
     def operator(block: IndexTuple) -> SuperDerivation:
         """t[block]·X_block, built once."""
         if block not in operators:
-            prefix = Superfunction.monomial(m, n, p, Polynomial.const(1, m), (), block)
-            operators[block] = fields[block].lift(p).premultiply(prefix)
+            operators[block] = _prefixed(block, fields[block], p)
         return operators[block]
 
     for index_set in subsets_of_rank(p):
@@ -346,14 +352,8 @@ def factorize(
                 ops = [operator(block) for block in partition.blocks]
                 target = target - symmetrize_apply(ops, body_image)
             values.append(inverse.apply(target))
-        pushed = pushforward(inverse, SuperDerivation(m, n, p, values[:m], values[m:]))
-        candidate = SuperDerivation(
-            m,
-            n,
-            0,
-            [g.external_coefficient(index_set) for g in pushed.x_coeffs],
-            [g.external_coefficient(index_set) for g in pushed.th_coeffs],
-        )
+        pushed = pushforward(inverse, SuperDerivation._of(m, n, p, values))
+        candidate = pushed._map(lambda g: g.external_coefficient(index_set), 0)
         if candidate.is_zero():
             continue
         if candidate.parity() != len(index_set) % 2:

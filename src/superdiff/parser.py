@@ -55,7 +55,9 @@ Python converts to or from text (`sys.get_int_max_str_digits`, 4300 by
 default) raises LimitError, in the tokenizer and in the printers; a
 number raised to a power is refused by the printers' message as soon as
 k·log10 of its numerator or denominator passes that limit, before the
-power is taken.
+power is taken; a parenthesised factor is estimated by the coefficients
+of the lowest and the highest term of its body (its terms free of th
+and t), whose k-th powers are coefficients of the result.
 """
 
 from __future__ import annotations
@@ -257,9 +259,7 @@ class _Monomial(NamedTuple):
             return _ONE
         if self.mask:
             return self._replace(num=0)  # odd factors square to zero
-        limit = _digit_limit()
-        if limit and k * math.log10(max(self.num, self.den)) > limit:
-            raise LimitError(f"a coefficient has more than {limit} digits to print")
+        _check_digits(k, self.num, self.den)
         return _Monomial(self.num**k, self.den**k, self.key * k, self.mask)
 
 
@@ -267,6 +267,15 @@ _ONE = _Monomial(1, 1, 0, 0)
 
 # Python's limit on the digits of an int converted to or from text, 0 if none
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _check_digits(k: int, num: int, den: int) -> None:
+    """LimitError, before (num/den)^k is taken, when its numerator or
+    denominator would have more digits than Python prints."""
+    limit = _digit_limit()
+    if limit and k * math.log10(max(abs(num), den)) > limit:
+        raise LimitError(f"a coefficient has more than {limit} digits to print")
+
 
 # A factor as read: a value, or a monomial atom with its power (applied
 # when its run is folded), and the offset of its first token.
@@ -424,6 +433,16 @@ class _Parser:
             raise ParseError(caret.offset, (), "cannot raise a differential operator to a power")
         if isinstance(value, _Monomial):
             return value, exponent, offset  # type: ignore[return-value]
+        body = value._data.get(0)  # type: ignore[union-attr]
+        if body:
+            # the lowest and the highest term of the body (packed keys compare
+            # in a lex order) raised to the k-th power are terms of the power's
+            # body, so their coefficients would be printed; a nilpotent value
+            # has no body and is never refused
+            den = value._den  # type: ignore[union-attr]
+            for key in (min(body), max(body)):
+                g = math.gcd(body[key], den)
+                _check_digits(exponent, body[key] // g, den // g)
         return value**exponent, 1, offset  # type: ignore[operator]
 
     def parse_index_list(self) -> IndexTuple:
@@ -707,7 +726,8 @@ def _substitution(
     n = len(th_images) if n is None else n
     inverse = block.headers.get("inverse")
     hint = None if inverse is None else _substitution(inverse, m, n)
-    body = UnderlyingMorphism(m, n, _rank0(x_images, m, n), _rank0(th_images, m, n))
+    images = [_rank0(g, m, n) for g in x_images + th_images]
+    body = UnderlyingMorphism(m, n, images[: len(x_images)], images[len(x_images) :])
     return body if hint is None else body.with_inverse(hint)
 
 
@@ -716,9 +736,9 @@ def _check_t_free(values: Sequence[Superfunction], offset: int, what: str) -> No
         raise ParseError(offset, (), f"{what} must be free of t generators")
 
 
-def _rank0(values: Sequence[Superfunction], m: int, n: int) -> list[Superfunction]:
-    """t-free values at external rank 0 on m|n."""
-    return [g.restrict_rank(0).embed(m, n, 0) for g in values]
+def _rank0(value: Superfunction, m: int, n: int) -> Superfunction:
+    """A t-free value at external rank 0 on m|n."""
+    return value.restrict_rank(0).embed(m, n, 0)
 
 
 MorphismResult = Union[SuperMorphism, GrassmannMorphism]
@@ -758,14 +778,8 @@ def _morphism(
         if rank < dims.p:
             raise DimensionError(f"declared rank {rank} but images use t[{dims.p}]")
         pp = rank
-    return SuperMorphism(
-        mm,
-        nn,
-        pp,
-        [g.embed(mm, nn, pp) for g in x_images],
-        [g.embed(mm, nn, pp) for g in th_images],
-        inverse_hint=hint,
-    )
+    images = [g.embed(mm, nn, pp) for g in x_images + th_images]
+    return SuperMorphism(mm, nn, pp, images[:mm], images[mm:], inverse_hint=hint)
 
 
 def parse_morphism(
@@ -799,13 +813,10 @@ def _factored(tokens: Tokens) -> Factored:
         key: field for key, field in top.fields.items() if isinstance(field, SuperDerivation)
     }
     for field in fields.values():
-        _check_t_free(list(field.x_coeffs) + list(field.th_coeffs), 0, "components")
+        _check_t_free(field._coeffs, 0, "components")
     body = _substitution(phi0)
     m, n = body.m, body.n
-    clean = {
-        key: SuperDerivation(m, n, 0, _rank0(field.x_coeffs, m, n), _rank0(field.th_coeffs, m, n))
-        for key, field in fields.items()
-    }
+    clean = {key: field._map(lambda g: _rank0(g, m, n), 0) for key, field in fields.items()}
     rank = top.headers.get("p")
     return body, clean, _visible_rank(fields) if rank is None else rank
 
@@ -937,10 +948,9 @@ def format_derivation(field: SuperDerivation) -> str:
         else:
             chunks.append((1, f"({_join_terms(terms)})*{op_name}"))
 
-    for i, coeff in enumerate(field.x_coeffs, start=1):
-        emit(coeff, f"d/dx{i}")
-    for j, coeff in enumerate(field.th_coeffs, start=1):
-        emit(coeff, f"d/dth{j}")
+    m = field.m
+    for slot, coeff in enumerate(field._coeffs):
+        emit(coeff, f"d/dx{slot + 1}" if slot < m else f"d/dth{slot - m + 1}")
     return _join_terms(chunks)
 
 
@@ -952,9 +962,10 @@ def image_pairs(phi: Images) -> list[tuple[str, str]]:
 
     The one spelling of an image block, in text and in JSON documents.
     """
-    pairs = [(f"x{i}", format_superfunction(g)) for i, g in enumerate(phi.images_x, 1)]
-    return pairs + [
-        (f"th{j}", format_superfunction(g)) for j, g in enumerate(phi.images_th, 1)
+    m = phi.m
+    return [
+        (f"x{i + 1}" if i < m else f"th{i - m + 1}", format_superfunction(g))
+        for i, g in enumerate(phi.images)
     ]
 
 

@@ -17,7 +17,7 @@ from .derivation import SuperDerivation, exp_nilpotent
 from .grassmann import GrassmannElement, GrassmannMorphism
 from .morphism import SuperMorphism, subsets_of_rank
 from .sdiff import SDiffPoint
-from .substitution import UnderlyingMorphism, invert_matrix
+from .substitution import UnderlyingMorphism, _invert_matrix
 from .superfn import Polynomial, Superfunction
 
 IndexTuple = tuple[int, ...]
@@ -94,15 +94,13 @@ def random_derivation(
     parity: Optional[int] = None,
 ) -> SuperDerivation:
     th_parity = None if parity is None else (parity + 1) % 2
-    x_coeffs = [
-        random_superfunction(rng, m, n, p, degree, terms=2, parity=parity)
-        for _ in range(m)
+    coeffs = [
+        random_superfunction(
+            rng, m, n, p, degree, terms=2, parity=parity if slot < m else th_parity
+        )
+        for slot in range(m + n)
     ]
-    th_coeffs = [
-        random_superfunction(rng, m, n, p, degree, terms=2, parity=th_parity)
-        for _ in range(n)
-    ]
-    return SuperDerivation(m, n, p, x_coeffs, th_coeffs)
+    return SuperDerivation._of(m, n, p, coeffs)
 
 
 def random_invertible_matrix(rng: random.Random, size: int) -> list[list[Fraction]]:
@@ -110,7 +108,7 @@ def random_invertible_matrix(rng: random.Random, size: int) -> list[list[Fractio
         rows = [
             [random_fraction(rng) for _ in range(size)] for _ in range(size)
         ]
-        if invert_matrix(rows) is not None:
+        if _invert_matrix(rows) is not None:
             return rows
 
 
@@ -147,27 +145,17 @@ def random_filtration_field(
     x coefficients carry at least two odd factors, th coefficients at
     least three, so the exponential of the result is unipotent.
     """
-    x_coeffs = []
-    for _ in range(m):
+    coeffs = []
+    for slot in range(m + n):
         g = Superfunction.zero(m, n, 0)
-        for theta_key in combinations(range(1, n + 1), 2):
+        for theta_key in combinations(range(1, n + 1), 2 if slot < m else 3):
             coeff = random_fraction(rng)
             if coeff == 0:
                 continue
             poly = Polynomial(m, {random_exponents(rng, m, degree): coeff})
             g = g + Superfunction.monomial(m, n, 0, poly, theta_key, ())
-        x_coeffs.append(g)
-    th_coeffs = []
-    for _ in range(n):
-        g = Superfunction.zero(m, n, 0)
-        for theta_key in combinations(range(1, n + 1), 3):
-            coeff = random_fraction(rng)
-            if coeff == 0:
-                continue
-            poly = Polynomial(m, {random_exponents(rng, m, degree): coeff})
-            g = g + Superfunction.monomial(m, n, 0, poly, theta_key, ())
-        th_coeffs.append(g)
-    return SuperDerivation(m, n, 0, x_coeffs, th_coeffs)
+        coeffs.append(g)
+    return SuperDerivation._of(m, n, 0, coeffs)
 
 
 def random_body(rng: random.Random, m: int, n: int, degree: int = 2) -> UnderlyingMorphism:

@@ -99,32 +99,16 @@ def section_basis(m: int, n: int, p: int, degree: int) -> list[LambdaSection]:
         )
 
     zero = Superfunction.zero(m, n, p)
-    for slot in range(m):
+    for slot in range(m + n):
+        odd = int(slot >= m)  # a d/dth slot takes odd coefficients
         for theta_key in theta_sets:
             for tau_key in tau_sets:
-                if (len(theta_key) + len(tau_key)) % 2 != 0:
+                if (len(theta_key) + len(tau_key)) % 2 != odd:
                     continue
                 for exps in exponents:
-                    x_coeffs = [zero] * m
-                    x_coeffs[slot] = coefficient(exps, theta_key, tau_key)
-                    basis.append(
-                        LambdaSection(
-                            SuperDerivation(m, n, p, x_coeffs, [zero] * n)
-                        )
-                    )
-    for slot in range(n):
-        for theta_key in theta_sets:
-            for tau_key in tau_sets:
-                if (len(theta_key) + len(tau_key)) % 2 != 1:
-                    continue
-                for exps in exponents:
-                    th_coeffs = [zero] * n
-                    th_coeffs[slot] = coefficient(exps, theta_key, tau_key)
-                    basis.append(
-                        LambdaSection(
-                            SuperDerivation(m, n, p, [zero] * m, th_coeffs)
-                        )
-                    )
+                    coeffs = [zero] * (m + n)
+                    coeffs[slot] = coefficient(exps, theta_key, tau_key)
+                    basis.append(LambdaSection(SuperDerivation._of(m, n, p, coeffs)))
     return basis
 
 
@@ -135,15 +119,7 @@ def functor_action(morphism: GrassmannMorphism, section: LambdaSection) -> Lambd
         raise DimensionError(
             f"section has external rank {field.p}, morphism expects {morphism.source_n}"
         )
-    return LambdaSection(
-        SuperDerivation(
-            field.m,
-            field.n,
-            morphism.target_n,
-            [map_external(g, morphism) for g in field.x_coeffs],
-            [map_external(g, morphism) for g in field.th_coeffs],
-        )
-    )
+    return LambdaSection(field._map(lambda g: map_external(g, morphism), morphism.target_n))
 
 
 def skeleton_decompose(section: LambdaSection) -> dict[IndexTuple, SuperDerivation]:
@@ -154,17 +130,11 @@ def skeleton_decompose(section: LambdaSection) -> dict[IndexTuple, SuperDerivati
     """
     field = section.field
     support: set[IndexTuple] = set()
-    for g in list(field.x_coeffs) + list(field.th_coeffs):
+    for g in field._coeffs:
         support.update(g.external_support())
     out: dict[IndexTuple, SuperDerivation] = {}
     for tau_key in sorted(support, key=lambda j: (len(j), j)):
-        component = SuperDerivation(
-            field.m,
-            field.n,
-            0,
-            [g.external_coefficient(tau_key) for g in field.x_coeffs],
-            [g.external_coefficient(tau_key) for g in field.th_coeffs],
-        )
+        component = field._map(lambda g: g.external_coefficient(tau_key), 0)
         if component.is_zero():
             continue
         if component.parity() != len(tau_key) % 2:

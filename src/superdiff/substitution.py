@@ -36,7 +36,7 @@ from .superfn import (
 )
 
 
-def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
+def _invert_matrix(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fraction]]]:
     """Exact inverse of a square rational matrix, or None if singular."""
     size = len(rows)
     aug = [
@@ -249,7 +249,7 @@ def _affine(
     The inverse is x -> A^-1 (x - shift), th -> C^-1 th; None when A or
     C is singular.
     """
-    inv_x, inv_th = invert_matrix(matrix_x), invert_matrix(matrix_th)
+    inv_x, inv_th = _invert_matrix(matrix_x), _invert_matrix(matrix_th)
     if inv_x is None or inv_th is None:
         return None
     inv_shift = [-sum((a * s for a, s in zip(row, shift)), Fraction(0)) for row in inv_x]

@@ -400,3 +400,27 @@ def test_power_past_the_digit_limit_is_refused_while_parsing(tmp_path, capsys):
         assert (code, out, err) == (6, "", limit)
     code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", "2^14000*x1\n"))
     assert (code, out, err) == (0, f"{2**14000}*x1\n", "")
+
+
+@pytest.mark.skipif(
+    not 4215 <= DIGIT_LIMIT < 10**9, reason="needs a digit limit that 2^14000 fits under"
+)
+def test_parenthesised_power_past_the_digit_limit_is_refused_while_parsing(tmp_path, capsys):
+    # the coefficients of the lowest and the highest term of the body are
+    # estimated before the power is taken; a nilpotent value has no body
+    # and is never refused
+    identity = write(tmp_path, "id.txt", "x1 -> x1\nth1 -> th1\nth2 -> th2\n")
+    limit = f"limit exceeded: a coefficient has more than {DIGIT_LIMIT} digits to print\n"
+    for text in ("(3)^2147483647*x1\n", "(x1 - 3/2)^2147483647\n", "(-3*x1 + th[1,2])^10000\n"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", text))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (6, "", limit)
+    code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", "(2)^14000*x1\n"))
+    assert (code, out, err) == (0, f"{2**14000}*x1\n", "")
+    code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", "(th[1,2])^5\n"))
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run_cli(
+        capsys, "apply", identity, write(tmp_path, "f.txt", "(1 + th[1,2])^2147483647\n")
+    )
+    assert (code, out, err) == (0, "1 + 2147483647*th[1,2]\n", "")

@@ -115,6 +115,49 @@ def test_coordinate_operator_indices_are_checked():
             SuperDerivation.d_dtheta(i, 2, 2)
 
 
+@pytest.mark.parametrize("m, n, p", [(1, 1, 0), (2, 2, 3), (3, 1, 2)])
+def test_field_operations_match_their_definitions(m, n, p):
+    # each operation acts coefficient by coefficient, d/dx slots first
+    rng = random.Random(f"field operations {m}|{n};{p}")
+    for _ in range(5):
+        X = random_derivation(rng, m, n, p, degree=2)
+        Y = random_derivation(rng, m, n, p, degree=2)
+        g = random_superfunction(rng, m, n, p, degree=1, terms=3)
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+        xs, ys = X.x_coeffs + X.th_coeffs, Y.x_coeffs + Y.th_coeffs
+        assert len(X.x_coeffs) == m and len(X.th_coeffs) == n
+        cases = [
+            (X + Y, [a + b for a, b in zip(xs, ys)], p),
+            (X - Y, [a - b for a, b in zip(xs, ys)], p),
+            (-X, [-a for a in xs], p),
+            (X.scale(c), [a.scale(c) for a in xs], p),
+            (c * X, [a.scale(c) for a in xs], p),
+            (X * c, [a.scale(c) for a in xs], p),
+            (X.premultiply(g), [g * a for a in xs], p),
+            (X.lift(p + 2), [a.lift(p + 2) for a in xs], p + 2),
+        ]
+        for field, expected, rank in cases:
+            assert (field.m, field.n, field.p) == (m, n, rank)
+            assert list(field.x_coeffs + field.th_coeffs) == expected
+            assert field.x_coeffs == tuple(expected[:m])
+            assert field.th_coeffs == tuple(expected[m:])
+        assert X.lift(p) is X
+
+
+def test_field_operations_reject_foreign_operands():
+    X = SuperDerivation.d_dx(1, 1, 1)
+    with pytest.raises(DimensionError, match="fields live on different domains"):
+        X + SuperDerivation.d_dx(1, 1, 1, 1)
+    with pytest.raises(DimensionError, match="fields live on different domains"):
+        X - SuperDerivation.d_dx(1, 2, 1)
+    with pytest.raises(TypeError):
+        X + 1
+    with pytest.raises(TypeError):
+        X - 1
+    with pytest.raises(TypeError, match="expected an integer or Fraction, got float"):
+        X.scale(0.5)
+
+
 def test_parity_and_filtration():
     th1 = Superfunction.theta(1, 1, 2)
     th12 = th1 * Superfunction.theta(2, 1, 2)

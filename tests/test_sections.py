@@ -1,11 +1,12 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from superdiff import (
     LambdaSection,
+    Polynomial,
     SuperDerivation,
     Superfunction,
     functor_action,
@@ -14,6 +15,7 @@ from superdiff import (
     skeleton_decompose,
 )
 from superdiff.errors import DimensionError, ParityError
+from superdiff.sections import _monomials_up_to
 from superdiff.sampling import (
     random_derivation,
     random_grassmann_morphism,
@@ -65,6 +67,61 @@ def test_basis_count_small_grid():
 def test_basis_rejects_negative_sizes(m, n, degree, message):
     with pytest.raises(DimensionError, match=message):
         section_basis(m, n, 1, degree)
+
+
+def _two_loop_section_basis(m, n, p, degree):
+    """The earlier `section_basis`, one loop block for the d/dx slots and
+    one for the d/dth slots, kept as the reference for the basis order."""
+    exponents = _monomials_up_to(m, degree)
+    theta_sets = [
+        key for size in range(n + 1) for key in combinations(range(1, n + 1), size)
+    ]
+    tau_sets = [
+        key for size in range(p + 1) for key in combinations(range(1, p + 1), size)
+    ]
+    basis = []
+
+    def coefficient(exps, theta_key, tau_key):
+        return Superfunction.monomial(
+            m, n, p, Polynomial(m, {tuple(exps): 1}), theta_key, tau_key
+        )
+
+    zero = Superfunction.zero(m, n, p)
+    for slot in range(m):
+        for theta_key in theta_sets:
+            for tau_key in tau_sets:
+                if (len(theta_key) + len(tau_key)) % 2 != 0:
+                    continue
+                for exps in exponents:
+                    x_coeffs = [zero] * m
+                    x_coeffs[slot] = coefficient(exps, theta_key, tau_key)
+                    basis.append(
+                        LambdaSection(
+                            SuperDerivation(m, n, p, x_coeffs, [zero] * n)
+                        )
+                    )
+    for slot in range(n):
+        for theta_key in theta_sets:
+            for tau_key in tau_sets:
+                if (len(theta_key) + len(tau_key)) % 2 != 1:
+                    continue
+                for exps in exponents:
+                    th_coeffs = [zero] * n
+                    th_coeffs[slot] = coefficient(exps, theta_key, tau_key)
+                    basis.append(
+                        LambdaSection(
+                            SuperDerivation(m, n, p, [zero] * m, th_coeffs)
+                        )
+                    )
+    return basis
+
+
+def test_basis_matches_two_loop_reference():
+    for m, n, p, degree in product(range(3), repeat=4):
+        basis = section_basis(m, n, p, degree)
+        reference = _two_loop_section_basis(m, n, p, degree)
+        assert [str(s) for s in basis] == [str(s) for s in reference], (m, n, p, degree)
+        assert basis == reference
 
 
 def test_basis_elements_are_even_sections():
