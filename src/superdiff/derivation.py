@@ -430,9 +430,7 @@ def exp_nilpotent(field: SuperDerivation) -> UnderlyingMorphism:
         [_series(x.apply, g, _exp_coeff) for g in _coordinates(m, n)]
         for x in (field, -field)
     )
-    return UnderlyingMorphism(m, n, fwd[:m], fwd[m:]).with_inverse(
-        UnderlyingMorphism(m, n, bwd[:m], bwd[m:])
-    )
+    return UnderlyingMorphism._of(m, n, fwd).with_inverse(UnderlyingMorphism._of(m, n, bwd))
 
 
 def log_unipotent(phi: UnderlyingMorphism) -> SuperDerivation:

@@ -2,12 +2,13 @@
 
 A `SuperMorphism` is an algebra map from the coordinate ring of R^{m|n}
 into the same ring tensored with p external odd generators t[1..p]; it
-is determined by parity-correct images of the coordinates.  It rests on
-the same base as `UnderlyingMorphism`, `substitution._Substitution`,
-which checks the images once and owns the substitution path, the
-identity and unipotency tests and equality.  A family builds its
-substitution plan per call and keeps none: families are often kept
-long and applied rarely, so retained plans would only hold memory.
+is its image vector, the parity-correct images of the m + n
+coordinates, x's first.  It rests on the same base as
+`UnderlyingMorphism`, `substitution._Substitution`, which stores that
+vector, checks it once and owns the substitution path, the identity and
+unipotency tests and equality.  A family builds its substitution plan
+per call and keeps none: families are often kept long and applied
+rarely, so retained plans would only hold memory.
 Such a family decomposes uniquely as
 
     phi = exp( sum_I t[I] * X_I ) o phi0
@@ -84,23 +85,32 @@ class SuperMorphism(_Substitution):
         self.inverse_hint = inverse_hint
 
     @classmethod
+    def _of(
+        cls,
+        m: int,
+        n: int,
+        p: int,
+        images: Sequence[Superfunction],
+        inverse_hint: Optional[UnderlyingMorphism] = None,
+    ) -> "SuperMorphism":
+        """The family with image vector `images`, x's first."""
+        return cls(m, n, p, images[:m], images[m:], inverse_hint)
+
+    @classmethod
     def identity(cls, m: int, n: int, p: int) -> "SuperMorphism":
-        coords = _coordinates(m, n, p)
-        return cls(m, n, p, coords[:m], coords[m:])
+        return cls._of(m, n, p, _coordinates(m, n, p))
 
     @classmethod
     def constant_family(cls, body: UnderlyingMorphism, p: int) -> "SuperMorphism":
         """The family with no external dependence at all."""
-        return cls(body.m, body.n, 0, body.images_x, body.images_th).lift(p)
+        return cls._of(body.m, body.n, 0, body.images).lift(p)
 
     def lift(self, p: int) -> "SuperMorphism":
         """The same family over p external generators, its hint kept."""
         if p < self.p:
             raise DimensionError(f"cannot lower the rank from {self.p} to {p}")
         images = [g.lift(p) for g in self.images]
-        return SuperMorphism(
-            self.m, self.n, p, images[: self.m], images[self.m :], self.inverse_hint
-        )
+        return SuperMorphism._of(self.m, self.n, p, images, self.inverse_hint)
 
     # -- action ------------------------------------------------------
 
@@ -141,7 +151,7 @@ class SuperMorphism(_Substitution):
     def underlying(self) -> UnderlyingMorphism:
         """Drop all t terms from the images; the ordinary substitution below."""
         body = [g.external_coefficient(()) for g in self.images]
-        return UnderlyingMorphism(self.m, self.n, body[: self.m], body[self.m :])
+        return UnderlyingMorphism._of(self.m, self.n, body)
 
     def compose(self, inner: "SuperMorphism") -> "SuperMorphism":
         """self after inner, external generators shared and held fixed."""
@@ -149,7 +159,7 @@ class SuperMorphism(_Substitution):
             raise DimensionError("cannot compose maps of different domains or ranks")
         plan = self._plan(self.p)
         images = [self._substitute(g, plan) for g in inner.images]
-        return SuperMorphism(self.m, self.n, self.p, images[: self.m], images[self.m :])
+        return SuperMorphism._of(self.m, self.n, self.p, images)
 
     def __str__(self) -> str:
         from .parser import format_morphism
@@ -178,9 +188,7 @@ def gr_push(morphism: GrassmannMorphism, phi: SuperMorphism) -> SuperMorphism:
             f"family has external rank {phi.p}, morphism expects {morphism.source_n}"
         )
     images = [map_external(g, morphism) for g in phi.images]
-    return SuperMorphism(
-        phi.m, phi.n, morphism.target_n, images[: phi.m], images[phi.m :], phi.inverse_hint
-    )
+    return SuperMorphism._of(phi.m, phi.n, morphism.target_n, images, phi.inverse_hint)
 
 
 # -- inverse certification ------------------------------------------------
@@ -275,7 +283,7 @@ def expand_factored(
     family = _validate_family(m, n, p, fields)
     op = _family_operator(m, n, p, family)
     images = [_series(op.apply, g.lift(p), _exp_coeff) for g in body.images]
-    return SuperMorphism(m, n, p, images[:m], images[m:])
+    return SuperMorphism._of(m, n, p, images)
 
 
 def _certified_body(
@@ -344,13 +352,13 @@ def factorize(
                 {mask: poly for mask, poly in image._data.items() if mask >> n == tau},
                 image._den,
             )
-            for partition in unordered_partitions(index_set):
-                if len(partition.blocks) < 2:
-                    continue
-                if any(block not in fields for block in partition.blocks):
-                    continue  # a zero component kills the whole product
-                ops = [operator(block) for block in partition.blocks]
-                target = target - symmetrize_apply(ops, body_image)
+            # a partition with a zero component contributes nothing
+            known = [
+                symmetrize_apply([operator(block) for block in partition.blocks], body_image)
+                for partition in unordered_partitions(index_set)
+                if len(partition.blocks) > 1 and all(block in fields for block in partition.blocks)
+            ]
+            target = _combine([1] + [-1] * len(known), [target, *known])
             values.append(inverse.apply(target))
         pushed = pushforward(inverse, SuperDerivation._of(m, n, p, values))
         candidate = pushed._map(lambda g: g.external_coefficient(index_set), 0)

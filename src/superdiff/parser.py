@@ -779,7 +779,7 @@ def _morphism(
             raise DimensionError(f"declared rank {rank} but images use t[{dims.p}]")
         pp = rank
     images = [g.embed(mm, nn, pp) for g in x_images + th_images]
-    return SuperMorphism(mm, nn, pp, images[:mm], images[mm:], inverse_hint=hint)
+    return SuperMorphism._of(mm, nn, pp, images, inverse_hint=hint)
 
 
 def parse_morphism(

@@ -164,7 +164,7 @@ def compose_factored(outer: SDiffPoint, inner: SDiffPoint) -> SuperMorphism:
     for g in base.images:
         value = _series(op_inner.apply, g.lift(p), _exp_coeff)
         images.append(_series(op_outer.apply, value, _exp_coeff))
-    return SuperMorphism(m, n, p, images[:m], images[m:])
+    return SuperMorphism._of(m, n, p, images)
 
 
 def invert(point: SDiffPoint) -> SDiffPoint:
@@ -178,7 +178,7 @@ def invert(point: SDiffPoint) -> SDiffPoint:
         inv_body.apply(_series(op.apply, gen, _exp_coeff))
         for gen in _coordinates(m, n, p)
     ]
-    return SDiffPoint(SuperMorphism(m, n, p, images[:m], images[m:]), inv_body)
+    return SDiffPoint(SuperMorphism._of(m, n, p, images), inv_body)
 
 
 class SplitPoint(NamedTuple):

@@ -1,12 +1,14 @@
 """Substitution endomorphisms of a superdomain's coordinate ring.
 
-Both morphism types rest on one private base, `_Substitution`: the
-coordinate images of R^{m|n} in the ring on m|n with p external
-generators, checked once at construction, with one way to prepare them
-for substitution (`_plan`) and one substitution path
-(`substitute_generators` with that plan).  Identity and unipotency
-tests and equality live there too; equality is per class, so a family
-at p = 0 never equals a substitution with the same images.
+Both morphism types rest on one private base, `_Substitution`: a
+morphism is its image vector, the m + n coordinate images of R^{m|n}
+(x's first) in the ring on m|n with p external generators, checked once
+at construction, with one way to prepare them for substitution
+(`_plan`) and one substitution path (`substitute_generators` with that
+plan).  Each class builds itself from a vector with `_of`, the one
+place the vector is split at m.  Identity and unipotency tests and
+equality live there too; equality is per class, so a family at p = 0
+never equals a substitution with the same images.
 
 An `UnderlyingMorphism` is the base at p = 0: an even superfunction for
 every x, an odd one for every th, with no external generators involved.
@@ -27,8 +29,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, DomainError
+from .grassmann import _combination, _unpack
 from .superfn import (
-    Polynomial,
     Superfunction,
     _check_images,
     _SubstitutionPlan,
@@ -50,14 +52,12 @@ def _invert_matrix(rows: Sequence[Sequence[Fraction]]) -> Optional[list[list[Fra
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
+        aug[col] = [v * inv_p if v else v for v in aug[col]]
         for r in range(size):
             if r != col and aug[r][col]:
                 factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+                aug[r] = [v - factor * w if w else v for v, w in zip(aug[r], aug[col])]
     return [row[size:] for row in aug]
-
-
 
 
 def _coordinates(m: int, n: int, p: int = 0) -> tuple[Superfunction, ...]:
@@ -68,9 +68,13 @@ def _coordinates(m: int, n: int, p: int = 0) -> tuple[Superfunction, ...]:
 
 
 class _Substitution:
-    """Coordinate images of R^{m|n} in the ring on m|n with p external generators."""
+    """Coordinate images of R^{m|n} in the ring on m|n with p external generators.
 
-    __slots__ = ("m", "n", "p", "images_x", "images_th")
+    The morphism is its image vector `images`: m + n superfunctions,
+    x's first.  `images_x` and `images_th` are views of its two parts.
+    """
+
+    __slots__ = ("m", "n", "p", "images")
 
     def __init__(
         self,
@@ -81,12 +85,16 @@ class _Substitution:
         images_th: Sequence[Superfunction],
     ):
         self.m, self.n, self.p = m, n, p
-        self.images_x, self.images_th = _check_images(images_x, images_th, m, n, p)
+        images_x, images_th = _check_images(images_x, images_th, m, n, p)
+        self.images = images_x + images_th
 
     @property
-    def images(self) -> tuple[Superfunction, ...]:
-        """Every coordinate image, x's first."""
-        return self.images_x + self.images_th
+    def images_x(self) -> tuple[Superfunction, ...]:
+        return self.images[: self.m]
+
+    @property
+    def images_th(self) -> tuple[Superfunction, ...]:
+        return self.images[self.m :]
 
     def _plan(self, p: int) -> _SubstitutionPlan:
         """A plan of the images lifted to external rank p."""
@@ -148,9 +156,19 @@ class UnderlyingMorphism(_Substitution):
         self._plans: dict[int, _SubstitutionPlan] = {}
 
     @classmethod
+    def _of(
+        cls,
+        m: int,
+        n: int,
+        images: Sequence[Superfunction],
+        inverse: Optional["UnderlyingMorphism"] = None,
+    ) -> "UnderlyingMorphism":
+        """The substitution with image vector `images`, x's first."""
+        return cls(m, n, images[:m], images[m:], inverse)
+
+    @classmethod
     def identity(cls, m: int, n: int) -> "UnderlyingMorphism":
-        coords = _coordinates(m, n)
-        phi = cls(m, n, coords[:m], coords[m:])
+        phi = cls._of(m, n, _coordinates(m, n))
         phi.inverse = phi
         return phi
 
@@ -169,11 +187,10 @@ class UnderlyingMorphism(_Substitution):
         if (self.m, self.n) != (inner.m, inner.n):
             raise DimensionError("cannot compose morphisms of different domains")
         m, n = self.m, self.n
-        images = [self.apply(g) for g in inner.images]
-        composite = UnderlyingMorphism(m, n, images[:m], images[m:])
+        composite = UnderlyingMorphism._of(m, n, [self.apply(g) for g in inner.images])
         if self.inverse is not None and inner.inverse is not None:
             images = [inner.inverse.apply(g) for g in self.inverse.images]
-            composite.inverse = UnderlyingMorphism(m, n, images[:m], images[m:], composite)
+            composite.inverse = UnderlyingMorphism._of(m, n, images, composite)
         return composite
 
     def with_inverse(self, candidate: "UnderlyingMorphism") -> "UnderlyingMorphism":
@@ -188,10 +205,8 @@ class UnderlyingMorphism(_Substitution):
         for outer, inner in ((self, candidate), (candidate, self)):
             if any(outer.apply(g) != e for g, e in zip(inner.images, coords)):
                 raise DomainError("candidate inverse fails the exact check")
-        forward = UnderlyingMorphism(self.m, self.n, self.images_x, self.images_th)
-        backward = UnderlyingMorphism(
-            self.m, self.n, candidate.images_x, candidate.images_th, forward
-        )
+        forward = UnderlyingMorphism._of(self.m, self.n, self.images)
+        backward = UnderlyingMorphism._of(self.m, self.n, candidate.images, forward)
         # same images, so the plans built by the check carry over
         forward._plans, backward._plans = self._plans, candidate._plans
         return forward
@@ -199,33 +214,30 @@ class UnderlyingMorphism(_Substitution):
     def affine_part(self) -> Optional["UnderlyingMorphism"]:
         """The affine truncation, when it is exactly invertible.
 
-        Keeps the th-free part of each x image (which must be affine in
-        the x's) and the constant-coefficient linear th part of each th
-        image.  Returns None when either linear piece is singular or the
-        truncation is not affine/constant as required.
+        Of each coordinate's image it keeps the terms with as many th
+        factors as the coordinate (none for an x, one for a th).  These
+        must have degree at most 1 in all coordinates together, so they
+        give x -> A x + shift, th -> C th: one block-diagonal matrix, A
+        over C, and the x shift.  Returns None when a kept term has
+        higher degree or A or C is singular.
         """
         m, n = self.m, self.n
-        matrix_x = [[Fraction(0)] * m for _ in range(m)]
+        matrix = [[Fraction(0)] * (m + n) for _ in range(m + n)]
         shift = [Fraction(0)] * m
-        for i, g in enumerate(self.images_x):
-            base = g.body_polynomial()
-            if base.degree() > 1:
-                return None
-            for exps, coeff in base.terms.items():
-                total = sum(exps)
-                if total == 0:
-                    shift[i] = coeff
-                else:
-                    matrix_x[i][exps.index(1)] = coeff
-        matrix_th = [[Fraction(0)] * n for _ in range(n)]
-        for j, g in enumerate(self.images_th):
-            for (theta_key, _), poly in g.terms.items():
-                if len(theta_key) != 1:
-                    continue
-                if poly.degree() > 0:
-                    return None  # th coefficient depends on x: not constant
-                matrix_th[j][theta_key[0] - 1] = poly.terms.get((0,) * m, Fraction(0))
-        return _affine(m, n, matrix_x, shift, matrix_th)
+        for slot, (row, g) in enumerate(zip(matrix, self.images)):
+            for mask, poly in g._data.items():
+                if mask.bit_count() != (slot >= m):
+                    continue  # nilpotent: more th factors than the coordinate
+                th = tuple(mask >> l & 1 for l in range(n))
+                for e, c in poly.items():
+                    degrees = _unpack(e, m) + th
+                    if sum(degrees) > 1:
+                        return None
+                    if 1 in degrees:
+                        row[degrees.index(1)] = Fraction(c, g._den)
+                    else:
+                        shift[slot] = Fraction(c, g._den)
+        return _affine(m, n, matrix, shift)
 
     def __str__(self) -> str:
         from .parser import format_underlying
@@ -240,36 +252,23 @@ class UnderlyingMorphism(_Substitution):
 def _affine(
     m: int,
     n: int,
-    matrix_x: Sequence[Sequence[Fraction]],
+    matrix: Sequence[Sequence[Fraction]],
     shift: Sequence[Fraction],
-    matrix_th: Sequence[Sequence[Fraction]],
 ) -> Optional[UnderlyingMorphism]:
     """x -> A x + shift, th -> C th with its exact inverse attached.
 
-    The inverse is x -> A^-1 (x - shift), th -> C^-1 th; None when A or
-    C is singular.
+    `matrix` is block-diagonal, A over C.  The inverse is
+    x -> A^-1 (x - shift), th -> C^-1 th; None when A or C is singular.
     """
-    inv_x, inv_th = _invert_matrix(matrix_x), _invert_matrix(matrix_th)
-    if inv_x is None or inv_th is None:
+    inverse = _invert_matrix(matrix)
+    if inverse is None:
         return None
-    inv_shift = [-sum((a * s for a, s in zip(row, shift)), Fraction(0)) for row in inv_x]
-    units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
+    inv_shift = [-sum((a * s for a, s in zip(row, shift)), Fraction(0)) for row in inverse[:m]]
+    basis = (Superfunction.scalar(1, m, n, 0), *_coordinates(m, n))
 
-    def images(rows_x, consts, rows_th):
-        images_x = [
-            Superfunction.from_polynomial(
-                Polynomial(m, {**dict(zip(units, row)), (0,) * m: const}), n
-            )
-            for row, const in zip(rows_x, consts)
-        ]
-        images_th = [
-            Superfunction(
-                m, n, 0, {((l + 1,), ()): Polynomial.const(c, m) for l, c in enumerate(row)}
-            )
-            for row in rows_th
-        ]
-        return images_x, images_th
+    def images(rows, consts):
+        return [_combination((c, *row), basis) for row, c in zip(rows, [*consts, *[0] * n])]
 
-    forward = UnderlyingMorphism(m, n, *images(matrix_x, shift, matrix_th))
-    forward.inverse = UnderlyingMorphism(m, n, *images(inv_x, inv_shift, inv_th), forward)
+    forward = UnderlyingMorphism._of(m, n, images(matrix, shift))
+    forward.inverse = UnderlyingMorphism._of(m, n, images(inverse, inv_shift), forward)
     return forward

@@ -8,6 +8,7 @@ import pytest
 
 from superdiff import cli
 from superdiff.cli import main
+from superdiff.substitution import UnderlyingMorphism
 
 
 def run_cli(capsys, *argv):
@@ -294,6 +295,24 @@ def test_selftest_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert "all checks passed" in out1
+
+
+@pytest.mark.parametrize("broken", ["fields", "body"])
+def test_selftest_factor_round_trip_runs_factorize(capsys, monkeypatch, broken):
+    factorize = cli.factorize
+
+    def broken_factorize(phi, body=None):
+        found_body, fields = factorize(phi, body)
+        if broken == "fields":
+            return found_body, {key: -field for key, field in fields.items()}
+        m, n = found_body.m, found_body.n  # th images only: comparing x images misses it
+        images = found_body.images_x + tuple(g.scale(2) for g in found_body.images_th)
+        return UnderlyingMorphism._of(m, n, images), fields
+
+    monkeypatch.setattr(cli, "factorize", broken_factorize)
+    code, out, _ = run_cli(capsys, "selftest", "--count", "2")
+    assert code == 1
+    assert "fail factor round trip x2" in out.splitlines()
 
 
 def test_console_script_entry():

@@ -25,7 +25,8 @@ from superdiff.sampling import (
     random_morphism,
     random_superfunction,
 )
-from superdiff.substitution import UnderlyingMorphism
+from superdiff.substitution import UnderlyingMorphism, _invert_matrix
+from superdiff.superfn import substitute_generators
 
 
 def test_subsets_of_rank_order():
@@ -366,3 +367,200 @@ def test_equality_is_per_class():
     assert family != body and body != family
     assert family == SuperMorphism.identity(2, 1, 0)
     assert body == UnderlyingMorphism(2, 1, family.images_x, family.images_th)
+
+
+# -- the image vector --------------------------------------------------------
+
+
+def test_image_vector_layout_and_of_round_trip():
+    rng = random.Random(15)
+    for m, n, p in ((1, 1, 0), (2, 2, 3), (3, 1, 2), (0, 2, 1), (2, 0, 1)):
+        phi = random_morphism(rng, m, n, p, degree=1)
+        body = phi.underlying()
+        for psi in (phi, body):
+            assert isinstance(psi.images, tuple) and len(psi.images) == m + n
+            assert psi.images == psi.images_x + psi.images_th
+            assert psi.images_x == psi.images[:m] and psi.images_th == psi.images[m:]
+        assert SuperMorphism._of(m, n, p, phi.images) == phi
+        assert SuperMorphism._of(m, n, p, list(phi.images), body).inverse_hint is body
+        assert UnderlyingMorphism._of(m, n, body.images) == body
+        inverse = certify_inverse(body).inverse
+        again = UnderlyingMorphism._of(m, n, body.images, inverse)
+        assert again.inverse is inverse and inverse.inverse is not None
+
+
+def _images_1_1():
+    return Superfunction.coordinate(1, 1, 1, 0), Superfunction.theta(1, 1, 1, 0)
+
+
+def _raised(construct) -> tuple[type, str]:
+    with pytest.raises((DimensionError, ParityError)) as caught:
+        construct()
+    return type(caught.value), str(caught.value)
+
+
+COUNT = "expected 1 even and 1 odd images, got {} and {}"
+
+
+@pytest.mark.parametrize(
+    "build, error, message, substitute_message",
+    [
+        (lambda x, th: ([x, x], [th]), DimensionError, COUNT.format(2, 1), None),
+        (lambda x, th: ([x], []), DimensionError, COUNT.format(1, 0), None),
+        (
+            lambda x, th: ([x.lift(1)], [th]),
+            DimensionError,
+            "image of x1 lives on the wrong domain",
+            # the images' ring is read from the first of them
+            "image of th1 lives on the wrong domain",
+        ),
+        (
+            lambda x, th: ([x], [th.embed(1, 2, 0)]),
+            DimensionError,
+            "image of th1 lives on the wrong domain",
+            None,
+        ),
+        (lambda x, th: ([th], [th]), ParityError, "image of x1 must be even", None),
+        (lambda x, th: ([x], [x]), ParityError, "image of th1 must be odd", None),
+    ],
+)
+def test_image_errors_are_unchanged(build, error, message, substitute_message):
+    x, th = _images_1_1()
+    images_x, images_th = build(x, th)
+    for construct in (
+        lambda: UnderlyingMorphism(1, 1, images_x, images_th),
+        lambda: SuperMorphism(1, 1, 0, images_x, images_th),
+    ):
+        assert _raised(construct) == (error, message)
+    substituted = _raised(lambda: substitute_generators(x, images_x, images_th))
+    assert substituted == (error, substitute_message or message)
+    if len(images_x) == 1:  # a vector splits at m, so a count error reads per slot
+        vector = [*images_x, *images_th]
+        for construct in (
+            lambda: UnderlyingMorphism._of(1, 1, vector),
+            lambda: SuperMorphism._of(1, 1, 0, vector),
+        ):
+            assert _raised(construct) == (error, message)
+
+
+def test_a_short_or_long_image_vector_is_counted_after_the_split():
+    x, th = _images_1_1()
+    assert _raised(lambda: UnderlyingMorphism._of(1, 1, [x, x, th])) == (
+        DimensionError,
+        COUNT.format(1, 2),
+    )
+    assert _raised(lambda: SuperMorphism._of(1, 1, 0, [])) == (DimensionError, COUNT.format(0, 0))
+
+
+def test_substitute_generators_rank_error_is_unchanged():
+    x, th = _images_1_1()
+    with pytest.raises(DimensionError) as caught:
+        substitute_generators(x, [x.lift(1)], [th.lift(1)])
+    assert str(caught.value) == "external rank mismatch: element has 0, images have 1"
+
+
+def _two_matrix_affine_part(phi):
+    """The affine truncation read into an x matrix and a th matrix and
+    built by two constructions, kept as the reference for `affine_part`."""
+    m, n = phi.m, phi.n
+    matrix_x = [[Fraction(0)] * m for _ in range(m)]
+    shift = [Fraction(0)] * m
+    for i, g in enumerate(phi.images_x):
+        base = g.body_polynomial()
+        if base.degree() > 1:
+            return None
+        for exps, coeff in base.terms.items():
+            if sum(exps) == 0:
+                shift[i] = coeff
+            else:
+                matrix_x[i][exps.index(1)] = coeff
+    matrix_th = [[Fraction(0)] * n for _ in range(n)]
+    for j, g in enumerate(phi.images_th):
+        for (theta_key, _), poly in g.terms.items():
+            if len(theta_key) != 1:
+                continue
+            if poly.degree() > 0:
+                return None
+            matrix_th[j][theta_key[0] - 1] = poly.terms.get((0,) * m, Fraction(0))
+    inv_x, inv_th = _invert_matrix(matrix_x), _invert_matrix(matrix_th)
+    if inv_x is None or inv_th is None:
+        return None
+    inv_shift = [-sum((a * s for a, s in zip(row, shift)), Fraction(0)) for row in inv_x]
+    units = [tuple(1 if t == k else 0 for t in range(m)) for k in range(m)]
+
+    def images(rows_x, consts, rows_th):
+        images_x = [
+            Superfunction.from_polynomial(
+                Polynomial(m, {**dict(zip(units, row)), (0,) * m: const}), n
+            )
+            for row, const in zip(rows_x, consts)
+        ]
+        images_th = [
+            Superfunction(
+                m, n, 0, {((l + 1,), ()): Polynomial.const(c, m) for l, c in enumerate(row)}
+            )
+            for row in rows_th
+        ]
+        return images_x, images_th
+
+    forward = UnderlyingMorphism(m, n, *images(matrix_x, shift, matrix_th))
+    forward.inverse = UnderlyingMorphism(m, n, *images(inv_x, inv_shift, inv_th), forward)
+    return forward
+
+
+def _assert_affine_matches_reference(phi):
+    found, expected = phi.affine_part(), _two_matrix_affine_part(phi)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        assert found.images == expected.images
+        assert found.inverse.images == expected.inverse.images
+        assert found.inverse.inverse is found
+    return found
+
+
+def test_affine_part_matches_two_matrix_reference_on_random_draws():
+    rng = random.Random(1515)
+    verdicts = set()
+    for m, n in ((1, 1), (2, 2), (3, 1)):
+        for _ in range(8):
+            phi = random_body(rng, m, n, degree=2)
+            _assert_affine_matches_reference(phi)
+            # one more term in one image: linear, constant, nilpotent or not affine
+            images, slot = list(phi.images), rng.randrange(m + n)
+            parity = int(slot >= m)
+            images[slot] += random_superfunction(rng, m, n, 0, 1, terms=1, parity=parity)
+            loose = UnderlyingMorphism._of(m, n, images)
+            verdicts.add(_assert_affine_matches_reference(loose) is None)
+    assert verdicts == {True, False}
+
+
+def test_affine_part_matches_two_matrix_reference_on_hand_cases():
+    def body(m, n, images_x, images_th):
+        x = [xc(i, m, n) for i in range(1, m + 1)]
+        th = [thc(j, m, n) for j in range(1, n + 1)]
+        return UnderlyingMorphism(
+            m, n, [f(*x, *th) for f in images_x], [f(*x, *th) for f in images_th]
+        )
+
+    half = Fraction(1, 2)
+    none = [
+        body(1, 1, [lambda x, t: x + x * x], [lambda x, t: t]),  # x image of degree 2
+        body(1, 1, [lambda x, t: x], [lambda x, t: t + x * t]),  # th coefficient has x
+        body(2, 1, [lambda x, y, t: x + y] * 2, [lambda x, y, t: t]),  # singular A
+        body(1, 2, [lambda x, t, u: x], [lambda x, t, u: t + u] * 2),  # singular C
+    ]
+    for phi in none:
+        assert _assert_affine_matches_reference(phi) is None
+    cubic = body(
+        1,
+        3,
+        [lambda x, t, u, v: x.scale(3) + Superfunction.scalar(half, 1, 3, 0) + t * u],
+        [
+            lambda x, t, u, v: t + t * u * v,  # a 3-th term is dropped
+            lambda x, t, u, v: u.scale(2) - t + x * t * u * v,
+            lambda x, t, u, v: v,
+        ],
+    )
+    affine = _assert_affine_matches_reference(cubic)
+    assert affine.images_th[0] == thc(1, 1, 3)
+    assert affine.images_x[0] == xc(1, 1, 3).scale(3) + Superfunction.scalar(half, 1, 3, 0)
