@@ -2,7 +2,9 @@
 
 Verbs operate on text files in the package's expression and morphism
 formats ("-" reads stdin).  Results print to stdout either as canonical
-text (default) or as a JSON document (--format doc).  Exit codes: 0
+text (default) or as a JSON document (--format doc), which is built only
+under --format doc.  Only the named verb's argument parser is built,
+unless the root parser must report an error.  Exit codes: 0
 success, 1 property-check failure, 2 malformed input (a parse error, or
 an input file or stdin that cannot be read or is not UTF-8: "cannot read
 PATH"), 3 invertibility could not be certified, 4 dimension/parity/domain
@@ -17,7 +19,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import parser as fmt
 from . import sampling
@@ -126,16 +128,17 @@ def _factored_doc(point: SDiffPoint) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, text: str, doc: dict) -> None:
+def _emit(args: argparse.Namespace, text: str, doc: Callable[[], dict]) -> None:
+    """Print `text`, or under --format doc the document that `doc` builds."""
     if args.format == "doc":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(doc(), sort_keys=True, indent=2))
     else:
         print(text)
 
 
 def _emit_point(args: argparse.Namespace, point: SDiffPoint) -> None:
     phi = _point_morphism(point)
-    _emit(args, fmt.format_morphism(phi), _doc(phi))
+    _emit(args, fmt.format_morphism(phi), lambda: _doc(phi))
 
 
 # -- verbs -------------------------------------------------------------------
@@ -164,7 +167,7 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_factorize(args: argparse.Namespace) -> int:
     point = _load_point(*fmt.parse_any(_read(args.input)), args)
     text = fmt.format_factored(point.body, point.fields, point.p)
-    _emit(args, text, _factored_doc(point))
+    _emit(args, text, lambda: _factored_doc(point))
     return 0
 
 
@@ -193,12 +196,9 @@ def cmd_split(args: argparse.Namespace) -> int:
             "}",
         ]
     )
-    doc = {
-        "kind": "split",
-        "kernel": _doc(kernel_phi),
-        "body": _doc(parts.body),
-    }
-    _emit(args, text, doc)
+    _emit(
+        args, text, lambda: {"kind": "split", "kernel": _doc(kernel_phi), "body": _doc(parts.body)}
+    )
     return 0
 
 
@@ -233,11 +233,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
         result = op.lift(target).apply(f.lift(target))
     else:
         raise ParseError(0, (), f"cannot apply a {kind}")
-    _emit(
-        args,
-        fmt.format_superfunction(result),
-        {"kind": "superfunction", "value": fmt.format_superfunction(result)},
-    )
+    text = fmt.format_superfunction(result)
+    _emit(args, text, lambda: {"kind": "superfunction", "value": text})
     return 0
 
 
@@ -255,18 +252,15 @@ def cmd_bracket(args: argparse.Namespace) -> int:
         return SuperDerivation(mm, nn, pp, x + [zero] * (mm - d.m), th + [zero] * (nn - d.n))
 
     result = pad(left).bracket(pad(right))
-    _emit(
-        args,
-        fmt.format_derivation(result),
-        {"kind": "derivation", "value": fmt.format_derivation(result)},
-    )
+    text = fmt.format_derivation(result)
+    _emit(args, text, lambda: {"kind": "derivation", "value": text})
     return 0
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
     field = fmt.parse_derivation(_read(args.input), args.m, args.n, args.p)
     morphism = exp_nilpotent(field)
-    _emit(args, fmt.format_underlying(morphism), _doc(morphism))
+    _emit(args, fmt.format_underlying(morphism), lambda: _doc(morphism))
     return 0
 
 
@@ -278,11 +272,8 @@ def cmd_log(args: argparse.Namespace) -> int:
     if value.p != 0:
         raise DimensionError("logarithm expects a rank-0 substitution")
     field = log_unipotent(value.underlying())
-    _emit(
-        args,
-        fmt.format_derivation(field),
-        {"kind": "derivation", "value": fmt.format_derivation(field)},
-    )
+    text = fmt.format_derivation(field)
+    _emit(args, text, lambda: {"kind": "derivation", "value": text})
     return 0
 
 
@@ -290,16 +281,19 @@ def cmd_sections(args: argparse.Namespace) -> int:
     basis = section_basis(args.m, args.n, args.p, args.degree)
     lines = [fmt.format_derivation(sec.field) for sec in basis]
     text = "\n".join([f"count: {len(basis)}"] + lines)
-    doc = {
-        "kind": "sections",
-        "m": args.m,
-        "n": args.n,
-        "p": args.p,
-        "degree": args.degree,
-        "count": len(basis),
-        "basis": lines,
-    }
-    _emit(args, text, doc)
+    _emit(
+        args,
+        text,
+        lambda: {
+            "kind": "sections",
+            "m": args.m,
+            "n": args.n,
+            "p": args.p,
+            "degree": args.degree,
+            "count": len(basis),
+            "basis": lines,
+        },
+    )
     return 0
 
 
@@ -382,7 +376,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 _DIMS = {"m": "even coordinate count", "n": "odd coordinate count", "p": "external rank"}
 
 
-def _add_options(sub: argparse.ArgumentParser, dims: str = "") -> None:
+def _add_options(sub: argparse.ArgumentParser, dims: str) -> None:
     """--format, then one --X option for each letter of dims the verb reads."""
     sub.add_argument(
         "--format", choices=("text", "doc"), default="text", help="output style"
@@ -391,90 +385,97 @@ def _add_options(sub: argparse.ArgumentParser, dims: str = "") -> None:
         sub.add_argument(f"--{dim}", type=int, default=None, help=_DIMS[dim])
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each verb: its help line, its own arguments in order, and the dimension
+# options it reads (None: not even --format).  Its handler is cmd_<verb>.
+_INPUT = (("input", {}),)
+_VERBS: dict[str, tuple[str, tuple, Optional[str]]] = {
+    "compose": (
+        "multiply two invertible families",
+        (
+            ("outer", {}),
+            ("inner", {}),
+            (
+                "--check-factored",
+                {"action": "store_true", "help": "cross-check through the factored route"},
+            ),
+        ),
+        "p",
+    ),
+    "invert": ("group inverse of an invertible family", _INPUT, "p"),
+    "factorize": ("split into body and component fields", _INPUT, "p"),
+    "expand": ("rebuild the morphism from factored data", _INPUT, ""),
+    "split": ("separate kernel part and constant part", _INPUT, "p"),
+    "push": (
+        "relabel external generators along a map",
+        (
+            ("relabel", {"help": "Grassmann morphism file"}),
+            ("input", {"help": "morphism or factored file"}),
+        ),
+        "p",
+    ),
+    "apply": (
+        "apply a morphism or operator to a function",
+        (("operator", {}), ("argument", {})),
+        "mnp",
+    ),
+    "bracket": ("graded commutator of two operators", (("left", {}), ("right", {})), "mnp"),
+    "exp": ("exponentiate a filtration-raising field", _INPUT, "mnp"),
+    "log": ("logarithm of a unipotent substitution", _INPUT, ""),
+    "sections": (
+        "basis of even field families",
+        (
+            ("--m", {"type": int, "required": True}),
+            ("--n", {"type": int, "required": True}),
+            ("--p", {"type": int, "required": True}),
+            ("--degree", {"type": int, "default": 1, "help": "max polynomial degree"}),
+        ),
+        "",
+    ),
+    "selftest": (
+        "seeded property checks",
+        (("--seed", {"type": int, "default": 0}), ("--count", {"type": int, "default": 10})),
+        None,
+    ),
+}
+
+
+def build_parser(verbs: Iterable[str] = _VERBS) -> argparse.ArgumentParser:
+    """The root parser with a subparser for each of `verbs` (all by default)."""
     root = argparse.ArgumentParser(
         prog="superdiff",
         description="exact calculus on families of superdomain morphisms",
     )
     sub = root.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("compose", help="multiply two invertible families")
-    sp.add_argument("outer")
-    sp.add_argument("inner")
-    sp.add_argument(
-        "--check-factored",
-        action="store_true",
-        help="cross-check through the factored route",
-    )
-    _add_options(sp, "p")
-    sp.set_defaults(func=cmd_compose)
-
-    sp = sub.add_parser("invert", help="group inverse of an invertible family")
-    sp.add_argument("input")
-    _add_options(sp, "p")
-    sp.set_defaults(func=cmd_invert)
-
-    sp = sub.add_parser("factorize", help="split into body and component fields")
-    sp.add_argument("input")
-    _add_options(sp, "p")
-    sp.set_defaults(func=cmd_factorize)
-
-    sp = sub.add_parser("expand", help="rebuild the morphism from factored data")
-    sp.add_argument("input")
-    _add_options(sp)
-    sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("split", help="separate kernel part and constant part")
-    sp.add_argument("input")
-    _add_options(sp, "p")
-    sp.set_defaults(func=cmd_split)
-
-    sp = sub.add_parser("push", help="relabel external generators along a map")
-    sp.add_argument("relabel", help="Grassmann morphism file")
-    sp.add_argument("input", help="morphism or factored file")
-    _add_options(sp, "p")
-    sp.set_defaults(func=cmd_push)
-
-    sp = sub.add_parser("apply", help="apply a morphism or operator to a function")
-    sp.add_argument("operator")
-    sp.add_argument("argument")
-    _add_options(sp, "mnp")
-    sp.set_defaults(func=cmd_apply)
-
-    sp = sub.add_parser("bracket", help="graded commutator of two operators")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    _add_options(sp, "mnp")
-    sp.set_defaults(func=cmd_bracket)
-
-    sp = sub.add_parser("exp", help="exponentiate a filtration-raising field")
-    sp.add_argument("input")
-    _add_options(sp, "mnp")
-    sp.set_defaults(func=cmd_exp)
-
-    sp = sub.add_parser("log", help="logarithm of a unipotent substitution")
-    sp.add_argument("input")
-    _add_options(sp)
-    sp.set_defaults(func=cmd_log)
-
-    sp = sub.add_parser("sections", help="basis of even field families")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--degree", type=int, default=1, help="max polynomial degree")
-    _add_options(sp)
-    sp.set_defaults(func=cmd_sections)
-
-    sp = sub.add_parser("selftest", help="seeded property checks")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--count", type=int, default=10)
-    sp.set_defaults(func=cmd_selftest)
-
+    for verb in verbs:
+        help_text, arguments, dims = _VERBS[verb]
+        sp = sub.add_parser(verb, help=help_text)
+        for name, options in arguments:
+            sp.add_argument(name, **options)
+        if dims is not None:
+            _add_options(sp, dims)
+        sp.set_defaults(func=globals()[f"cmd_{verb}"])
     return root
 
 
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The parsed command line, building only the named verb's parser.
+
+    A verb's arguments all go to its own subparser, so the root plus that
+    one subparser parses a well-formed command exactly as the full parser
+    does.  Anything the root itself must report (no verb, an unknown verb,
+    arguments left over) goes to the full parser, whose usage line lists
+    every verb, so each message stays the same.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _VERBS:
+        args, rest = build_parser(argv[:1]).parse_known_args(argv)
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except ParseError as exc:

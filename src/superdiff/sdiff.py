@@ -8,7 +8,10 @@ factored form.  The group operations all stay exact:
 * `compose` substitutes coordinate images directly (an independent
   formula through factored data is kept alongside as `compose_factored`
   for cross-checking),
-* `invert` runs the closed inversion formula  phi0^{-1} o exp(-sum t[I] X_I),
+* `invert` runs the closed inversion formula  phi0^{-1} o exp(-sum t[I] X_I)
+  when the point already knows its fields, and otherwise inverts the
+  unipotent kernel phi o phi0^{-1} by a terminating Neumann series, so it
+  never factorizes,
 * `split` realizes the semidirect decomposition into a unipotent-like
   kernel times a constant family,
 * `functor_map` relabels external generators along a Grassmann-algebra
@@ -168,16 +171,24 @@ def compose_factored(outer: SDiffPoint, inner: SDiffPoint) -> SuperMorphism:
 
 
 def invert(point: SDiffPoint) -> SDiffPoint:
-    """Group inverse: body^{-1} composed after exp of the negated fields."""
+    """Group inverse: body^{-1} composed after the inverse of the kernel part.
+
+    With the fields known, the kernel's inverse is exp of the negated
+    fields.  Otherwise it is the Neumann series sum_k (id - psi)^k of the
+    kernel psi = phi o body^{-1}, which ends because id - psi raises the
+    t-degree; the fields are then never computed.
+    """
     m, n, p = point.m, point.n, point.p
     inv_body = point.body.inverse
     if inv_body is None:
         raise InvertibilityError("point carries no certified inverse")
-    op = -_family_operator(m, n, p, point.fields)
-    images = [
-        inv_body.apply(_series(op.apply, gen, _exp_coeff))
-        for gen in _coordinates(m, n, p)
-    ]
+    if point._fields is None:
+        psi = point.morphism.compose(SuperMorphism.constant_family(inv_body, p))
+        plan = psi._plan(p)
+        step, coeff = (lambda f: f - psi._substitute(f, plan)), (lambda k: 1)
+    else:
+        step, coeff = (-_family_operator(m, n, p, point.fields)).apply, _exp_coeff
+    images = [inv_body.apply(_series(step, gen, coeff)) for gen in _coordinates(m, n, p)]
     return SDiffPoint(SuperMorphism._of(m, n, p, images), inv_body)
 
 

@@ -25,6 +25,18 @@ def write(tmp_path, name, text):
 
 PHI = "x1 -> x1 + th[1]*t[1]\nx2 -> x2\nth1 -> th1\nth2 -> th2 + x1*th[1]*t[1,2]\n"
 PSI = "x1 -> x1 + 1\nx2 -> x1 + x2\nth1 -> th2\nth2 -> th1\n"
+# the factored form of PHI, as factorize prints it
+FACTORED_PHI = (
+    "p: 2\nphi0: {\nx1 -> x1\nx2 -> x2\nth1 -> th[1]\nth2 -> th[2]\ninverse:\n"
+    "x1 -> x1\nx2 -> x2\nth1 -> th[1]\nth2 -> th[2]\n}\n"
+    "X[1]: -th[1]*d/dx1\nX[1,2]: x1*th[1]*d/dth2\n"
+)
+IDENTITY_2_2 = {"x1": "x1", "x2": "x2", "th1": "th[1]", "th2": "th[2]"}
+
+
+def as_doc(doc):
+    """The exact stdout of --format doc for the document `doc`."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_factorize_expand_pipeline_fixpoint(tmp_path, capsys):
@@ -147,10 +159,137 @@ def test_doc_format_is_json(tmp_path, capsys):
     phi = write(tmp_path, "phi.txt", PHI)
     code, out, _ = run_cli(capsys, "factorize", phi, "--format", "doc")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["kind"] == "factored"
-    assert doc["p"] == 2
-    assert "[1]" in doc["fields"]
+    assert out == as_doc(
+        {
+            "kind": "factored",
+            "p": 2,
+            "body": {
+                "kind": "substitution",
+                "m": 2,
+                "n": 2,
+                "images": IDENTITY_2_2,
+                "inverse": IDENTITY_2_2,
+            },
+            "fields": {"[1]": "-th[1]*d/dx1", "[1,2]": "x1*th[1]*d/dth2"},
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "verb, files, options, doc",
+    [
+        (
+            "compose",
+            [PHI, PSI],
+            [],
+            {
+                "kind": "morphism",
+                "m": 2,
+                "n": 2,
+                "p": 2,
+                "images": {
+                    "x1": "1 + x1 + th[1]*t[1]",
+                    "x2": "x1 + x2 + th[1]*t[1]",
+                    "th1": "x1*th[1]*t[1,2] + th[2]",
+                    "th2": "th[1]",
+                },
+                "inverse": {"x1": "-1 + x1", "x2": "1 - x1 + x2", "th1": "th[2]", "th2": "th[1]"},
+            },
+        ),
+        (
+            "expand",
+            [FACTORED_PHI],
+            [],
+            {
+                "kind": "morphism",
+                "m": 2,
+                "n": 2,
+                "p": 2,
+                "images": {
+                    "x1": "x1 + th[1]*t[1]",
+                    "x2": "x2",
+                    "th1": "th[1]",
+                    "th2": "x1*th[1]*t[1,2] + th[2]",
+                },
+                "inverse": IDENTITY_2_2,
+            },
+        ),
+        (
+            "push",
+            ["t[1] -> t[2]\nt[2] -> t[1]\n", PHI],
+            [],
+            {
+                "kind": "morphism",
+                "m": 2,
+                "n": 2,
+                "p": 2,
+                "images": {
+                    "x1": "x1 + th[1]*t[2]",
+                    "x2": "x2",
+                    "th1": "th[1]",
+                    "th2": "-x1*th[1]*t[1,2] + th[2]",
+                },
+                "inverse": IDENTITY_2_2,
+            },
+        ),
+        (
+            "sections",
+            [],
+            ["--m", "1", "--n", "1", "--p", "1", "--degree", "0"],
+            {
+                "kind": "sections",
+                "m": 1,
+                "n": 1,
+                "p": 1,
+                "degree": 0,
+                "count": 4,
+                "basis": ["d/dx1", "th[1]*t[1]*d/dx1", "t[1]*d/dth1", "th[1]*d/dth1"],
+            },
+        ),
+        (
+            "log",
+            ["x1 -> x1 + th[1,2]\nth1 -> th1\nth2 -> th2\n"],
+            [],
+            {"kind": "derivation", "value": "th[1,2]*d/dx1"},
+        ),
+        (
+            "apply",
+            ["x1 -> x1 + th[1]*t[1]\nth1 -> th1\n", "x1^2\n"],
+            [],
+            {"kind": "superfunction", "value": "x1^2 + 2*x1*th[1]*t[1]"},
+        ),
+        (
+            "bracket",
+            ["d/dth1", "th[1]*d/dx1"],
+            [],
+            {"kind": "derivation", "value": "d/dx1"},
+        ),
+    ],
+)
+def test_doc_format_golden(tmp_path, capsys, verb, files, options, doc):
+    paths = [write(tmp_path, f"in{i}.txt", text) for i, text in enumerate(files)]
+    assert run_cli(capsys, verb, *paths, *options, "--format", "doc") == (0, as_doc(doc), "")
+
+
+def test_text_format_builds_no_document(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a document was built under --format text")
+
+    monkeypatch.setattr(cli, "_doc", refuse)
+    monkeypatch.setattr(cli, "_factored_doc", refuse)
+    phi, psi = write(tmp_path, "phi.txt", PHI), write(tmp_path, "psi.txt", PSI)
+    relabel = write(tmp_path, "gm.txt", "t[1] -> t[2]\nt[2] -> t[1]\n")
+    for argv in (
+        ["factorize", phi],
+        ["expand", write(tmp_path, "f.txt", FACTORED_PHI)],
+        ["compose", phi, psi],
+        ["invert", phi],
+        ["split", psi],
+        ["push", relabel, phi],
+        ["exp", write(tmp_path, "x.txt", "th[1,2]*d/dx1")],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
 
 
 def test_doc_format_invert_exp_split(tmp_path, capsys):
@@ -363,7 +502,77 @@ def test_dimension_options_only_on_verbs_that_read_them(tmp_path, capsys, verb):
     with pytest.raises(SystemExit) as exit_info:
         main([verb, *files, "--m", "5", "--n", "3"])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --m 5 --n 3" in capsys.readouterr().err
+    # the whole usage line, which lists every verb, then the error
+    usage = cli.build_parser().format_usage()
+    assert "{compose,invert,factorize," in usage
+    error = "superdiff: error: unrecognized arguments: --m 5 --n 3\n"
+    assert capsys.readouterr().err == usage + error
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), exits by argparse included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+VERBS = list(cli._VERBS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["nope", "F"],
+        ["--", "factorize", "F"],
+        ["--format", "yaml"],
+        ["factorize", "F", "--m", "5"],
+        ["factorize", "F", "--format", "yaml"],
+        ["factorize", "F"],
+        ["compose", "F", "F", "--format", "doc"],
+        ["sections", "--m", "1", "--n", "0", "--p", "1", "--degree", "0"],
+    ]
+    + [[verb, "--help"] for verb in VERBS]
+    + [[verb] for verb in VERBS if verb != "selftest"],
+)
+def test_one_verb_parser_matches_the_full_parser(tmp_path, capsys, monkeypatch, argv):
+    # every text main prints, and every exit code, must be those of the
+    # full parser's parse_args
+    phi = write(tmp_path, "phi.txt", PHI)
+    argv = [phi if arg == "F" else arg for arg in argv]
+    fast = outcome(capsys, argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parse", lambda args: build_parser().parse_args(args))
+    assert fast == outcome(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["factorize", "F"], [["factorize"]]),
+        (["sections", "--m", "1", "--n", "0", "--p", "1"], [["sections"]]),
+        (["factorize", "F", "--m", "5"], [["factorize"], VERBS]),
+        (["nope", "F"], [VERBS]),
+        ([], [VERBS]),
+    ],
+)
+def test_main_builds_only_the_named_verbs_parser(tmp_path, capsys, monkeypatch, argv, built):
+    phi = write(tmp_path, "phi.txt", PHI)
+    argv = [phi if arg == "F" else arg for arg in argv]
+    seen = []
+    build_parser = cli.build_parser
+
+    def recording_build_parser(verbs=VERBS):
+        seen.append(list(verbs))
+        return build_parser(verbs)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    outcome(capsys, argv)
+    assert seen == built
 
 
 def test_exit_code_negative_section_counts(capsys):

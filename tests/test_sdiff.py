@@ -19,12 +19,15 @@ from superdiff import (
     recombine,
     split,
 )
+from superdiff import sdiff
 from superdiff.errors import InvertibilityError
 from superdiff.sampling import (
     random_derivation,
+    random_field_family,
     random_grassmann_morphism,
     random_point,
 )
+from superdiff.substitution import UnderlyingMorphism
 
 
 def test_is_invertible_verdicts():
@@ -68,6 +71,32 @@ def test_inverse_of_composite():
         a = random_point(rng, 2, 2, 2, degree=1)
         b = random_point(rng, 2, 2, 2, degree=1)
         assert invert(compose(a, b)) == compose(invert(b), invert(a))
+
+
+@pytest.mark.parametrize(
+    "m, n, p", [(1, 2, 4), (2, 2, 3), (3, 1, 2), (2, 2, 0), (1, 1, 1), (0, 2, 2), (2, 0, 2)]
+)
+def test_inverse_routes_agree(monkeypatch, m, n, p):
+    # a point that knows its fields is inverted by exp of the negated
+    # fields; one that does not, by the Neumann series of its kernel part,
+    # which must give the same inverse without ever factorizing
+    rng = random.Random(1000 + 100 * m + 10 * n + p)
+    known = [random_point(rng, m, n, p, degree=1) for _ in range(4)]
+    identity_body = UnderlyingMorphism.identity(m, n)
+    known.append(SDiffPoint.from_factored(identity_body, random_field_family(rng, m, n, p, 1), p))
+    closed = [invert(point) for point in known]
+
+    def refuse(*args):
+        raise AssertionError("the inverse of a point without fields factorized")
+
+    monkeypatch.setattr(sdiff, "factorize", refuse)
+    ident = SDiffPoint.identity(m, n, p)
+    for point, expected in zip(known, closed):
+        bare = SDiffPoint(point.morphism)
+        inverse = invert(bare)
+        assert bare._fields is None and inverse._fields is None
+        assert inverse == expected and inverse.body == expected.body
+        assert compose(inverse, bare) == ident and compose(bare, inverse) == ident
 
 
 def test_compose_factored_matches():
