@@ -8,7 +8,7 @@ Fraction coefficients, so every computation here is exact.
 
 from fractions import Fraction
 
-from superdiff import GrassmannElement, GrassmannMorphism, eps
+from superdiff import GrassmannElement, GrassmannMorphism
 
 # two generators anticommute: t1*t2 = -t2*t1, and squares vanish
 t1 = GrassmannElement.generator(1, 3)
@@ -21,7 +21,7 @@ print("t1*t1      =", t1 * t1)
 # a general element has a scalar body and a nilpotent soul
 a = GrassmannElement.scalar(2, 3) + (t1 * t2).scale(Fraction(1, 3)) + t3
 print("a          =", a)
-print("body(a)    =", eps(a))
+print("body(a)    =", a.body)
 print("soul(a)^4  =", a.soul() ** 4)
 
 # substituting odd images for the generators is an algebra morphism;

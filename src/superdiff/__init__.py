@@ -19,9 +19,7 @@ from .errors import (
 from .grassmann import (
     GrassmannElement,
     GrassmannMorphism,
-    eps,
     merge_indices,
-    unit_embed,
 )
 from .superfn import (
     Polynomial,
@@ -96,7 +94,6 @@ __all__ = [
     "compose",
     "compose_factored",
     "differential_action",
-    "eps",
     "exp_nilpotent",
     "expand_factored",
     "factorize",
@@ -119,6 +116,5 @@ __all__ = [
     "subsets_of_rank",
     "substitute_generators",
     "symmetrize_apply",
-    "unit_embed",
     "unordered_partitions",
 ]

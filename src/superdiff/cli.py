@@ -219,20 +219,13 @@ def cmd_apply(args: argparse.Namespace) -> int:
     f = fmt.parse_superfunction(_read(args.argument), args.m, args.n, args.p)
     if kind == "factored":
         op, kind = _load_point(kind, op, args).morphism, "morphism"
-    if kind == "morphism":
-        assert isinstance(op, SuperMorphism)
-        if (f.m, f.n) != (op.m, op.n):
-            f = f.embed(op.m, op.n, f.p)
-        target = max(f.p, op.p)
-        result = op.lift(target).apply_extended(f.lift(target))
-    elif kind == "derivation":
-        assert isinstance(op, SuperDerivation)
-        if (f.m, f.n) != (op.m, op.n):
-            f = f.embed(op.m, op.n, f.p)
-        target = max(f.p, op.p)
-        result = op.lift(target).apply(f.lift(target))
-    else:
+    if kind not in ("morphism", "derivation"):
         raise ParseError(0, (), f"cannot apply a {kind}")
+    if (f.m, f.n) != (op.m, op.n):
+        f = f.embed(op.m, op.n, f.p)
+    target = max(f.p, op.p)
+    op, f = op.lift(target), f.lift(target)
+    result = op.apply_extended(f) if kind == "morphism" else op.apply(f)
     text = fmt.format_superfunction(result)
     _emit(args, text, lambda: {"kind": "superfunction", "value": text})
     return 0

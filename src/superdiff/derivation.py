@@ -178,10 +178,7 @@ class SuperDerivation:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other: Scalar) -> "SuperDerivation":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def premultiply(self, g: Superfunction) -> "SuperDerivation":
         """The operator f -> g * self(f); still a derivation."""

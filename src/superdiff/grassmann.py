@@ -448,16 +448,6 @@ class GrassmannElement(_Sparse):
         return f"GrassmannElement({self.n}, {self.terms!r})"
 
 
-def eps(a: GrassmannElement) -> Fraction:
-    """Project onto the scalar part (the unique algebra map to the rationals)."""
-    return a.body
-
-
-def unit_embed(value: Scalar, n: int) -> GrassmannElement:
-    """Embed a rational as a constant element; section of `eps`."""
-    return GrassmannElement.scalar(value, n)
-
-
 class GrassmannMorphism:
     """A parity-preserving algebra map between Grassmann algebras.
 

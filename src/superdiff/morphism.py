@@ -20,9 +20,10 @@ images, `expand_factored` rebuilds the images from the data, and the
 two are exact mutual inverses.
 
 Inverse certification for the underlying substitution lives here too:
-identity and affine parts are inverted by exact linear algebra and any
-unipotent remainder through the logarithm/exponential pair, after which
-the candidate is checked exactly on every coordinate.
+the affine part is inverted by exact linear algebra and the unipotent
+remainder u by exp(-log u), one terminating series per coordinate.  The
+candidate built from the two is checked exactly on every coordinate,
+once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .derivation import (
     _combine,
     _exp_coeff,
     _series,
-    exp_nilpotent,
     log_unipotent,
     pushforward,
     symmetrize_apply,
@@ -200,10 +200,13 @@ def certify_inverse(
     """Try to equip a substitution with an exactly verified inverse.
 
     Routes, in order: an already attached certificate; a user-supplied
-    candidate (checked on every coordinate); the identity; an affine
-    part inverted by rational linear algebra, with any unipotent
-    remainder inverted through the logarithm.  Returns None when no
-    route certifies -- which means "unknown", never "not invertible".
+    candidate (checked on every coordinate); the identity; the affine
+    part inverted by rational linear algebra, times the inverse of the
+    unipotent remainder u = body o affine^-1, read as exp(-log u) with
+    one exponential series per coordinate.  That candidate is checked
+    by one `with_inverse` call, both composites on every coordinate.
+    Returns None when no route certifies -- which means "unknown",
+    never "not invertible".
     """
     if body.inverse is not None:
         return body
@@ -215,16 +218,17 @@ def certify_inverse(
     if body.is_identity():
         return UnderlyingMorphism.identity(body.m, body.n)
     affine = body.affine_part()
-    if affine is None or affine.inverse is None:
+    if affine is None:
         return None
+    assert affine.inverse is not None
     unipot = body.compose(affine.inverse)
     if not unipot.is_unipotent():
         return None
-    log_field = log_unipotent(unipot)
-    unipot_exp = exp_nilpotent(log_field)
-    if unipot_exp.inverse is None:
-        return None
-    candidate = affine.inverse.compose(unipot_exp.inverse)
+    # unipot^-1 = exp(-log unipot); the candidate carries no certificate,
+    # so compose builds no composite inverse and with_inverse is the one check
+    step = (-log_unipotent(unipot)).apply
+    backward = [_series(step, g, _exp_coeff) for g in _coordinates(body.m, body.n)]
+    candidate = affine.inverse.compose(UnderlyingMorphism._of(body.m, body.n, backward))
     try:
         return body.with_inverse(candidate)
     except DomainError:

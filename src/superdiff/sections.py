@@ -11,12 +11,10 @@ Lambda_p) x (odd fields).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .derivation import SuperDerivation
 from .errors import DimensionError, ParityError
 from .grassmann import GrassmannMorphism
-from .morphism import _family_operator
+from .morphism import _family_operator, subsets_of_rank
 from .superfn import Polynomial, Superfunction, map_external
 
 IndexTuple = tuple[int, ...]
@@ -32,18 +30,6 @@ class LambdaSection:
             raise ParityError("a section must be even overall")
         self.field = field
 
-    @property
-    def m(self) -> int:
-        return self.field.m
-
-    @property
-    def n(self) -> int:
-        return self.field.n
-
-    @property
-    def p(self) -> int:
-        return self.field.p
-
     def apply(self, f: Superfunction) -> Superfunction:
         return self.field.apply(f)
 
@@ -54,7 +40,7 @@ class LambdaSection:
         return str(self.field)
 
     def __repr__(self) -> str:
-        return f"LambdaSection({self.m}|{self.n};{self.p})"
+        return f"LambdaSection({self.field.m}|{self.field.n};{self.field.p})"
 
 
 def _monomials_up_to(m: int, degree: int) -> list[tuple[int, ...]]:
@@ -85,12 +71,7 @@ def section_basis(m: int, n: int, p: int, degree: int) -> list[LambdaSection]:
     if m < 0 or n < 0:
         raise DimensionError("coordinate counts must be nonnegative")
     exponents = _monomials_up_to(m, degree)
-    theta_sets = [
-        key for size in range(n + 1) for key in combinations(range(1, n + 1), size)
-    ]
-    tau_sets = [
-        key for size in range(p + 1) for key in combinations(range(1, p + 1), size)
-    ]
+    theta_sets, tau_sets = (subsets_of_rank(k, include_empty=True) for k in (n, p))
     basis: list[LambdaSection] = []
 
     def coefficient(exps, theta_key, tau_key) -> Superfunction:

@@ -288,12 +288,9 @@ class Superfunction(_Sparse):
         """Coefficient of the unit monomial (no th, no t factors)."""
         return Polynomial._build((self.m,), {0: self._data.get(0, {})}, self._den)
 
-    def parity(self) -> Optional[int]:
-        """0 or 1 for homogeneous elements, None for mixed, 0 for zero."""
-        if not self._data:
-            return 0
-        parities = {mask.bit_count() % 2 for mask in self._data}
-        return parities.pop() if len(parities) == 1 else None
+    # 0 or 1 for homogeneous elements, None for mixed, 0 for zero: the same
+    # reading of the odd masks (th and t bits together) as a Grassmann element's
+    parity = GrassmannElement.parity
 
     def j_degree(self) -> Union[int, float]:
         """Minimal number of th factors in any term; +inf for zero."""

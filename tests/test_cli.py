@@ -79,6 +79,33 @@ def test_apply_verb(tmp_path, capsys):
     assert out.strip() == "x1^2 + 2*x1*th[1]*t[1]"
 
 
+def test_apply_verb_differential_operator(tmp_path, capsys):
+    # the operator lives on 2|1;1, the function is embedded there and lifted
+    op = write(tmp_path, "op.txt", "t1*th1*d/dx1 + x2*d/dth1\n")
+    f = write(tmp_path, "f.txt", "x1^2\n")
+    assert run_cli(capsys, "apply", op, f) == (0, "-2*x1*th[1]*t[1]\n", "")
+
+
+def test_apply_verb_factored_operator_acts_as_its_morphism(tmp_path, capsys):
+    f = write(tmp_path, "f.txt", "x1^2*th2 + th1\n")
+    expected = run_cli(capsys, "apply", write(tmp_path, "phi.txt", PHI), f)
+    assert expected[0] == 0
+    assert run_cli(capsys, "apply", write(tmp_path, "fac.txt", FACTORED_PHI), f) == expected
+
+
+@pytest.mark.parametrize(
+    "operator, kind",
+    [("t1 -> t1 + t2\nt2 -> t2\n", "grassmann_morphism"), ("x1*th1\n", "superfunction")],
+)
+def test_apply_verb_refuses_what_does_not_act(tmp_path, capsys, operator, kind):
+    op = write(tmp_path, "op.txt", operator)
+    f = write(tmp_path, "f.txt", "x1^2\n")
+    for options in ([], ["--format", "doc"]):
+        code, out, err = run_cli(capsys, "apply", op, f, *options)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: at byte 0: cannot apply a {kind}\n"
+
+
 def test_apply_verb_large_exponent(tmp_path, capsys):
     phi = write(tmp_path, "phi.txt", "x1 -> x1 + th[1,2]\nth1 -> th[1]\nth2 -> th[2]\n")
     f = write(tmp_path, "f.txt", "x1^1500\n")
@@ -263,6 +290,12 @@ def test_doc_format_is_json(tmp_path, capsys):
             ["d/dth1", "th[1]*d/dx1"],
             [],
             {"kind": "derivation", "value": "d/dx1"},
+        ),
+        (
+            "apply",
+            ["t1*th1*d/dx1 + x2*d/dth1\n", "x1^2\n"],
+            [],
+            {"kind": "superfunction", "value": "-2*x1*th[1]*t[1]"},
         ),
     ],
 )

@@ -215,6 +215,37 @@ def test_bracket_rejects_double_mixed():
         mixed.bracket(mixed)
 
 
+def test_bracket_of_a_mixed_field_splits_over_its_parts():
+    from superdiff.parser import parse_derivation
+
+    even_part, odd_part = (parse_derivation(t, 1, 1) for t in ("x1*d/dx1", "d/dth1"))
+    mixed = even_part + odd_part
+    assert mixed.parity() is None
+    partner = parse_derivation("x1^2*d/dx1 + x1*th1*d/dth1", 1, 1)
+    assert partner.parity() == 0
+    assert mixed.bracket(partner) == even_part.bracket(partner) + odd_part.bracket(partner)
+    assert partner.bracket(mixed) == partner.bracket(even_part) + partner.bracket(odd_part)
+    assert str(mixed.bracket(partner)) == "x1^2*d/dx1 + (x1 + x1*th[1])*d/dth1"
+    rng = random.Random(23)
+    for _ in range(20):
+        even, odd, partner = (
+            random_derivation(rng, 2, 2, 0, degree=1, parity=q) for q in (0, 1, 0)
+        )
+        mixed = even + odd
+        assert mixed.bracket(partner) == even.bracket(partner) + odd.bracket(partner)
+        assert partner.bracket(mixed) == partner.bracket(even) + partner.bracket(odd)
+
+
+def test_bracket_of_a_mixed_field_refuses_an_odd_partner():
+    from superdiff.parser import parse_derivation
+
+    mixed = parse_derivation("x1*d/dx1 + d/dth1", 1, 1)
+    odd = parse_derivation("th1*d/dx1", 1, 1)
+    for left, right in ((mixed, odd), (odd, mixed)):
+        with pytest.raises(ParityError, match="^bracket of a mixed field needs an even partner$"):
+            left.bracket(right)
+
+
 # -- the action against a plain Fraction reference ----------------------
 
 

@@ -407,6 +407,78 @@ def test_index_zero_on_the_left_is_rejected(text, lhs):
     assert "start at 1" in info.value.message
 
 
+FACTORED_HEAD = "p: 1\nphi0: { x1 -> x1 }\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, error, message, offset",
+    [
+        (fmt.parse_any, "th0", DimensionError, "odd coordinate index 0 out of range 1..0", None),
+        (fmt.parse_any, "t0", DimensionError, "external index 0 out of range 1..0", None),
+        (fmt.parse_any, "th[0]", DimensionError, "th index out of range in (0,)", None),
+        (fmt.parse_any, "1/0*x1", ParseError, "zero denominator", 2),
+        (fmt.parse_any, "x1 )", ParseError, "trailing ) after expression", 3),
+        (
+            fmt.parse_superfunction,
+            "d/dx1",
+            ParseError,
+            "expected a superfunction, found an operator",
+            0,
+        ),
+        (fmt.parse_any, FACTORED_HEAD + "X[1]: x1", ParseError, "component must be an operator", 24),
+        (
+            fmt.parse_any,
+            FACTORED_HEAD + "x1 -> x1",
+            ParseError,
+            "expected p:, phi0: or X[...]:, found xvar",
+            24,
+        ),
+        (
+            fmt.parse_factored,
+            "p: 1\nX[1]: th[1]*d/dx1",
+            ParseError,
+            "factored form needs a phi0 block",
+            0,
+        ),
+        (fmt.parse_any, "th[1,2] -> th1", ParseError, "left side must name one coordinate", 0),
+        (fmt.parse_any, "t[1,2] -> t1", ParseError, "left side must name one generator", 0),
+        (
+            fmt.parse_any,
+            "5 -> x1",
+            ParseError,
+            "expected a coordinate on the left of ->, found int",
+            0,
+        ),
+        (fmt.parse_any, "x1 -> d/dx1", ParseError, "operator not allowed in a morphism image", 0),
+        (
+            lambda text: fmt.parse_morphism(text, m=3),
+            "x1 -> x1\nx2 -> x2",
+            DimensionError,
+            "morphism covers 2 even and 0 odd coordinates, expected 3 and 0",
+            None,
+        ),
+        (
+            fmt.parse_any,
+            "p: 1\nx1 -> x1 + th[1]*t[1,2]\nth1 -> th1",
+            DimensionError,
+            "declared rank 1 but images use t[2]",
+            None,
+        ),
+        (fmt.parse_any, "th[1", ParseError, "expected ], found end", 4),
+        (fmt.parse_any, "th[x1]", ParseError, "expected int, found xvar", 3),
+    ],
+)
+def test_parse_error_type_message_and_offset(parse, text, error, message, offset):
+    with pytest.raises(error) as info:
+        parse(text)
+    assert type(info.value) is error
+    if offset is None:
+        assert str(info.value) == message
+    else:
+        assert (info.value.offset, info.value.message) == (offset, message)
+        assert str(info.value) == f"at byte {offset}: {message}"
+
+
 def test_index_zero_in_an_expression_is_a_dimension_error():
     with pytest.raises(DimensionError):
         fmt.parse_superfunction("x0 + x1")
