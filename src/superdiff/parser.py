@@ -28,22 +28,29 @@ per I); any other header is a parse error at its offset:
 
 A differential atom may only stand last in a product; sums never mix
 functions with operators.  Parentheses nest at most MAX_NESTING (100)
-levels deep; a deeper `(` is a parse error at its offset.  Every parse error carries the byte offset of
-the offending token and the set of token kinds that were acceptable.
-Each document is tokenized once, and that one pass over the text gives
-the tokens, the dimensions its indices need and the kind of document
-(`Tokens`); one statement loop then reads the tokens, and every
-statement fault is reported before any dimension fault.
+levels deep; a deeper `(` is a parse error at its offset.  Every parse
+error carries the byte offset of the offending token and the set of
+token kinds that were acceptable.
 
-The parser reads into the stored form of `grassmann`.  Each run of
-monomial factors in a product (numbers, x, th and t atoms, and their
-powers) is folded into one term in that layout: a numerator and a
-denominator, packed exponents and an odd mask, the sign of each product
-taken from the kernel's memo.  The guard bits are checked after every
-power and product, so an exponent past the limit raises LimitError and
-never carries into the next field.  The monomial terms of a sum go
-straight into one stored form over the lcm of their denominators;
-parenthesised factors and operators take the Superfunction product,
+One regex pass tokenizes a document and finds the dimensions its
+indices need and its kind (`Tokens`): "factored" if it names phi0, else
+"morphism" if it has an arrow, else "factored" if an X precedes `[`,
+else "derivation" if it has d/dx or d/dth, else "superfunction".  A th
+or t index list as the printers spell it (no spaces, increasing indices
+without leading zeros, within the digit limit) is one `th`/`t` token
+whose value is the index tuple; other spellings lex into `[`, ints,
+commas and `]` for `parse_index_list`.  One statement loop then reads
+the tokens; every statement fault comes before any dimension fault.
+
+The parser reads into the stored form of `grassmann`.  One loop reads a
+product's monomial atoms (numbers, x, th, t, and their powers) and folds
+them as they come into one term in that layout: a numerator and a
+denominator, packed exponents and an odd mask, each product's sign from
+the kernel's memo.  The guard bits are checked after every power and
+product, so an exponent past the limit raises LimitError and never
+carries into the next field.  The monomial terms of a sum go straight
+into one stored form over the lcm of their denominators; parenthesised
+factors and operators take `parse_factor`, the Superfunction product,
 `premultiply` and `_combine`.
 
 Printers emit one canonical spelling per object (terms sorted, signs
@@ -97,10 +104,7 @@ class Token(NamedTuple):
 
 class Tokens(list):
     """The tokens of one text, and what the same pass saw of it: the
-    largest x, th and t index it names (`seen`) and the kind of document
-    (`document`: "factored" if it names phi0, else "morphism" if it has
-    an arrow, else "derivation" if it has d/dx or d/dth, else
-    "superfunction")."""
+    largest x, th and t index it names (`seen`) and its kind (`document`)."""
 
     __slots__ = ("seen", "document")
 
@@ -113,16 +117,17 @@ _TOKEN_RE = re.compile(
     r"""
     [ \t\r]*
     (?: ([*\[\],+/^();:{}]|-(?!>))   # 1 punctuation: its own kind and value
-      | (\d+)                       # 2 int
-      | x(\d+)                      # 3 xvar
-      | (th)(\d+)?                  # 4 th, 5 thvar
-      | (t)(?:(\d+)|\b)             # 6 t, 7 tvar
-      | (\n)                        # 8 newline
-      | (->)                        # 9 arrow
-      | d/d(?:x(\d+)|th(\d+))       # 10 d_dx, 11 d_dth
-      | ([A-Za-z_][A-Za-z0-9_]*)    # 12 ident
-      | ()\Z                        # 13 end
-      | (.)                         # 14 bad
+      | (th|t)\[((?:[1-9][0-9]*|0)(?:,(?:[1-9][0-9]*|0))*)\]  # 2 th or t, 3 its index list
+      | (\d+)                       # 4 int
+      | x(\d+)                      # 5 xvar
+      | (th)(\d+)?                  # 6 th, 7 thvar
+      | (t)(?:(\d+)|\b)             # 8 t, 9 tvar
+      | (\n)                        # 10 newline
+      | (->)                        # 11 arrow
+      | d/d(?:x(\d+)|th(\d+))       # 12 d_dx, 13 d_dth
+      | ([A-Za-z_][A-Za-z0-9_]*)    # 14 ident
+      | ()\Z                        # 15 end
+      | (.)                         # 16 bad
     )
     """,
     re.VERBOSE,
@@ -131,14 +136,14 @@ _TOKEN_RE = re.compile(
 # The tokens whose value is an index: kind, the slot of `Tokens.seen` it
 # raises and the length of the name before the digits.
 _INDEXED = {
-    3: ("xvar", 0, 1), 5: ("thvar", 1, 2), 7: ("tvar", 2, 1),
-    10: ("d_dx", 0, 4), 11: ("d_dth", 1, 5),
+    5: ("xvar", 0, 1), 7: ("thvar", 1, 2), 9: ("tvar", 2, 1),
+    12: ("d_dx", 0, 4), 13: ("d_dth", 1, 5),
 }
 # The tokens whose value is their text: kind, and the slot of `Tokens.seen`
 # that the indices of a following `[` raise (0: none; None: unchanged).
 _WORDS = {
-    4: ("th", 1), 6: ("t", 2), 8: ("newline", None), 9: ("arrow", None), 12: ("ident", 0),
-    13: ("end", None),
+    6: ("th", 1), 8: ("t", 2), 10: ("newline", None), 11: ("arrow", None), 14: ("ident", 0),
+    15: ("end", None),
 }
 
 
@@ -151,7 +156,7 @@ def tokenize(text: str) -> Tokens:
     new = tuple.__new__  # a Token, without NamedTuple's Python-level __new__
     seen = [0, 0, 0]
     owner = pending = 0  # the slot of `seen` that the open bracket's indices raise
-    kinds = set()  # of the tokens other than punctuation and int
+    kinds = set()  # of the tokens other than punctuation and int, and "X["
     phi0 = False
     try:
         for match in _TOKEN_RE.finditer(text):
@@ -161,11 +166,34 @@ def tokenize(text: str) -> Tokens:
                 op = match.group(1)
                 if op == "[":
                     owner, pending = pending, 0
+                    if tokens and tokens[-1][1] == "X":
+                        kinds.add("X[")
                 elif op == "]":
                     owner = 0
                 append(new(Token, (op, op, pos)))
-            elif i == 2:
-                value = int(match.group(2))
+            elif i == 3:
+                name, digits = match.group(2, 3)
+                pos, slot, parts = match.start(2), 1 if name == "th" else 2, digits.split(",")
+                owner = pending = 0
+                try:
+                    key = tuple(map(int, parts))
+                except ValueError:  # past the digit limit: raised below
+                    key = (0, 0)
+                seen[slot] = max(seen[slot], *key)
+                if all(map(int.__lt__, key, key[1:])):
+                    append(new(Token, (name, key, pos)))
+                    continue
+                # any other list: one token per index and punctuation mark
+                append(new(Token, (name, name, pos)))
+                pos += len(name)
+                for op, part in zip("[" + "," * len(parts), parts):
+                    append(new(Token, (op, op, pos)))
+                    pos += 1
+                    append(new(Token, ("int", int(part), pos)))
+                    pos += len(part)
+                append(new(Token, ("]", "]", pos)))
+            elif i == 4:
+                value = int(match.group(4))
                 if owner and value > seen[owner]:
                     seen[owner] = value
                 append(new(Token, ("int", value, pos)))
@@ -176,7 +204,7 @@ def tokenize(text: str) -> Tokens:
                 seen[slot] = max(seen[slot], value)
                 kinds.add(kind)
                 append(new(Token, (kind, value, pos)))
-            elif i == 14:
+            elif i == 16:
                 raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
             else:
                 word = match.group(i) or None  # the end token has no text
@@ -186,7 +214,7 @@ def tokenize(text: str) -> Tokens:
                 kinds.add(kind)
                 phi0 = phi0 or word == "phi0"
                 append(new(Token, (kind, word, pos)))
-                if i == 13:  # the end, which one more empty match would repeat
+                if i == 15:  # the end, which one more empty match would repeat
                     break
     except ValueError:  # from int(); sys.get_int_max_str_digits exists where it is raised
         raise LimitError(
@@ -195,6 +223,7 @@ def tokenize(text: str) -> Tokens:
     tokens.seen = Dimensions(*seen)
     tokens.document = (
         "factored" if phi0 else "morphism" if "arrow" in kinds
+        else "factored" if "X[" in kinds
         else "derivation" if kinds & {"d_dx", "d_dth"} else "superfunction"
     )
     return tokens
@@ -229,42 +258,6 @@ _EXPR_FOLLOW = ("end", "newline", ";", "}", ")")
 MAX_NESTING = 100
 
 
-class _Monomial(NamedTuple):
-    """num/den * x^key * the odd factors of mask: one term in the stored
-    layout (packed exponents; th[j] at bit j - 1, t[k] at bit n + k - 1),
-    into which a run of factors of a product is folded."""
-
-    num: int
-    den: int
-    key: int
-    mask: int
-
-    def times(self, other: "_Monomial") -> "_Monomial":
-        """The product, its keys added unchecked (see `_Parser.fold`)."""
-        a, b = self.mask, other.mask
-        num = self.num * other.num
-        if a & b:
-            num = 0  # an odd factor twice
-        elif a and b:
-            num *= _SIGNS.get((a, b)) or _sign(a, b)
-        return _Monomial(num, self.den * other.den, self.key + other.key, a | b)
-
-    def power(self, k: int) -> "_Monomial":
-        """The k-th power, its key multiplied unchecked (see `_Parser.fold`);
-        LimitError, before the power is taken, for a numerator or
-        denominator that would have more digits than Python prints."""
-        if k == 1:
-            return self
-        if k == 0:
-            return _ONE
-        if self.mask:
-            return self._replace(num=0)  # odd factors square to zero
-        _check_digits(k, self.num, self.den)
-        return _Monomial(self.num**k, self.den**k, self.key * k, self.mask)
-
-
-_ONE = _Monomial(1, 1, 0, 0)
-
 # Python's limit on the digits of an int converted to or from text, 0 if none
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
@@ -275,11 +268,6 @@ def _check_digits(k: int, num: int, den: int) -> None:
     limit = _digit_limit()
     if limit and k * math.log10(max(abs(num), den)) > limit:
         raise LimitError(f"a coefficient has more than {limit} digits to print")
-
-
-# A factor as read: a value, or a monomial atom with its power (applied
-# when its run is folded), and the offset of its first token.
-Factor = tuple[Union[Value, _Monomial], int, int]
 
 
 class _Parser:
@@ -322,15 +310,15 @@ class _Parser:
             sign = -1 if tok.kind == "-" else 1
         term = self.parse_term()
         operators = isinstance(term, SuperDerivation)
-        monomials: list[tuple[int, _Monomial]] = []
+        monomials: list[tuple[int, tuple]] = []
         weights: list[int] = []
         terms: list[Value] = []
         while True:
-            if isinstance(term, _Monomial):
+            if type(term) is tuple:
                 monomials.append((sign, term))
             else:
                 weights.append(sign)
-                terms.append(term)
+                terms.append(term)  # type: ignore[arg-type]
             tok = self.tokens[self.pos]
             if tok.kind in ("+", "-"):
                 self.pos += 1
@@ -351,48 +339,128 @@ class _Parser:
                     f"unexpected {tok.kind} in expression",
                 )
         if monomials:
-            den = math.lcm(*[mono.den for _, mono in monomials])
+            den = math.lcm(*[mono[1] for _, mono in monomials])
             total: IntegerBuckets = {}
-            for sign, mono in monomials:
-                bucket = total.setdefault(mono.mask, {})
-                bucket[mono.key] = bucket.get(mono.key, 0) + sign * mono.num * (den // mono.den)
+            for sign, (num, d, key, mask) in monomials:
+                bucket = total.setdefault(mask, {})
+                bucket[key] = bucket.get(key, 0) + sign * num * (den // d)
             weights.append(1)
             terms.append(Superfunction._build(self.dims, total, den))
         return terms[0] if weights == [1] else _combine(weights, terms)
 
-    def parse_term(self) -> Union[Value, _Monomial]:
-        """A product.  Each run of monomial factors is folded into one
-        term; when every factor is one, that term is the result.  Only
-        parenthesised factors are multiplied as superfunctions."""
+    def parse_term(self) -> Union[Value, tuple]:
+        """A product, read in one loop (see the module docstring).  Atoms
+        are checked as they are read; the first fault of the product (a
+        factor after an operator, an exponent past the limit) is raised
+        after its last factor, a run's where its product is needed: at the
+        next parenthesis or the end."""
         tokens = self.tokens
-        factors = [self.parse_factor()]
-        while tokens[self.pos].kind == "*":
-            self.pos += 1
-            factors.append(self.parse_factor())
+        m, n, p = self.dims
+        guard = _guard(m)
+        num, den, key, mask = 1, 1, 0, 0  # the run folded so far
+        ran = False  # whether the run has a factor
         segments: list[Superfunction] = []
-        run: list[tuple[_Monomial, int]] = []
         operator: Optional[SuperDerivation] = None
-        for value, power, offset in factors:
-            if operator is not None:
-                raise ParseError(
+        fault: Optional[Exception] = None
+        folding: Optional[LimitError] = None  # the run's fault
+        value: Any
+        pos = self.pos
+        while True:
+            kind, value, offset = tokens[pos]
+            pos += 1
+            if operator is not None and fault is None:
+                fault = ParseError(
                     offset,
                     ("+", "-") + _EXPR_FOLLOW,
                     "a differential operator must end its product",
                 )
-            if isinstance(value, SuperDerivation):
-                operator = value
-            elif isinstance(value, _Monomial):
-                run.append((value, power))
+            a_num = a_den = 1
+            a_key = a_mask = 0
+            if kind == "int":
+                a_num = value
+                if tokens[pos].kind == "/":
+                    self.pos = pos + 1
+                    a_den, pos = self.expect("int").value, pos + 2
+                    if a_den == 0:
+                        raise ParseError(tokens[pos - 1].offset, ("int",), "zero denominator")
+            elif kind == "xvar":
+                if not 1 <= value <= m:
+                    raise DimensionError(f"variable index {value} out of range 1..{m}")
+                a_key = 1 << _WIDTH * (value - 1)
+            elif kind == "th" or kind == "t":
+                if type(value) is str:  # a list lexed token by token
+                    self.pos = pos
+                    value = self.parse_index_list()
+                    pos = self.pos
+                bound, shift = (n, 0) if kind == "th" else (p, n)
+                if value[0] < 1 or value[-1] > bound:
+                    raise DimensionError(f"{kind} index out of range in {value}")
+                a_mask = _mask(value) << shift
+            elif kind == "thvar":
+                if not 1 <= value <= n:
+                    raise DimensionError(f"odd coordinate index {value} out of range 1..{n}")
+                a_mask = 1 << (value - 1)
+            elif kind == "tvar":
+                if not 1 <= value <= p:
+                    raise DimensionError(f"external index {value} out of range 1..{p}")
+                a_mask = 1 << (n + value - 1)
             else:
-                if run:
-                    segments.append(self.superfunction(self.fold(run)))
-                    run = []
-                segments.append(value)
-        mono = self.fold(run)
+                self.pos = pos - 1
+                factor = self.parse_factor()
+                pos = self.pos
+                if isinstance(factor, SuperDerivation):
+                    operator = factor
+                else:
+                    fault = fault or folding
+                    if ran:
+                        segments.append(Superfunction._build(self.dims, {mask: {key: num}}, den))
+                    num, den, key, mask = 1, 1, 0, 0
+                    ran, folding = False, None
+                    segments.append(factor)
+                if tokens[pos].kind != "*":
+                    break
+                pos += 1
+                continue
+            k = 1
+            if tokens[pos].kind == "^":
+                self.pos = pos + 1
+                k, pos = self.expect("int").value, pos + 2
+            ran = True
+            if folding is None:
+                try:
+                    if k != 1:
+                        if a_key and k > _LIMIT:  # an x atom's one field is 1
+                            raise LimitError(f"exponent {k} exceeds the limit {_LIMIT}")
+                        if k == 0:
+                            a_num, a_den, a_key, a_mask = 1, 1, 0, 0
+                        elif a_mask:
+                            a_num = 0  # odd factors square to zero
+                        else:
+                            _check_digits(k, a_num, a_den)
+                            a_num, a_den, a_key = a_num**k, a_den**k, a_key * k
+                    num *= a_num
+                    if mask & a_mask:
+                        num = 0  # an odd factor twice
+                    elif mask and a_mask:
+                        num *= _SIGNS.get((mask, a_mask)) or _sign(mask, a_mask)
+                    den, key, mask = den * a_den, key + a_key, mask | a_mask
+                    if key & guard:
+                        _unpack(key, m)  # raises
+                except LimitError as exc:
+                    folding = exc
+            if tokens[pos].kind != "*":
+                break
+            pos += 1
+        self.pos = pos
+        fault = fault or folding
+        if fault is not None:
+            raise fault
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
         if operator is None and not segments:
-            return mono
-        if mono != _ONE or not segments:
-            segments.append(self.superfunction(mono))
+            return num, den, key, mask
+        if (num, den, key, mask) != (1, 1, 0, 0) or not segments:
+            segments.append(Superfunction._build(self.dims, {mask: {key: num}}, den))
         coeff = segments[0]
         for segment in segments[1:]:
             coeff = coeff * segment
@@ -400,129 +468,63 @@ class _Parser:
             return coeff
         return operator.premultiply(coeff)
 
-    def fold(self, run: list[tuple[_Monomial, int]]) -> _Monomial:
-        """The product of monomial atoms raised to their powers, in lowest
-        terms.  The guard bits are checked after every `^` and product, so
-        an exponent past the limit raises LimitError before its packed
-        field can carry into the next."""
-        m = self.dims.m
-        guard = _guard(m)
-        mono = _ONE
-        for atom, k in run:
-            if atom.key and k > _LIMIT:  # an x atom's one field is 1
-                raise LimitError(f"exponent {k} exceeds the limit {_LIMIT}")
-            mono = mono.times(atom.power(k))
-            if mono.key & guard:
-                _unpack(mono.key, m)  # raises
-        g = math.gcd(mono.num, mono.den)
-        return mono if g == 1 else mono._replace(num=mono.num // g, den=mono.den // g)
-
-    def superfunction(self, mono: _Monomial) -> Superfunction:
-        return Superfunction._build(self.dims, {mono.mask: {mono.key: mono.num}}, mono.den)
-
-    def parse_factor(self) -> Factor:
-        tokens = self.tokens
-        offset = tokens[self.pos].offset
-        value = self.parse_atom()
-        caret = tokens[self.pos]
+    def parse_factor(self) -> Value:
+        """A factor that is not a monomial atom: d/dx<k>, d/dth<k> or a
+        parenthesised expression, with its power."""
+        m, n, p = self.dims
+        kind, value, offset = self.advance()
+        if kind == "d_dx":
+            factor: Value = SuperDerivation.d_dx(value, m, n, p)  # type: ignore[arg-type]
+        elif kind == "d_dth":
+            factor = SuperDerivation.d_dtheta(value, m, n, p)  # type: ignore[arg-type]
+        elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    offset, (), f"parentheses nested more than {MAX_NESTING} levels deep"
+                )
+            self.depth += 1
+            factor = self.parse_expression()
+            self.expect(")")
+            self.depth -= 1
+        else:
+            raise ParseError(
+                offset,
+                ("int", "xvar", "thvar", "tvar", "th", "t", "d_dx", "d_dth", "("),
+                f"expected an atom, found {kind}",
+            )
+        caret = self.peek()
         if caret.kind != "^":
-            return value, 1, offset
+            return factor
         self.pos += 1
         exponent = self.expect("int").value
-        if isinstance(value, SuperDerivation):
+        if isinstance(factor, SuperDerivation):
             raise ParseError(caret.offset, (), "cannot raise a differential operator to a power")
-        if isinstance(value, _Monomial):
-            return value, exponent, offset  # type: ignore[return-value]
-        body = value._data.get(0)  # type: ignore[union-attr]
+        body = factor._data.get(0)  # type: ignore[union-attr]
         if body:
             # the lowest and the highest term of the body (packed keys compare
             # in a lex order) raised to the k-th power are terms of the power's
             # body, so their coefficients would be printed; a nilpotent value
             # has no body and is never refused
-            den = value._den  # type: ignore[union-attr]
+            den = factor._den  # type: ignore[union-attr]
             for key in (min(body), max(body)):
                 g = math.gcd(body[key], den)
                 _check_digits(exponent, body[key] // g, den // g)
-        return value**exponent, 1, offset  # type: ignore[operator]
+        return factor**exponent  # type: ignore[operator]
 
     def parse_index_list(self) -> IndexTuple:
-        """`[i, j, ...]`, strictly increasing."""
-        tokens = self.tokens
-        if tokens[self.pos].kind != "[":
-            self.expect("[")  # raises
+        """`[i, j, ...]`, strictly increasing: an X header's, or a th or t
+        list not in the printers' spelling."""
+        self.expect("[")
         indices: list[int] = []
         while True:
-            self.pos += 1
-            kind, value, offset = tokens[self.pos]
-            if kind != "int":
-                self.expect("int")  # raises
-            if indices and indices[-1] >= value:  # type: ignore[operator]
-                raise ParseError(offset, ("int",), "indices must be strictly increasing")
-            indices.append(value)  # type: ignore[arg-type]
-            self.pos += 1
-            kind = tokens[self.pos].kind
-            if kind == "]":
-                self.pos += 1
+            tok = self.expect("int")
+            if indices and indices[-1] >= tok.value:  # type: ignore[operator]
+                raise ParseError(tok.offset, ("int",), "indices must be strictly increasing")
+            indices.append(tok.value)  # type: ignore[arg-type]
+            if self.peek().kind != ",":
+                self.expect("]")
                 return tuple(indices)
-            if kind != ",":
-                self.expect("]")  # raises
-
-    def parse_atom(self) -> Union[Value, _Monomial]:
-        """One atom.  The index list of th[...] or t[...] increases, so
-        only its ends are checked against the bound."""
-        m, n, p = self.dims
-        kind, value, offset = self.tokens[self.pos]
-        if kind in ("int", "xvar", "th", "t", "thvar", "tvar"):
-            self.pos += 1
-        if kind == "int":
-            den = 1
-            if self.tokens[self.pos].kind == "/":
-                self.pos += 1
-                denom_tok = self.expect("int")
-                if denom_tok.value == 0:
-                    raise ParseError(denom_tok.offset, ("int",), "zero denominator")
-                den = denom_tok.value
-            return _Monomial(value, den, 0, 0)  # type: ignore[arg-type]
-        if kind == "xvar":
-            if not 1 <= value <= m:  # type: ignore[operator]
-                raise DimensionError(f"variable index {value} out of range 1..{m}")
-            return _Monomial(1, 1, 1 << _WIDTH * (value - 1), 0)  # type: ignore[operator]
-        if kind == "th" or kind == "t":
-            key = self.parse_index_list()
-            bound, shift = (n, 0) if kind == "th" else (p, n)
-            if key[0] < 1 or key[-1] > bound:
-                raise DimensionError(f"{kind} index out of range in {key}")
-            return _Monomial(1, 1, 0, _mask(key) << shift)
-        if kind == "thvar":
-            if not 1 <= value <= n:  # type: ignore[operator]
-                raise DimensionError(f"odd coordinate index {value} out of range 1..{n}")
-            return _Monomial(1, 1, 0, 1 << (value - 1))  # type: ignore[operator]
-        if kind == "tvar":
-            if not 1 <= value <= p:  # type: ignore[operator]
-                raise DimensionError(f"external index {value} out of range 1..{p}")
-            return _Monomial(1, 1, 0, 1 << (n + value - 1))  # type: ignore[operator]
-        if kind == "d_dx":
-            self.pos += 1
-            return SuperDerivation.d_dx(value, m, n, p)  # type: ignore[arg-type]
-        if kind == "d_dth":
-            self.pos += 1
-            return SuperDerivation.d_dtheta(value, m, n, p)  # type: ignore[arg-type]
-        if kind == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(
-                    offset, (), f"parentheses nested more than {MAX_NESTING} levels deep"
-                )
-            self.pos += 1
-            self.depth += 1
-            inner = self.parse_expression()
-            self.expect(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(
-            offset,
-            ("int", "xvar", "thvar", "tvar", "th", "t", "d_dx", "d_dth", "("),
-            f"expected an atom, found {kind}",
-        )
+            self.advance()
 
 
 def _expression(
@@ -612,6 +614,7 @@ class _Block:
         self.kind = kind
         self.offset = offset  # where faults of the block as a whole are reported
         self.images: dict[str, dict[int, Value]] = {"x": {}, "th": {}, "t": {}}
+        self.starts: dict[tuple[str, int], int] = {}  # the offset of each image
         self.headers: dict[str, Any] = {}
         self.offsets: dict[str, int] = {}
         self.fields: dict[IndexTuple, Value] = {}
@@ -676,7 +679,7 @@ def _statements(parser: _Parser, block: _Block, close: str = "end") -> _Block:
         if lhs.kind in _IMAGE_SLOTS:
             kind, index = _IMAGE_SLOTS[lhs.kind], int(lhs.value)  # type: ignore[arg-type]
         elif lhs.kind in ("th", "t"):
-            key = parser.parse_index_list()
+            key = parser.parse_index_list() if type(lhs.value) is str else lhs.value
             if len(key) != 1:
                 noun = "coordinate" if lhs.kind == "th" else "generator"
                 raise ParseError(lhs.offset, (), f"left side must name one {noun}")
@@ -693,6 +696,7 @@ def _statements(parser: _Parser, block: _Block, close: str = "end") -> _Block:
         if index in slot:
             raise ParseError(lhs.offset, (), "duplicate image assignment")
         parser.expect("arrow")
+        block.starts[kind, index] = parser.peek().offset
         slot[index] = parser.parse_expression()
 
 
@@ -704,10 +708,10 @@ def _image_list(block: _Block, kind: str, count: Optional[int] = None) -> list[S
     for i in indices:
         if i not in images:
             raise ParseError(block.offset, (), f"missing image for {kind}{i}")
-    ordered = [images[i] for i in indices]
-    if any(isinstance(g, SuperDerivation) for g in ordered):
-        raise ParseError(block.offset, (), "operator not allowed in a morphism image")
-    return ordered  # type: ignore[return-value]
+    for i in indices:
+        if isinstance(images[i], SuperDerivation):
+            raise ParseError(block.starts[kind, i], (), "operator not allowed in a morphism image")
+    return [images[i] for i in indices]  # type: ignore[misc]
 
 
 def _substitution(

@@ -393,6 +393,13 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_factored_form_without_phi0(tmp_path, capsys):
+    bad = write(tmp_path, "bad.txt", "p: 1\nX[1]: th[1]*d/dx1\n")
+    code, out, err = run_cli(capsys, "factorize", bad)
+    assert (code, out) == (2, "")
+    assert err == "parse error: at byte 0: factored form needs a phi0 block\n"
+
+
 def test_nesting_limit(tmp_path, capsys):
     phi = write(tmp_path, "phi.txt", "x1 -> x1 + th[1]*t[1]\nth1 -> th1\n")
     deep = write(tmp_path, "deep.txt", "(" * 100 + "x1^2" + ")" * 100 + "\n")

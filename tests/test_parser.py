@@ -42,6 +42,8 @@ def test_expression_basics():
     g = fmt.parse_superfunction("th[1,2]*t[2] - th[1]")
     assert fmt.format_superfunction(g) == "-th[1] + th[1,2]*t[2]"
     assert fmt.parse_superfunction("0").is_zero()
+    # a power binds to the whole rational
+    assert fmt.format_superfunction(fmt.parse_superfunction("2/3^0*x1 + 2/3^2")) == "4/9 + x1"
 
 
 def test_sugar_forms_agree():
@@ -449,7 +451,35 @@ FACTORED_HEAD = "p: 1\nphi0: { x1 -> x1 }\n"
             "expected a coordinate on the left of ->, found int",
             0,
         ),
-        (fmt.parse_any, "x1 -> d/dx1", ParseError, "operator not allowed in a morphism image", 0),
+        (fmt.parse_any, "x1 -> d/dx1", ParseError, "operator not allowed in a morphism image", 6),
+        (
+            fmt.parse_any,
+            "x1 -> x1\nth1 -> d/dth1",
+            ParseError,
+            "operator not allowed in a morphism image",
+            16,
+        ),
+        (
+            fmt.parse_any,
+            "x1 -> x1; th1 -> th1; inverse: x1 -> d/dx1; th1 -> th1",
+            ParseError,
+            "operator not allowed in a morphism image",
+            37,
+        ),
+        (
+            fmt.parse_any,
+            "p: 1\nphi0: { x1 -> x1; th1 -> 2*d/dth1 }",
+            ParseError,
+            "operator not allowed in a morphism image",
+            30,
+        ),
+        (
+            fmt.parse_any,
+            "p: 1\nX[1]: th[1]*d/dx1",
+            ParseError,
+            "factored form needs a phi0 block",
+            0,
+        ),
         (
             lambda text: fmt.parse_morphism(text, m=3),
             "x1 -> x1\nx2 -> x2",
@@ -477,6 +507,15 @@ def test_parse_error_type_message_and_offset(parse, text, error, message, offset
     else:
         assert (info.value.offset, info.value.message) == (offset, message)
         assert str(info.value) == f"at byte {offset}: {message}"
+
+
+def test_factored_form_without_phi0_is_named_by_parse_any():
+    for text in ("p: 1\nX[1]: th[1]*d/dx1", "X [3] : d/dth2\np: 4"):
+        assert fmt.tokenize(text).document == "factored"
+        with pytest.raises(ParseError, match="^at byte 0: factored form needs a phi0 block$"):
+            fmt.parse_any(text)
+    # an X that no [ follows names no factored form
+    assert fmt.tokenize("X + d/dx1").document == "derivation"
 
 
 def test_index_zero_in_an_expression_is_a_dimension_error():
@@ -660,6 +699,29 @@ def _reference_tokenize(text):
     return tokens
 
 
+def _reference_fold(text, tokens):
+    """`tokens` with each th or t index list in the printers' spelling
+    merged into one token at the name's offset, its value the index tuple:
+    the name, `[`, strictly increasing ints with commas between them and
+    `]`, at adjacent offsets and each int spelled as `str` prints it."""
+    folded, i = [], 0
+    while i < len(tokens):
+        name, j, ints = tokens[i], i + 1, []
+        if name.kind in ("th", "t"):
+            while tokens[j].kind == ("," if ints else "[") and tokens[j + 1].kind == "int":
+                ints.append(tokens[j + 1].value)
+                j += 2
+        spelling = f"{name.kind}[{','.join(map(str, ints))}]"
+        increasing = ints and ints == sorted(set(ints))
+        if increasing and tokens[j].kind == "]" and text.startswith(spelling, name.offset):
+            folded.append(fmt.Token(name.kind, tuple(ints), name.offset))
+            i = j + 1
+        else:
+            folded.append(name)
+            i += 1
+    return folded
+
+
 def _reference_dimensions(tokens):
     """The largest x, th and t index, by a second walk over the tokens."""
     seen_m = seen_n = seen_p = 0
@@ -695,6 +757,8 @@ def _reference_document(tokens):
         return "factored"
     if "arrow" in kinds:
         return "morphism"
+    if any(a.value == "X" and b.kind == "[" for a, b in zip(tokens, tokens[1:])):
+        return "factored"
     if "d_dx" in kinds or "d_dth" in kinds:
         return "derivation"
     return "superfunction"
@@ -716,7 +780,8 @@ def _lexed(text):
 
     def reference(text):
         tokens = _reference_tokenize(text)
-        return tokens, _reference_dimensions(tokens), _reference_document(tokens)
+        dims, document = _reference_dimensions(tokens), _reference_document(tokens)
+        return _reference_fold(text, tokens), dims, document
 
     return outcome(one_pass), outcome(reference)
 
@@ -786,6 +851,13 @@ LEXER_EDGE_CASES = [
     "x١٢ + th[٣]",
     "2/3*x1^4 + (x2)^2*t3",
     "x1 -> x1; th1 -> th1; inverse: x1 -> x1",
+    "th[2,1]",
+    "th[1,1]",
+    "th[1, 2]",
+    "th[1,]",
+    "t[0]",
+    "th[01,2]",
+    "th[1]^2",
 ]
 
 
@@ -795,15 +867,33 @@ def test_lexer_matches_the_reference_on_edge_cases(text):
     assert mine == reference
 
 
+@pytest.mark.parametrize(
+    "text, outcome",
+    [
+        ("th[2,1]", (ParseError, "at byte 5: indices must be strictly increasing")),
+        ("th[1,1]", (ParseError, "at byte 5: indices must be strictly increasing")),
+        ("th[1, 2]", "th[1,2]"),
+        ("th[1,]", (ParseError, "at byte 5: expected int, found ]")),
+        ("t[0]", (DimensionError, "t index out of range in (0,)")),
+        ("th[01,2]", "th[1,2]"),
+        ("th[1]^2", "0"),
+    ],
+)
+def test_index_lists_in_other_spellings(text, outcome):
+    assert _outcome(lambda: fmt.format_superfunction(fmt.parse_superfunction(text))) == outcome
+
+
 @pytest.mark.skipif(
     not 0 < DIGIT_LIMIT <= 5000, reason="no digit limit below 5001 on int/str conversion"
 )
-@pytest.mark.parametrize("spelling", ["{}", "x{}", "th{}", "t{}", "d/dx{}", "d/dth{}", "th[{}]"])
+@pytest.mark.parametrize(
+    "spelling", ["{}", "x{}", "th{}", "t{}", "d/dx{}", "d/dth{}", "th[{}]", "th[1,{}]"]
+)
 def test_lexer_long_integers_match_the_reference(spelling):
     text = "x1 + " + spelling.format("1" * 5001)
     mine, reference = _lexed(text)
     assert mine == reference
-    offset = 8 if spelling == "th[{}]" else 5  # the token's own offset
+    offset = {"th[{}]": 8, "th[1,{}]": 10}.get(spelling, 5)  # the token's own offset
     assert mine[:2] == (
         LimitError, f"integer at byte {offset} has more than {DIGIT_LIMIT} digits"
     )
