@@ -214,7 +214,8 @@ class SuperDerivation:
         tolerated when the other one is even, where no sign ambiguity
         arises).  The composite of two derivations is not a derivation,
         but this combination is, so it is assembled from its values on
-        the coordinates.
+        the coordinates.  A field's value on coordinate i is its
+        coefficient i, so [X, Y]_i = X(Y_i) - sign * Y(X_i).
         """
         self._check(other)
         qa, qb = self.parity(), other.parity()
@@ -230,12 +231,7 @@ class SuperDerivation:
             sign = 1
         else:
             sign = -1 if (qa * qb) % 2 else 1
-        m, n, p = self.m, self.n, self.p
-        values = [
-            self.apply(other.apply(gen)) - other.apply(self.apply(gen)).scale(sign)
-            for gen in _coordinates(m, n, p)
-        ]
-        return SuperDerivation._of(m, n, p, values)
+        return _combine((1, -sign), (other._map(self.apply), self._map(other.apply)))
 
     def __eq__(self, other: object) -> bool:
         return (

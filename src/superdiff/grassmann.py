@@ -47,14 +47,19 @@ constructors check every key and coefficient; kernel-built results are
 not re-checked, only reduced to lowest terms.  The pack, unpack and mask
 memos are `lru_cache`s of 2**16 entries, and `_SIGNS` is emptied when
 it reaches that size.
+
+A map of Grassmann algebras and a substitution of the th (`superfn`)
+both send an odd monomial to the product of its factors' images: that
+one product is `_blade`, memoized by mask per morphism and per plan.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, LimitError, ParityError
 
@@ -218,6 +223,19 @@ def _multiply_buckets_into(
             sign = signs.get((ka, kb)) or _sign(ka, kb)
             _multiply_into(total.setdefault(ka | kb, {}), pa, pb, sign * factor)
     return total
+
+
+def _blade(memo: dict, factors: Sequence, mask: int, product: Callable):
+    """The product of factors[i] over the bits i of `mask`, lowest bit
+    leftmost, by `product`; kept in `memo` by mask, memo[0] the unit."""
+    found = memo.get(mask)
+    if found is None:
+        last = mask.bit_length() - 1
+        found, rest = factors[last], mask ^ (1 << last)
+        if rest:
+            found = product(_blade(memo, factors, rest, product), found)
+        memo[mask] = found
+    return found
 
 
 def _reduced(data: IntegerBuckets, den: int) -> tuple[IntegerBuckets, int]:
@@ -453,10 +471,11 @@ class GrassmannMorphism:
 
     Determined by the images of the source generators, which must all be
     odd (or zero) elements of the target algebra.  Freeness of the source
-    makes any such assignment a well-defined algebra map.
+    makes any such assignment a well-defined algebra map.  The image of
+    each monomial t[J] is kept once built (`_blade`).
     """
 
-    __slots__ = ("source_n", "target_n", "images")
+    __slots__ = ("source_n", "target_n", "images", "_blades")
 
     def __init__(self, source_n: int, target_n: int, images: Iterable[GrassmannElement]):
         images = tuple(images)
@@ -475,6 +494,7 @@ class GrassmannMorphism:
         self.source_n = source_n
         self.target_n = target_n
         self.images = images
+        self._blades = {0: GrassmannElement.scalar(1, target_n)}  # mask of J: image of t[J]
 
     @classmethod
     def identity(cls, n: int) -> "GrassmannMorphism":
@@ -496,15 +516,11 @@ class GrassmannMorphism:
             raise DimensionError(
                 f"element has {a.n} generators, morphism expects {self.source_n}"
             )
-        result = GrassmannElement.zero(self.target_n)
-        for key, coeff in a.terms.items():
-            factor = GrassmannElement.scalar(coeff, self.target_n)
-            for i in key:
-                factor = factor * self.images[i - 1]
-                if factor.is_zero():
-                    break
-            result = result + factor
-        return result
+        if not a._data:
+            return GrassmannElement.zero(self.target_n)
+        weights = [Fraction(poly[0], a._den) for poly in a._data.values()]
+        blades = [_blade(self._blades, self.images, mask, operator.mul) for mask in a._data]
+        return _combination(weights, blades)
 
     def compose(self, inner: "GrassmannMorphism") -> "GrassmannMorphism":
         """self after inner."""

@@ -72,6 +72,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from fractions import Fraction
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .derivation import SuperDerivation, _combine
@@ -577,18 +578,19 @@ def parse_derivation(
 
 def _grassmann(value: Superfunction, n: int, offset: int) -> GrassmannElement:
     """A superfunction in the t generators alone, as an element of Λ_n."""
+    theta = (1 << value.n) - 1
     terms = {}
-    for (theta_key, tau_key), poly in value.terms.items():
-        if theta_key or poly.degree() > 0:
+    for mask, poly in value._data.items():
+        if mask & theta or any(poly):  # a th factor, or a nonzero exponent key
             raise ParseError(offset, (), "Grassmann images may only use t generators")
-        terms[tau_key] = poly.terms[(0,) * value.m]
+        terms[_indices(mask >> value.n)] = Fraction(poly[0], value._den)
     return GrassmannElement(n, terms)
 
 
 def parse_grassmann(text: str, n: Optional[int] = None) -> GrassmannElement:
+    # at 0|0 the dimension check refuses every d/dx and d/dth, so the value
+    # is a superfunction
     value = _expression(tokenize(text), 0, 0, n)
-    if isinstance(value, SuperDerivation):
-        raise ParseError(0, (), "expected a Grassmann element, found an operator")
     return _grassmann(value, value.p, 0)
 
 

@@ -17,16 +17,14 @@ from .derivation import SuperDerivation, exp_nilpotent
 from .grassmann import GrassmannElement, GrassmannMorphism
 from .morphism import SuperMorphism, subsets_of_rank
 from .sdiff import SDiffPoint
-from .substitution import UnderlyingMorphism, _invert_matrix
+from .substitution import UnderlyingMorphism, _affine_images, _invert_matrix
 from .superfn import Polynomial, Superfunction
 
 IndexTuple = tuple[int, ...]
 
 
-def random_fraction(rng: random.Random, zero_ok: bool = True) -> Fraction:
+def random_fraction(rng: random.Random) -> Fraction:
     num = rng.randint(-3, 3)
-    if num == 0 and not zero_ok:
-        num = rng.choice([-2, -1, 1, 2])
     den = rng.choice([1, 1, 2, 3])
     return Fraction(num, den)
 
@@ -117,21 +115,8 @@ def random_affine_body(rng: random.Random, m: int, n: int) -> UnderlyingMorphism
     matrix_x = random_invertible_matrix(rng, m)
     shift = [random_fraction(rng) for _ in range(m)]
     matrix_th = random_invertible_matrix(rng, n)
-    images_x = []
-    for i in range(m):
-        g = Superfunction.scalar(shift[i], m, n, 0)
-        for k in range(m):
-            if matrix_x[i][k]:
-                g = g + Superfunction.coordinate(k + 1, m, n, 0).scale(matrix_x[i][k])
-        images_x.append(g)
-    images_th = []
-    for j in range(n):
-        g = Superfunction.zero(m, n, 0)
-        for l in range(n):
-            if matrix_th[j][l]:
-                g = g + Superfunction.theta(l + 1, m, n, 0).scale(matrix_th[j][l])
-        images_th.append(g)
-    forward = UnderlyingMorphism(m, n, images_x, images_th)
+    matrix = [row + [0] * n for row in matrix_x] + [[0] * m + row for row in matrix_th]
+    forward = UnderlyingMorphism._of(m, n, _affine_images(m, n, matrix, shift))
     affine = forward.affine_part()
     assert affine is not None
     return affine

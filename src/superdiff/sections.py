@@ -11,6 +11,8 @@ Lambda_p) x (odd fields).
 
 from __future__ import annotations
 
+from itertools import product
+
 from .derivation import SuperDerivation
 from .errors import DimensionError, ParityError
 from .grassmann import GrassmannMorphism
@@ -45,17 +47,8 @@ class LambdaSection:
 
 def _monomials_up_to(m: int, degree: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree <= degree, in graded lex order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for e in range(degree - sum(prefix) + 1):
-            rec(prefix + (e,), remaining - 1)
-
-    rec((), m)
-    return sorted(out, key=lambda t: (sum(t), t))
+    exponents = product(range(degree + 1), repeat=m)
+    return sorted((e for e in exponents if sum(e) <= degree), key=lambda t: (sum(t), t))
 
 
 def section_basis(m: int, n: int, p: int, degree: int) -> list[LambdaSection]:
@@ -115,9 +108,8 @@ def skeleton_decompose(section: LambdaSection) -> dict[IndexTuple, SuperDerivati
         support.update(g.external_support())
     out: dict[IndexTuple, SuperDerivation] = {}
     for tau_key in sorted(support, key=lambda j: (len(j), j)):
+        # tau_key is in a coefficient's support, so the component is nonzero
         component = field._map(lambda g: g.external_coefficient(tau_key), 0)
-        if component.is_zero():
-            continue
         if component.parity() != len(tau_key) % 2:
             raise ParityError("decomposition produced a component of wrong parity")
         out[tau_key] = component

@@ -264,11 +264,15 @@ def _affine(
     if inverse is None:
         return None
     inv_shift = [-sum((a * s for a, s in zip(row, shift)), Fraction(0)) for row in inverse[:m]]
-    basis = (Superfunction.scalar(1, m, n, 0), *_coordinates(m, n))
-
-    def images(rows, consts):
-        return [_combination((c, *row), basis) for row, c in zip(rows, [*consts, *[0] * n])]
-
-    forward = UnderlyingMorphism._of(m, n, images(matrix, shift))
-    forward.inverse = UnderlyingMorphism._of(m, n, images(inverse, inv_shift), forward)
+    forward = UnderlyingMorphism._of(m, n, _affine_images(m, n, matrix, shift))
+    backward = _affine_images(m, n, inverse, inv_shift)
+    forward.inverse = UnderlyingMorphism._of(m, n, backward, forward)
     return forward
+
+
+def _affine_images(
+    m: int, n: int, matrix: Sequence[Sequence[Fraction]], shift: Sequence[Fraction]
+) -> list[Superfunction]:
+    """x -> A x + shift, th -> C th, each a combination of 1, x1.., th1.."""
+    basis = (Superfunction.scalar(1, m, n, 0), *_coordinates(m, n))
+    return [_combination((c, *row), basis) for row, c in zip(matrix, [*shift, *[0] * n])]

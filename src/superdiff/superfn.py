@@ -52,8 +52,9 @@ in the nilpotent part::
 
 Every term of N has at least two odd factors, so N^k = 0 once
 2|k| > n + p: the sum has only |k| <= (n+p)//2.  The terms over one odd
-block th[K] are summed before the block's image th(K) is multiplied in
-once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
+block th[K] are summed before the block's image th(K), the odd-image
+product `grassmann._blade` that Grassmann morphisms share, is multiplied
+in once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
 The caches for one set of images live in a private plan, which keeps
 each body over its own denominator and the rest over one shared D, so
 that the Taylor data of each exponent vector are the plan's own;
@@ -78,6 +79,7 @@ from .grassmann import (
     IntegerBuckets,
     Integers,
     _as_fraction,
+    _blade,
     _check_limit,
     _index_key,
     _indices,
@@ -444,9 +446,9 @@ class _SubstitutionPlan:
     denominators, and N_i = M_i/D, image of th_j = F_j/D over the least
     common denominator D of every nilpotent part and odd image.  Body
     powers B_i^e (by repeated squaring) and monomials B^e, the surviving
-    M^k, the odd blocks F(K) = F_K1 * ... * F_Kr and the Taylor data of
-    each exponent vector depend on the plan alone; they are cached on
-    first use, the products checked against the exponent limit.  The
+    M^k, the odd blocks F(K) = F_K1 * ... * F_Kr (`_blade`) and the Taylor
+    data of each exponent vector depend on the plan alone; they are cached
+    on first use, the products checked against the exponent limit.  The
     images must already have passed `_check_images`.
     """
 
@@ -527,6 +529,10 @@ class _SubstitutionPlan:
             self._body_monomials[exps] = found
         return found
 
+    def _bucket_product(self, a: IntegerBuckets, b: IntegerBuckets) -> IntegerBuckets:
+        """a * b on stored numerators, checked against the exponent limit."""
+        return _check_limit(_reduced(_multiply_buckets_into({}, a, b), 1)[0], self.m)
+
     def _nil_power(self, k: Exponents) -> IntegerBuckets:
         found = self._nil_powers.get(k)
         if found is None:
@@ -534,8 +540,7 @@ class _SubstitutionPlan:
             lower = k[:i] + (k[i] - 1,) + k[i + 1 :]
             found = self._nilpotent[i]
             if any(lower):
-                found = _multiply_buckets_into({}, self._nil_power(lower), found)
-                found = _check_limit(_reduced(found, 1)[0], self.m)
+                found = self._bucket_product(self._nil_power(lower), found)
             self._nil_powers[k] = found
         return found
 
@@ -560,20 +565,6 @@ class _SubstitutionPlan:
                     math.comb(e, j) * d**j for e, j, d in zip(exps, k, self._body_dens)
                 )
                 found.append((k, body, mult))
-        return found
-
-    def _odd_block(self, theta: int) -> IntegerBuckets:
-        """F(K) for the th mask of K, the images of its factors multiplied
-        from the left."""
-        found = self._odd_blocks.get(theta)
-        if found is None:
-            last = theta.bit_length() - 1
-            found = self._th[last]
-            rest = theta ^ (1 << last)
-            if rest:
-                found = _multiply_buckets_into({}, self._odd_block(rest), found)
-                found = _check_limit(_reduced(found, 1)[0], self.m)
-            self._odd_blocks[theta] = found
         return found
 
     def substitute(self, f: Superfunction) -> Superfunction:
@@ -602,8 +593,9 @@ class _SubstitutionPlan:
         signs = _SIGNS
         acc: IntegerBuckets = {}
         zero = (0,) * source_m
+        blocks, product = self._odd_blocks, self._bucket_product
         for theta, entries in by_block.items():
-            odd = self._odd_block(theta)
+            odd = _blade(blocks, self._th, theta, product)
             if not odd:
                 continue
             size = theta.bit_count()

@@ -172,6 +172,76 @@ def test_push_verb(tmp_path, capsys):
     assert "th[1]*t[2]" in out
 
 
+# points at ranks 1 and 2 on 1|1, and the texts of their composites
+RANK_1 = "x1 -> x1 + th[1]*t[1]\nth1 -> th1\n"
+RANK_2 = "x1 -> 2*x1 + 1\nth1 -> th1 + x1*th[1]*t[1,2]\n"
+INVERSE_1_1 = "inverse:\nx1 -> -1/2 + 1/2*x1\nth1 -> th[1]\n"
+TH_IMAGE_1_1 = "th1 -> th[1] + x1*th[1]*t[1,2]\n"
+RANK_1_AFTER_RANK_2 = "x1 -> 1 + 2*x1 + 2*th[1]*t[1]\n" + TH_IMAGE_1_1 + INVERSE_1_1
+RANK_2_AFTER_RANK_1 = "x1 -> 1 + 2*x1 + th[1]*t[1]\n" + TH_IMAGE_1_1 + INVERSE_1_1
+
+
+def test_compose_points_at_different_ranks(tmp_path, capsys):
+    # the operand of lower rank is lifted to the other's rank first, which
+    # is what --p 2 does to both
+    low, high = write(tmp_path, "low.txt", RANK_1), write(tmp_path, "high.txt", RANK_2)
+    cases = ((low, high, RANK_1_AFTER_RANK_2), (high, low, RANK_2_AFTER_RANK_1))
+    for outer, inner, expected in cases:
+        assert run_cli(capsys, "compose", outer, inner) == (0, expected, "")
+        assert run_cli(capsys, "compose", outer, inner, "--check-factored") == (0, expected, "")
+        assert run_cli(capsys, "compose", outer, inner, "--p", "2") == (0, expected, "")
+
+
+def test_push_lifts_a_point_below_the_relabel_rank(tmp_path, capsys):
+    point = write(tmp_path, "point.txt", RANK_1)
+    swap = write(tmp_path, "swap.txt", "t[1] -> t[2]\nt[2] -> t[1]\n")
+    expected = "x1 -> x1 + th[1]*t[2]\nth1 -> th[1]\ninverse:\nx1 -> x1\nth1 -> th[1]\n"
+    assert run_cli(capsys, "push", swap, point) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("push", "rank1_relabel", "rank2"), 4, "invalid input: cannot lower the rank from 2 to 1"),
+        (
+            ("expand", "rank1"),
+            2,
+            "parse error: at byte 0: expected a factored form, found morphism",
+        ),
+        (
+            ("push", "rank1", "rank1"),
+            2,
+            "parse error: at byte 0: expected a Grassmann morphism, found morphism",
+        ),
+        (("log", "factored"), 2, "parse error: at byte 0: expected a morphism, found factored"),
+        (("log", "rank1"), 4, "invalid input: logarithm expects a rank-0 substitution"),
+        (
+            ("invert", "function"),
+            2,
+            "parse error: at byte 0: expected a morphism or factored form, found superfunction",
+        ),
+        (("invert", "juxtaposed"), 2, "parse error: at byte 3: unexpected xvar in expression"),
+        (
+            ("push", "x_relabel", "rank1"),
+            2,
+            "parse error: at byte 0: Grassmann images may only use t generators",
+        ),
+    ],
+)
+def test_exit_code_wrong_kind_or_rank(tmp_path, capsys, argv, code, message):
+    inputs = {
+        "rank1": RANK_1,
+        "rank2": RANK_2,
+        "rank1_relabel": "t[1] -> t[1]\n",
+        "x_relabel": "t[1] -> x1*t[1]\n",
+        "factored": FACTORED_PHI,
+        "function": "x1^2\n",
+        "juxtaposed": "x1 x2\n",
+    }
+    files = [write(tmp_path, f"{name}.txt", inputs[name]) for name in argv[1:]]
+    assert run_cli(capsys, argv[0], *files) == (code, "", message + "\n")
+
+
 def test_sections_verb(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "sections", "--m", "1", "--n", "1", "--p", "1", "--degree", "1"
@@ -651,6 +721,17 @@ def test_exit_code_digit_limit(tmp_path, capsys, text, message):
     code, out, err = run_cli(capsys, "apply", identity, write(tmp_path, "f.txt", text))
     assert (code, out) == (6, "")
     assert err == f"limit exceeded: {message.format(limit=DIGIT_LIMIT)}\n"
+
+
+@pytest.mark.skipif(
+    not 0 < DIGIT_LIMIT <= 5000, reason="no digit limit below 5001 on int/str conversion"
+)
+def test_exit_code_digit_limit_of_a_computed_coefficient(tmp_path, capsys):
+    # the substitution computes 10^5000 * x1^5000; only the printer refuses it
+    op = write(tmp_path, "op.txt", "x1 -> 10*x1\n")
+    code, out, err = run_cli(capsys, "apply", op, write(tmp_path, "f.txt", "x1^5000\n"))
+    limit = f"limit exceeded: a coefficient has more than {DIGIT_LIMIT} digits to print\n"
+    assert (code, out, err) == (6, "", limit)
 
 
 @pytest.mark.skipif(

@@ -17,6 +17,7 @@ from superdiff import (
 )
 from superdiff.errors import DimensionError, DomainError, ParityError
 from superdiff.grassmann import merge_indices
+from superdiff.substitution import _coordinates
 from superdiff.sampling import (
     random_body,
     random_derivation,
@@ -205,6 +206,35 @@ def test_bracket_graded_antisymmetry_and_jacobi():
         lhs = X.bracket(Y.bracket(Z))
         rhs = X.bracket(Y).bracket(Z) + Y.bracket(X.bracket(Z)).scale((-1) ** (pa * pb))
         assert lhs == rhs
+
+
+def _coordinate_bracket(X, Y, sign):
+    """The earlier `bracket`: [X, Y] assembled from its values on the
+    coordinates, X(Y(gen)) - sign * Y(X(gen)); kept as the reference for
+    the bracket read from the coefficient vectors."""
+    m, n, p = X.m, X.n, X.p
+    values = [
+        X.apply(Y.apply(gen)) - Y.apply(X.apply(gen)).scale(sign)
+        for gen in _coordinates(m, n, p)
+    ]
+    return SuperDerivation._of(m, n, p, values)
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 1, 0), (2, 2, 0), (2, 1, 2), (0, 3, 1), (3, 0, 1)])
+def test_bracket_matches_coordinate_reference(m, n, p):
+    rng = random.Random(f"bracket {m}|{n};{p}")
+    for _ in range(12):
+        qx, qy = rng.choice([0, 1]), rng.choice([0, 1])
+        X = random_derivation(rng, m, n, p, degree=2, parity=qx)
+        Y = random_derivation(rng, m, n, p, degree=2, parity=qy)
+        # a field's value on each coordinate is its coefficient there
+        assert [X.apply(gen) for gen in _coordinates(m, n, p)] == list(X._coeffs)
+        assert X.bracket(Y) == _coordinate_bracket(X, Y, -1 if qx * qy else 1)
+        # a mixed field with an even partner takes the sign 1
+        mixed = X + random_derivation(rng, m, n, p, degree=2, parity=1 - qx)
+        even = random_derivation(rng, m, n, p, degree=2, parity=0)
+        assert mixed.bracket(even) == _coordinate_bracket(mixed, even, 1)
+        assert even.bracket(mixed) == _coordinate_bracket(even, mixed, 1)
 
 
 def test_bracket_rejects_double_mixed():

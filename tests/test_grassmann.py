@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -175,3 +176,65 @@ def test_to_from_scalars():
     assert drop.apply(a) == GrassmannElement.scalar(4, 0)
     raise_ = GrassmannMorphism.from_scalars(2)
     assert raise_.apply(GrassmannElement.scalar(7, 0)) == GrassmannElement.scalar(7, 2)
+
+
+def _chain_apply(morphism, a):
+    """The earlier `GrassmannMorphism.apply`: each term of the `.terms`
+    view multiplied out as a chain of images, the terms summed with `+`;
+    kept as the reference for the memoized products."""
+    result = GrassmannElement.zero(morphism.target_n)
+    for key, coeff in a.terms.items():
+        factor = GrassmannElement.scalar(coeff, morphism.target_n)
+        for i in key:
+            factor = factor * morphism.images[i - 1]
+            if factor.is_zero():
+                break
+        result = result + factor
+    return result
+
+
+def test_apply_matches_chain_reference():
+    rng = random.Random(107)
+    morphisms = [
+        GrassmannMorphism.identity(3),
+        GrassmannMorphism.to_scalars(3),
+        GrassmannMorphism.from_scalars(2),
+        # zero images, and a lone image that squares to zero
+        GrassmannMorphism(3, 2, [GrassmannElement.zero(2), gen(1, 2), GrassmannElement.zero(2)]),
+        GrassmannMorphism(2, 4, [gen(1) + gen(2) * gen(3) * gen(4), gen(1)]),
+    ]
+    # non-square maps both ways, and square ones
+    morphisms += [random_grassmann_morphism(rng, s, t) for s, t in [(2, 5), (5, 2), (4, 4)] * 5]
+    for f in morphisms:
+        for _ in range(10):
+            a = random_grassmann(rng, f.source_n, terms=6)
+            expected = _chain_apply(f, a)
+            assert f.apply(a) == expected
+            # a second application reads the kept products
+            assert f.apply(a) == expected
+        assert f.apply(GrassmannElement.zero(f.source_n)) == GrassmannElement.zero(f.target_n)
+
+
+def test_apply_is_multiplicative_on_generated_ranks():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def elements(data, n, parity=None):
+        keys = [k for r in range(n + 1) for k in combinations(range(1, n + 1), r)]
+        keys = [k for k in keys if parity is None or len(k) % 2 == parity]
+        if not keys:
+            return GrassmannElement.zero(n)
+        coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+        terms = st.dictionaries(st.sampled_from(keys), coeffs, max_size=4)
+        return GrassmannElement(n, data.draw(terms))
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        source, target = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        f = GrassmannMorphism(source, target, [elements(data, target, 1) for _ in range(source)])
+        a, b = elements(data, source), elements(data, source)
+        assert f.apply(a * b) == f.apply(a) * f.apply(b)
+        assert f.apply(a) == _chain_apply(f, a)
+
+    check()

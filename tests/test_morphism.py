@@ -19,9 +19,12 @@ from superdiff import (
 )
 from superdiff.errors import DimensionError, DomainError, InvertibilityError, ParityError
 from superdiff.sampling import (
+    random_affine_body,
     random_body,
     random_field_family,
+    random_fraction,
     random_grassmann_morphism,
+    random_invertible_matrix,
     random_morphism,
     random_superfunction,
 )
@@ -564,3 +567,67 @@ def test_affine_part_matches_two_matrix_reference_on_hand_cases():
     affine = _assert_affine_matches_reference(cubic)
     assert affine.images_th[0] == thc(1, 1, 3)
     assert affine.images_x[0] == xc(1, 1, 3).scale(3) + Superfunction.scalar(half, 1, 3, 0)
+
+
+def _chain_affine_body(rng, m, n):
+    """The earlier `sampling.random_affine_body`: each image built as a
+    chain of `+` over the nonzero entries of its drawn row; kept as the
+    reference for the images built in one combination."""
+    matrix_x = random_invertible_matrix(rng, m)
+    shift = [random_fraction(rng) for _ in range(m)]
+    matrix_th = random_invertible_matrix(rng, n)
+    images_x = []
+    for i in range(m):
+        g = Superfunction.scalar(shift[i], m, n, 0)
+        for k in range(m):
+            if matrix_x[i][k]:
+                g = g + Superfunction.coordinate(k + 1, m, n, 0).scale(matrix_x[i][k])
+        images_x.append(g)
+    images_th = []
+    for j in range(n):
+        g = Superfunction.zero(m, n, 0)
+        for l in range(n):
+            if matrix_th[j][l]:
+                g = g + Superfunction.theta(l + 1, m, n, 0).scale(matrix_th[j][l])
+        images_th.append(g)
+    return UnderlyingMorphism(m, n, images_x, images_th).affine_part()
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 1), (0, 2), (2, 0)])
+def test_affine_body_matches_chain_reference(m, n):
+    ours, theirs = random.Random(f"affine {m}|{n}"), random.Random(f"affine {m}|{n}")
+    for _ in range(10):
+        found, expected = random_affine_body(ours, m, n), _chain_affine_body(theirs, m, n)
+        assert found.images == expected.images
+        assert found.inverse.images == expected.inverse.images
+        assert found.inverse.inverse is found
+        # the same draws, in the same order
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_random_fraction_draws_are_unchanged():
+    # zero is one of the draws: no caller asks for a nonzero fraction
+    rng = random.Random(19)
+    draws = [str(random_fraction(rng)) for _ in range(12)]
+    assert draws == ["2", "3", "1", "0", "1/2", "1", "1/2", "-3/2", "0", "-1", "3/2", "-1"]
+    assert rng.random() == 0.5692400158763194
+
+
+def test_expand_factored_refuses_a_bad_family():
+    body = UnderlyingMorphism.identity(1, 1)
+    odd = SuperDerivation.d_dtheta(1, 1, 1, 0)
+    even = SuperDerivation.d_dx(1, 1, 1, 0)
+    for fields, error, message in [
+        ({(): odd}, ValueError, "field index () must be nonempty and increasing"),
+        ({(2, 1): even}, ValueError, "field index (2, 1) must be nonempty and increasing"),
+        ({(3,): odd}, DimensionError, "field index (3,) out of range for rank 2"),
+        ({(1,): odd.lift(1)}, DimensionError, "field for (1,) lives on the wrong domain"),
+        ({(1, 2): odd}, ParityError, "field for (1, 2) must have parity 0"),
+    ]:
+        with pytest.raises(error) as caught:
+            expand_factored(body, fields, 2)
+        assert type(caught.value) is error and str(caught.value) == message
+    # a zero field is dropped, not refused
+    assert expand_factored(body, {(1,): SuperDerivation.zero(1, 1)}, 2) == expand_factored(
+        body, {}, 2
+    )

@@ -249,6 +249,13 @@ def test_parse_any_detection():
     assert fmt.parse_any("phi0: {\nx1 -> x1\n}")[0] == "factored"
 
 
+def test_format_polynomial():
+    assert fmt.format_polynomial(Polynomial.zero(2)) == "0"
+    poly = Polynomial(2, {(2, 1): Fraction(-3, 2), (0, 0): 1, (0, 3): Fraction(1, 3)})
+    assert fmt.format_polynomial(poly) == "1 - 3/2*x1^2*x2 + 1/3*x2^3"
+    assert fmt.parse_superfunction(fmt.format_polynomial(poly)).body_polynomial() == poly
+
+
 def test_grassmann_element_round_trip():
     rng = random.Random(90)
     for _ in range(100):
@@ -496,6 +503,50 @@ FACTORED_HEAD = "p: 1\nphi0: { x1 -> x1 }\n"
         ),
         (fmt.parse_any, "th[1", ParseError, "expected ], found end", 4),
         (fmt.parse_any, "th[x1]", ParseError, "expected int, found xvar", 3),
+        (fmt.parse_superfunction, "x1 x2", ParseError, "unexpected xvar in expression", 3),
+        (
+            fmt.parse_any,
+            "t[1] -> x1*t[1]",
+            ParseError,
+            "Grassmann images may only use t generators",
+            0,
+        ),
+        (
+            fmt.parse_any,
+            "t[1] -> t[2]\nt[2] -> th1*t[1,2]",
+            ParseError,
+            "Grassmann images may only use t generators",
+            0,
+        ),
+        (
+            fmt.parse_any,
+            "target: 1\nt[1] -> t[2]",
+            DimensionError,
+            "generator index out of range in (2,)",
+            None,
+        ),
+        # at 0|0 the dimension check refuses an operator before anything else
+        (
+            fmt.parse_grassmann,
+            "d/dx1",
+            DimensionError,
+            "x index 1 exceeds the declared bound 0",
+            None,
+        ),
+        (
+            fmt.parse_grassmann,
+            "t[1]*d/dth2",
+            DimensionError,
+            "th index 2 exceeds the declared bound 0",
+            None,
+        ),
+        (
+            fmt.parse_grassmann,
+            "d/dx0",
+            DimensionError,
+            "variable index 0 out of range 1..0",
+            None,
+        ),
     ],
 )
 def test_parse_error_type_message_and_offset(parse, text, error, message, offset):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from superdiff import (
+    GrassmannMorphism,
     Polynomial,
     SDiffPoint,
     SuperDerivation,
@@ -222,3 +223,26 @@ def test_differential_action_of_identity():
     Y = random_derivation(random.Random(71), 2, 2, 2, degree=1, parity=0)
     ident = SDiffPoint.identity(2, 2, 2)
     assert differential_action(ident, Y) == Y
+
+
+def test_relabelling_is_natural_on_generated_ranks():
+    # the Λ_p-points form a functor of the Grassmann algebra: relabelling
+    # along a map Λ_p -> Λ_q is a group homomorphism, and relabellings compose
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=20, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, n = data.draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (0, 2)]))
+        p, q, r = (data.draw(st.integers(0, 3)) for _ in range(3))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        a, b = (random_point(rng, m, n, p, degree=1) for _ in range(2))
+        sigma, rho = random_grassmann_morphism(rng, p, q), random_grassmann_morphism(rng, q, r)
+        assert functor_map(sigma, compose(a, b)) == compose(
+            functor_map(sigma, a), functor_map(sigma, b)
+        )
+        assert functor_map(rho.compose(sigma), a) == functor_map(rho, functor_map(sigma, a))
+        assert functor_map(GrassmannMorphism.identity(p), a) == a
+
+    check()

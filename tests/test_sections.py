@@ -69,6 +69,30 @@ def test_basis_rejects_negative_sizes(m, n, degree, message):
         section_basis(m, n, 1, degree)
 
 
+def _recursive_monomials_up_to(m, degree):
+    """The earlier `_monomials_up_to`, a recursion over the variables,
+    kept as the reference for the filtered product."""
+    out = []
+
+    def rec(prefix, remaining):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for e in range(degree - sum(prefix) + 1):
+            rec(prefix + (e,), remaining - 1)
+
+    rec((), m)
+    return sorted(out, key=lambda t: (sum(t), t))
+
+
+def test_monomials_match_the_recursive_reference():
+    for m in range(5):
+        for degree in range(5):
+            monomials = _monomials_up_to(m, degree)
+            assert monomials == _recursive_monomials_up_to(m, degree)
+            assert len(monomials) == monomial_count(m, degree)
+
+
 def _two_loop_section_basis(m, n, p, degree):
     """The earlier `section_basis`, one loop block for the d/dx slots and
     one for the d/dth slots, kept as the reference for the basis order."""
@@ -159,6 +183,27 @@ def test_decompose_reassemble_round_trip():
             assert comp.parity() == len(key) % 2
         back = reassemble(2, 2, 2, parts)
         assert back.field == field
+
+
+def test_decompose_lists_only_nonzero_components():
+    rng = random.Random(85)
+    assert skeleton_decompose(LambdaSection(SuperDerivation.zero(2, 2, 2))) == {}
+    for _ in range(20):
+        field = random_derivation(rng, 2, 2, 3, degree=1, parity=0)
+        parts = skeleton_decompose(LambdaSection(field))
+        support = {key for g in field._coeffs for key in g.external_support()}
+        assert set(parts) == support
+        assert not any(comp.is_zero() for comp in parts.values())
+
+
+def test_decompose_refuses_a_component_of_the_wrong_parity():
+    # t[1]*d/dx1 is odd, so no section holds it; one built around the
+    # parity check still meets the decomposition's own check
+    field = SuperDerivation.d_dx(1, 1, 1, 1).premultiply(Superfunction.tau(1, 1, 1, 1))
+    forged = object.__new__(LambdaSection)
+    forged.field = field
+    with pytest.raises(ParityError, match="^decomposition produced a component of wrong parity$"):
+        skeleton_decompose(forged)
 
 
 def test_reassemble_then_decompose():

@@ -12,7 +12,13 @@ from superdiff import (
     substitute_generators,
 )
 from superdiff.errors import DimensionError, LimitError, ParityError
-from superdiff.grassmann import merge_indices
+from superdiff.grassmann import (
+    _blade,
+    _check_limit,
+    _multiply_buckets_into,
+    _reduced,
+    merge_indices,
+)
 from superdiff.sampling import (
     random_exponents,
     random_fraction,
@@ -332,6 +338,36 @@ def test_substitution_matches_naive_reference(m, n, p):
         result = substitute_generators(f, x_imgs, th_imgs)
         assert result == _naive_substitute(f, x_imgs, th_imgs)
         _assert_lowest_terms(result)
+
+
+def _odd_block(plan, theta, memo):
+    """The earlier `_SubstitutionPlan._odd_block`: F(K) for the th mask of
+    K, the images of its factors multiplied from the left, by its own
+    recursion and memo; kept as the reference for `grassmann._blade`."""
+    found = memo.get(theta)
+    if found is None:
+        last = theta.bit_length() - 1
+        found = plan._th[last]
+        rest = theta ^ (1 << last)
+        if rest:
+            found = _multiply_buckets_into({}, _odd_block(plan, rest, memo), found)
+            found = _check_limit(_reduced(found, 1)[0], plan.m)
+        memo[theta] = found
+    return found
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 2, 1), (2, 3, 0), (1, 4, 2), (0, 5, 1)])
+def test_odd_blocks_match_the_recursive_reference(m, n, p):
+    rng = random.Random(f"odd blocks {m}|{n};{p}")
+    for trial in range(6):
+        x_imgs, th_imgs = _random_images(rng, m, n, p, trial)
+        plan = _SubstitutionPlan(m, n, p, x_imgs, th_imgs)
+        memo = {}
+        # every mask, from the top down, so that each one starts a new recursion
+        for theta in reversed(range(1, 1 << n)):
+            block = _blade(plan._odd_blocks, plan._th, theta, plan._bucket_product)
+            assert block == _odd_block(plan, theta, memo)
+        assert plan._odd_blocks[0] == {0: {0: 1}}
 
 
 @pytest.mark.parametrize("m, n, p", [(1, 2, 1), (2, 2, 3), (3, 1, 2)])
