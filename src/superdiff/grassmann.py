@@ -48,9 +48,12 @@ not re-checked, only reduced to lowest terms.  The pack, unpack and mask
 memos are `lru_cache`s of 2**16 entries, and `_SIGNS` is emptied when
 it reaches that size.
 
-A map of Grassmann algebras and a substitution of the th (`superfn`)
-both send an odd monomial to the product of its factors' images: that
-one product is `_blade`, memoized by mask per morphism and per plan.
+A map of Grassmann algebras and a substitution of coordinates
+(`superfn`) both send a monomial to the product of its factors' images:
+that one product of images is `_blade`, memoized per morphism and per
+plan.  Its key is read as packed fields: a mask of odd factors (fields
+one bit wide), packed exponents of even ones (`_WIDTH` bits), or, for
+`_Sparse.__pow__`, one field holding the whole exponent.
 """
 
 from __future__ import annotations
@@ -225,16 +228,26 @@ def _multiply_buckets_into(
     return total
 
 
-def _blade(memo: dict, factors: Sequence, mask: int, product: Callable):
-    """The product of factors[i] over the bits i of `mask`, lowest bit
-    leftmost, by `product`; kept in `memo` by mask, memo[0] the unit."""
-    found = memo.get(mask)
+def _blade(memo: dict, factors: Sequence, key: int, product: Callable, width: int = 1):
+    """The product of factors[i] raised to field i of `key`, each field
+    `width` bits wide, lowest field leftmost, by `product`; kept in `memo`
+    by key, memo[0] the unit.  A mask is the case width 1; a field above 1
+    is a power, taken by repeated squaring."""
+    found = memo.get(key)
     if found is None:
-        last = mask.bit_length() - 1
-        found, rest = factors[last], mask ^ (1 << last)
+        shift = (key.bit_length() - 1) // width * width
+        top, rest = key >> shift, key & ((1 << shift) - 1)
         if rest:
-            found = product(_blade(memo, factors, rest, product), found)
-        memo[mask] = found
+            lower = _blade(memo, factors, rest, product, width)
+            found = product(lower, _blade(memo, factors, top << shift, product, width))
+        elif top == 1:
+            found = factors[shift // width]
+        else:
+            half = _blade(memo, factors, top >> 1 << shift, product, width)
+            found = product(half, half)
+            if top & 1:
+                found = product(found, factors[shift // width])
+        memo[key] = found
     return found
 
 
@@ -339,17 +352,11 @@ class _Sparse:
         return _combination((_as_fraction(c),), (self,))
 
     def __pow__(self, exponent: int):
-        """By repeated squaring: about 2 log2(exponent) products."""
+        """By repeated squaring (`_blade` on one field): about 2 log2(exponent)
+        products."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        result, base = self._one(), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _blade({0: self._one()}, (self,), exponent, operator.mul, exponent.bit_length())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -221,9 +221,9 @@ def certify_inverse(
     if affine is None:
         return None
     assert affine.inverse is not None
+    # a parity-correct body moves each coordinate past its affine part by
+    # terms of filtration >= 2, so body o affine^-1 is unipotent
     unipot = body.compose(affine.inverse)
-    if not unipot.is_unipotent():
-        return None
     # unipot^-1 = exp(-log unipot); the candidate carries no certificate,
     # so compose builds no composite inverse and with_inverse is the one check
     step = (-log_unipotent(unipot)).apply

@@ -732,7 +732,7 @@ def _substitution(
     n = len(th_images) if n is None else n
     inverse = block.headers.get("inverse")
     hint = None if inverse is None else _substitution(inverse, m, n)
-    images = [_rank0(g, m, n) for g in x_images + th_images]
+    images = [_placed(g, m, n) for g in x_images + th_images]
     body = UnderlyingMorphism(m, n, images[: len(x_images)], images[len(x_images) :])
     return body if hint is None else body.with_inverse(hint)
 
@@ -742,9 +742,14 @@ def _check_t_free(values: Sequence[Superfunction], offset: int, what: str) -> No
         raise ParseError(offset, (), f"{what} must be free of t generators")
 
 
-def _rank0(value: Superfunction, m: int, n: int) -> Superfunction:
-    """A t-free value at external rank 0 on m|n."""
-    return value.restrict_rank(0).embed(m, n, 0)
+def _placed(value: Superfunction, m: int, n: int, p: int = 0) -> Superfunction:
+    """A block's value on its m|n with p external generators, of which it
+    uses none past p.  A coordinate past m|n is used in the text and no
+    image covers it: DimensionError names it."""
+    for label, used, count in (("x", value.m, m), ("th", value.n, n)):
+        if used > count:
+            raise DimensionError(f"{label}{used} is used but has no image")
+    return value.restrict_rank(p).embed(m, n, p)
 
 
 MorphismResult = Union[SuperMorphism, GrassmannMorphism]
@@ -784,7 +789,7 @@ def _morphism(
         if rank < dims.p:
             raise DimensionError(f"declared rank {rank} but images use t[{dims.p}]")
         pp = rank
-    images = [g.embed(mm, nn, pp) for g in x_images + th_images]
+    images = [_placed(g, mm, nn, pp) for g in x_images + th_images]
     return SuperMorphism._of(mm, nn, pp, images, inverse_hint=hint)
 
 
@@ -822,7 +827,7 @@ def _factored(tokens: Tokens) -> Factored:
         _check_t_free(field._coeffs, 0, "components")
     body = _substitution(phi0)
     m, n = body.m, body.n
-    clean = {key: field._map(lambda g: _rank0(g, m, n), 0) for key, field in fields.items()}
+    clean = {key: field._map(lambda g: _placed(g, m, n), 0) for key, field in fields.items()}
     rank = top.headers.get("p")
     return body, clean, _visible_rank(fields) if rank is None else rank
 

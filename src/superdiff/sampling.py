@@ -146,10 +146,7 @@ def random_filtration_field(
 def random_body(rng: random.Random, m: int, n: int, degree: int = 2) -> UnderlyingMorphism:
     """Invertible substitution: affine part composed with a unipotent one."""
     affine = random_affine_body(rng, m, n)
-    field = random_filtration_field(rng, m, n, degree)
-    if field.filtration_degree() < 2:
-        return affine
-    unipotent = exp_nilpotent(field)
+    unipotent = exp_nilpotent(random_filtration_field(rng, m, n, degree))
     return unipotent.compose(affine)
 
 

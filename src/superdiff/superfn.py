@@ -52,9 +52,10 @@ in the nilpotent part::
 
 Every term of N has at least two odd factors, so N^k = 0 once
 2|k| > n + p: the sum has only |k| <= (n+p)//2.  The terms over one odd
-block th[K] are summed before the block's image th(K), the odd-image
-product `grassmann._blade` that Grassmann morphisms share, is multiplied
-in once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
+block th[K] are summed before the block's image th(K) is multiplied in
+once, with t[J] moved left past it by th(K)*t[J] = (-1)^(|K||J|) t[J]*th(K).
+Every image of a monomial here (b^e, N^k and th(K)) is the one product of
+images `grassmann._blade` that Grassmann morphisms share.
 The caches for one set of images live in a private plan, which keeps
 each body over its own denominator and the rest over one shared D, so
 that the Taylor data of each exponent vector are the plan's own;
@@ -444,12 +445,13 @@ class _SubstitutionPlan:
     The plan works on the stored numerators: b_i = B_i/d_i over its own
     least denominator, so d^e grows only with x^e's own body
     denominators, and N_i = M_i/D, image of th_j = F_j/D over the least
-    common denominator D of every nilpotent part and odd image.  Body
-    powers B_i^e (by repeated squaring) and monomials B^e, the surviving
-    M^k, the odd blocks F(K) = F_K1 * ... * F_Kr (`_blade`) and the Taylor
-    data of each exponent vector depend on the plan alone; they are cached
-    on first use, the products checked against the exponent limit.  The
-    images must already have passed `_check_images`.
+    common denominator D of every nilpotent part and odd image.  The body
+    monomials B^e and the surviving M^k, keyed by packed exponents, and
+    the odd blocks F(K) = F_K1 * ... * F_Kr, keyed by th mask, are the one
+    product of images `_blade` in three memos; with the Taylor data of
+    each exponent vector they depend on the plan alone, are cached on
+    first use, and every product is checked against the exponent limit.
+    The images must already have passed `_check_images`.
     """
 
     __slots__ = (
@@ -463,7 +465,7 @@ class _SubstitutionPlan:
         "_body_dens",
         "_nilpotent",
         "_th",
-        "_body_powers",
+        "_bodies",
         "_body_monomials",
         "_nil_powers",
         "_odd_blocks",
@@ -492,57 +494,15 @@ class _SubstitutionPlan:
         ]
         self._nilpotent, self._th = cleared[: len(x_images)], cleared[len(x_images) :]
         bodies = [_reduced({0: g._data.get(0, {})}, g._den) for g in self.x_images]
+        self._bodies = [body for body, _ in bodies]  # {0: B_i}, or {} for a zero body
         self._body_dens = [den for _, den in bodies]
-        zero = (0,) * len(x_images)
-        one = {0: 1}
-        self._body_powers = [{0: one, 1: body.get(0, {})} for body, _ in bodies]
-        self._body_monomials = {zero: one}
-        unit = {0: one}
-        self._nil_powers = {zero: unit}
-        self._odd_blocks = {0: unit}
+        unit = {0: {0: 1}}
+        self._body_monomials, self._nil_powers, self._odd_blocks = {0: unit}, {0: unit}, {0: unit}
         self._taylor: dict[int, tuple[int, list]] = {}  # packed e: (d^e, data)
-
-    def _limited_product(self, a: Integers, b: Integers) -> Integers:
-        """a * b, checked against the exponent limit: it is an operand again."""
-        return _check_limit({0: _multiply_into({}, a, b)}, self.m)[0]
-
-    def _body_power(self, i: int, e: int) -> Integers:
-        """B_i^e, by repeated squaring."""
-        powers = self._body_powers[i]
-        found = powers.get(e)
-        if found is None:
-            half = self._body_power(i, e // 2)
-            found = self._limited_product(half, half)
-            if e % 2:
-                found = self._limited_product(found, powers[1])
-            powers[e] = found
-        return found
-
-    def _body_monomial(self, exps: Exponents) -> Integers:
-        """B^exps, a product of body powers."""
-        found = self._body_monomials.get(exps)
-        if found is None:
-            for i, e in enumerate(exps):
-                if e:
-                    power = self._body_power(i, e)
-                    found = power if found is None else self._limited_product(found, power)
-            self._body_monomials[exps] = found
-        return found
 
     def _bucket_product(self, a: IntegerBuckets, b: IntegerBuckets) -> IntegerBuckets:
         """a * b on stored numerators, checked against the exponent limit."""
         return _check_limit(_reduced(_multiply_buckets_into({}, a, b), 1)[0], self.m)
-
-    def _nil_power(self, k: Exponents) -> IntegerBuckets:
-        found = self._nil_powers.get(k)
-        if found is None:
-            i = next(i for i, j in enumerate(k) if j)
-            lower = k[:i] + (k[i] - 1,) + k[i + 1 :]
-            found = self._nilpotent[i]
-            if any(lower):
-                found = self._bucket_product(self._nil_power(lower), found)
-            self._nil_powers[k] = found
-        return found
 
     def _expansion(self, exps: Exponents) -> list:
         """Taylor data of x^exps: (k, B^(exps-k), multiplier).
@@ -558,13 +518,15 @@ class _SubstitutionPlan:
             top = min(e, self._bound) if self._nilpotent[i] else 0
             ks = [k + (j,) for k in ks for j in range(top + 1) if sum(k) + j <= self._bound]
         found = []
+        key, product = _pack(exps), self._bucket_product
         for k in ks:
-            body = self._body_monomial(tuple(e - j for e, j in zip(exps, k)))
-            if body and self._nil_power(k):
+            # fieldwise k <= exps, so no field borrows
+            body = _blade(self._body_monomials, self._bodies, key - _pack(k), product, _WIDTH)
+            if body and _blade(self._nil_powers, self._nilpotent, _pack(k), product, _WIDTH):
                 mult = self._den ** (self._bound - sum(k)) * math.prod(
                     math.comb(e, j) * d**j for e, j, d in zip(exps, k, self._body_dens)
                 )
-                found.append((k, body, mult))
+                found.append((k, body[0], mult))
         return found
 
     def substitute(self, f: Superfunction) -> Superfunction:
@@ -617,7 +579,7 @@ class _SubstitutionPlan:
                             part[e2] = part.get(e2, 0) + scale * c2
                 del parts[zero]
                 for k, part in parts.items():
-                    for nil, q in self._nil_powers[k].items():
+                    for nil, q in self._nil_powers[_pack(k)].items():
                         if nil & tau:
                             continue
                         swap = signs.get((nil, tau)) or _sign(nil, tau)

@@ -71,6 +71,15 @@ def test_compose_and_invert(tmp_path, capsys):
     assert lines[0].startswith("x1 -> x1")
 
 
+def test_compose_cross_check_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    phi, psi = write(tmp_path, "phi.txt", PHI), write(tmp_path, "psi.txt", PSI)
+    monkeypatch.setattr(cli, "compose_factored", lambda outer, inner: None)
+    code, out, err = run_cli(capsys, "compose", phi, psi, "--check-factored")
+    assert (code, out, err) == (1, "", "composition cross-check failed\n")
+    # without the flag the oracle is not consulted
+    assert run_cli(capsys, "compose", phi, psi)[0] == 0
+
+
 def test_apply_verb(tmp_path, capsys):
     phi = write(tmp_path, "phi.txt", "x1 -> x1 + th[1]*t[1]\nth1 -> th1\n")
     f = write(tmp_path, "f.txt", "x1^2\n")
@@ -162,6 +171,12 @@ def test_split_verb(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "split", psi)
     assert code == 0
     assert "kernel: {" in out and "body: {" in out
+
+
+def test_split_that_fails_to_recombine_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "recombine", lambda parts: None)
+    psi = write(tmp_path, "psi.txt", PSI)
+    assert run_cli(capsys, "split", psi) == (1, "", "split failed to recombine\n")
 
 
 def test_push_verb(tmp_path, capsys):
@@ -529,6 +544,22 @@ def test_exit_code_operator_index_zero(tmp_path, capsys, operator, message):
     code, out, err = run_cli(capsys, "apply", op, f)
     assert (code, out) == (4, "")
     assert err == f"invalid input: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, text, name",
+    [
+        ("invert", "x1 -> x1 + th[1]\n", "th1"),
+        ("invert", "x1 -> x2\n", "x2"),
+        ("invert", "x1 -> x1\ninverse:\nx1 -> x1 + x2\n", "x2"),
+        ("invert", "x1 -> th1\n", "th1"),
+        ("expand", "p: 1\nphi0: { x1 -> x1 }\nX[1]: th1*d/dx1\n", "th1"),
+    ],
+)
+def test_exit_code_coordinate_without_image(tmp_path, capsys, verb, text, name):
+    path = write(tmp_path, "in.txt", text)
+    message = f"invalid input: {name} is used but has no image\n"
+    assert run_cli(capsys, verb, path) == (4, "", message)
 
 
 def test_exit_code_parity_violation(tmp_path, capsys):

@@ -444,6 +444,13 @@ def test_symmetrize_single_is_plain_apply():
     assert symmetrize_apply([X], f) == X.apply(f)
 
 
+def test_symmetrize_pair_without_prefix_is_its_field():
+    rng = random.Random(27)
+    X = random_derivation(rng, 2, 2, 1, parity=0)
+    f = random_superfunction(rng, 2, 2, 1)
+    assert symmetrize_apply([(None, X)], f) == X.apply(f)
+
+
 def test_symmetrize_two_even_operators():
     rng = random.Random(24)
     for _ in range(40):
@@ -483,6 +490,13 @@ def test_exp_requires_even_filtration_two():
     low = SuperDerivation(1, 2, 0, [zero], [th1, zero])  # even but filtration 0
     with pytest.raises(DomainError):
         exp_nilpotent(low)
+
+
+def test_exp_requires_a_field_without_external_part():
+    zero = Superfunction.zero(1, 2, 1)
+    th12 = Superfunction.theta(1, 1, 2, 1) * Superfunction.theta(2, 1, 2, 1)
+    with pytest.raises(DomainError, match="without external part"):
+        exp_nilpotent(SuperDerivation(1, 2, 1, [th12], [zero, zero]))
 
 
 def test_exp_log_round_trip_2_3():

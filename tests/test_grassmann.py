@@ -148,6 +148,23 @@ def test_morphism_images_must_be_odd():
     GrassmannMorphism(1, 2, [GrassmannElement.zero(2)])
 
 
+def test_morphism_count_rank_errors_and_equality():
+    with pytest.raises(DimensionError, match="expected 2 generator images, got 1"):
+        GrassmannMorphism(2, 2, [gen(1, 2)])
+    with pytest.raises(DimensionError, match=r"image of t\[1\] lives in the wrong algebra"):
+        GrassmannMorphism(1, 2, [gen(1, 3)])
+    f = GrassmannMorphism(2, 3, [gen(1, 3), gen(2, 3) + gen(1, 3) * gen(2, 3) * gen(3, 3)])
+    with pytest.raises(DimensionError, match="element has 3 generators, morphism expects 2"):
+        f.apply(gen(1, 3))
+    with pytest.raises(DimensionError, match="inner lands in 3 generators, outer starts from 2"):
+        f.compose(GrassmannMorphism.identity(3))
+    assert f == GrassmannMorphism(2, 3, [gen(1, 3), f.images[1]])
+    assert f != GrassmannMorphism(2, 3, [gen(1, 3), gen(2, 3)])
+    assert f != GrassmannMorphism(2, 4, [gen(1, 4), gen(2, 4)])
+    assert GrassmannMorphism.identity(2) != GrassmannMorphism.identity(3)
+    assert f != f.images
+
+
 def test_morphism_is_algebra_map():
     rng = random.Random(105)
     for _ in range(60):

@@ -28,7 +28,7 @@ from superdiff.sampling import (
     random_morphism,
     random_superfunction,
 )
-from superdiff.substitution import UnderlyingMorphism, _invert_matrix
+from superdiff.substitution import UnderlyingMorphism, _coordinates, _invert_matrix
 from superdiff.superfn import substitute_generators
 
 
@@ -264,6 +264,30 @@ def test_certify_unipotent_and_composite():
         assert cert.inverse.compose(cert).is_identity()
 
 
+def test_a_body_with_an_affine_part_has_a_unipotent_remainder():
+    # what certify_inverse rests on: a parity-correct body whose affine part
+    # is invertible is that part plus terms of >= 2 th factors on an x and
+    # >= 3 on a th, so body o affine^-1 is unipotent and the body certified
+    rng = random.Random(1644)
+    remainders = []
+    for m, n in ((1, 1), (2, 2), (3, 1), (1, 3), (2, 3), (3, 2)):
+        for _ in range(40):
+            # degree 0 or 1 keeps a th image's linear part affine more often
+            images = [
+                g + random_superfunction(rng, m, n, 0, rng.randrange(3 - parity), 4, parity)
+                for parity, g in zip([0] * m + [1] * n, _coordinates(m, n))
+            ]
+            body = UnderlyingMorphism._of(m, n, images)
+            affine = body.affine_part()
+            if affine is None:
+                continue
+            remainders.append(body.compose(affine.inverse))
+            assert remainders[-1].is_unipotent()
+            cert = certify_inverse(body)
+            assert cert is not None and cert.compose(cert.inverse).is_identity()
+    assert sum(not u.is_identity() for u in remainders) >= 30
+
+
 def test_certify_honours_hint():
     m, n = 1, 1
     fwd = UnderlyingMorphism(m, n, [xc(1, m, n).scale(3)], [thc(1, m, n)])
@@ -303,6 +327,14 @@ def test_factorize_body_mismatch_raises():
     if phi.underlying() != wrong:
         with pytest.raises(DomainError):
             factorize(phi, wrong)
+
+
+def test_factorize_uncertified_body_raises():
+    rng = random.Random(51)
+    phi = random_morphism(rng, 2, 2, 2, degree=1)
+    bare = UnderlyingMorphism._of(2, 2, phi.underlying().images)
+    with pytest.raises(InvertibilityError, match="carries no certified inverse"):
+        factorize(phi, bare)
 
 
 def test_factorize_with_body_certified_at_construction():

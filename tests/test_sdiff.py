@@ -21,7 +21,7 @@ from superdiff import (
     split,
 )
 from superdiff import sdiff
-from superdiff.errors import InvertibilityError
+from superdiff.errors import DimensionError, InvertibilityError
 from superdiff.sampling import (
     random_derivation,
     random_field_family,
@@ -29,6 +29,26 @@ from superdiff.sampling import (
     random_point,
 )
 from superdiff.substitution import UnderlyingMorphism
+
+
+def test_points_need_a_certified_body():
+    square = UnderlyingMorphism(1, 0, [Superfunction.coordinate(1, 1, 0) ** 2], [])
+    with pytest.raises(InvertibilityError, match="constant family needs a certified body"):
+        SDiffPoint.constant_family(square, 1)
+    with pytest.raises(InvertibilityError, match="factored data needs a certified body"):
+        SDiffPoint.from_factored(square, {}, 1)
+
+
+def test_mismatched_domains_and_ranks_are_refused():
+    rng = random.Random(52)
+    a, b = random_point(rng, 1, 1, 1, degree=1), random_point(rng, 1, 1, 2, degree=1)
+    c = random_point(rng, 2, 1, 1, degree=1)
+    for outer, inner in ((a, b), (b, a), (a, c)):
+        with pytest.raises(DimensionError, match="different domains or ranks"):
+            compose_factored(outer, inner)
+    for point, field in ((a, random_derivation(rng, 1, 1, 2)), (a, random_derivation(rng, 2, 1, 1))):
+        with pytest.raises(DimensionError, match="wrong domain for this point"):
+            differential_action(point, field)
 
 
 def test_is_invertible_verdicts():

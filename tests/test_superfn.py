@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,9 @@ from superdiff.grassmann import (
     _blade,
     _check_limit,
     _multiply_buckets_into,
+    _multiply_into,
     _reduced,
+    _unpack,
     merge_indices,
 )
 from superdiff.sampling import (
@@ -370,6 +373,106 @@ def test_odd_blocks_match_the_recursive_reference(m, n, p):
         assert plan._odd_blocks[0] == {0: {0: 1}}
 
 
+def _earlier_plan_memos(plan):
+    """The earlier `_SubstitutionPlan._body_monomial` (B^e, a product of
+    body powers) and `_nil_power` (M^k, one factor peeled off at a time),
+    with `_body_power` (B_i^e by its own repeated squaring), each with its
+    own memo and the limit-checked `_limited_product`; kept as the
+    reference for `grassmann._blade` on packed exponents."""
+    zero = (0,) * len(plan.x_images)
+    one = {0: 1}
+    powers = [{0: one, 1: body.get(0, {})} for body in plan._bodies]
+    monomials = {zero: one}
+    nil_powers = {zero: {0: one}}
+
+    def limited_product(a, b):
+        return _check_limit({0: _multiply_into({}, a, b)}, plan.m)[0]
+
+    def body_power(i, e):
+        found = powers[i].get(e)
+        if found is None:
+            half = body_power(i, e // 2)
+            found = limited_product(half, half)
+            if e % 2:
+                found = limited_product(found, powers[i][1])
+            powers[i][e] = found
+        return found
+
+    def body_monomial(exps):
+        found = monomials.get(exps)
+        if found is None:
+            for i, e in enumerate(exps):
+                if e:
+                    power = body_power(i, e)
+                    found = power if found is None else limited_product(found, power)
+            monomials[exps] = found
+        return found
+
+    def nil_power(k):
+        found = nil_powers.get(k)
+        if found is None:
+            i = next(i for i, j in enumerate(k) if j)
+            lower = k[:i] + (k[i] - 1,) + k[i + 1 :]
+            found = plan._nilpotent[i]
+            if any(lower):
+                found = plan._bucket_product(nil_power(lower), found)
+            nil_powers[k] = found
+        return found
+
+    return body_monomial, nil_power
+
+
+def _check_plan_memos(plan, exponents):
+    """Each expansion and every entry of the plan's memos of B^e and M^k
+    equal the earlier helpers' (whose products kept cancelled entries)."""
+    body_monomial, nil_power = _earlier_plan_memos(plan)
+    m = len(plan.x_images)
+
+    def nonzero(poly):
+        return {e: c for e, c in poly.items() if c}
+
+    for exps in exponents:
+        expected = []
+        for k in itertools.product(*(range(min(e, plan._bound) + 1) for e in exps)):
+            if sum(k) > plan._bound or any(j and not nil for j, nil in zip(k, plan._nilpotent)):
+                continue
+            body = body_monomial(tuple(e - j for e, j in zip(exps, k)))
+            if body and nil_power(k):
+                expected.append((k, nonzero(body)))
+        assert [(k, body) for k, body, _ in plan._expansion(exps)] == expected
+    for key, body in plan._body_monomials.items():
+        assert body == ({0: nonzero(old)} if (old := body_monomial(_unpack(key, m))) else {})
+    for key, nil in plan._nil_powers.items():
+        assert nil == nil_power(_unpack(key, m))
+    assert plan._body_monomials[0] == plan._nil_powers[0] == {0: {0: 1}}
+
+
+@pytest.mark.parametrize("m, n, p", [(1, 2, 1), (2, 2, 3), (3, 1, 2)])
+def test_plan_memos_match_the_earlier_helpers(m, n, p):
+    rng = random.Random(f"plan memos {m}|{n};{p}")
+    for trial in range(6):
+        x_imgs, th_imgs = _random_images(rng, m, n, p, trial)
+        plan = _SubstitutionPlan(m, n, p, x_imgs, th_imgs)
+        _check_plan_memos(plan, [random_exponents(rng, m, 7) for _ in range(8)])
+    # fractional bodies, a zero body, fractional nilpotent parts and odd images
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    th1, th2 = Superfunction.theta(1, m, n, p), Superfunction.theta(n, m, n, p)
+    nil = (th1 * th2 if n > 1 else th1 * Superfunction.tau(1, m, n, p)).scale(third)
+    x_imgs = [Superfunction.coordinate(1, m, n, p).scale(half) + nil]
+    x_imgs += [
+        Superfunction.coordinate(i, m, n, p).scale(half) + Superfunction.scalar(third, m, n, p)
+        for i in range(2, m)
+    ]
+    x_imgs += [nil] * (m > 1)
+    plan = _SubstitutionPlan(m, n, p, x_imgs, [th1.scale(Fraction(2, 5))] * n)
+    _check_plan_memos(plan, [(1500,) + (2,) * (m - 1), (4,) * m, (0,) * m])
+    if m == 1:
+        # x1^(2**31 - 1) under the nilpotent part 1/3*th[1,2]
+        x_imgs = [Superfunction.coordinate(1, m, n, p) + nil]
+        plan = _SubstitutionPlan(m, n, p, x_imgs, [th1, th2])
+        _check_plan_memos(plan, [(2**31 - 1,)])
+
+
 @pytest.mark.parametrize("m, n, p", [(1, 2, 1), (2, 2, 3), (3, 1, 2)])
 def test_product_matches_reference(m, n, p):
     rng = random.Random(f"product {m}|{n};{p}")
@@ -644,6 +747,45 @@ def test_power_is_the_repeated_product():
             for k in range(7):
                 assert a ** k == product
                 product = product * a
+
+
+def _earlier_power(a, exponent):
+    """The earlier `_Sparse.__pow__` loop: the result multiplied by the
+    squared base at each set bit, lowest first; kept as the reference for
+    `grassmann._blade` on one field."""
+    result, base = a._one(), a
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def test_power_matches_the_earlier_loop():
+    rng = random.Random(13)
+    third = Fraction(1, 3)
+    x1, x2 = Superfunction.coordinate(1, 2, 2, 1), Superfunction.coordinate(2, 2, 2, 1)
+    t1 = Superfunction.tau(1, 2, 2, 1)
+    # sparse enough that the 1500th power stays small
+    sparse = [
+        GrassmannElement.scalar(third, 4) + random_grassmann(rng, 4).soul(),
+        Polynomial(2, {(1, 2): Fraction(2, 3)}),
+        (x1 * x2).scale(third) + th(1, 2, 2, 1) * th(2, 2, 2, 1) * t1,
+    ]
+    dense = [
+        random_grassmann(rng, 4),
+        random_polynomial(rng, 2, degree=1, terms=3),
+        random_superfunction(rng, 2, 2, 1, degree=1, terms=3),
+    ]
+    for a in sparse + dense:
+        for k in range(41):
+            assert a**k == _earlier_power(a, k)
+        with pytest.raises(ValueError, match="negative powers are not defined"):
+            a**-1
+    for a in sparse:
+        assert a**1500 == _earlier_power(a, 1500)
 
 
 def test_large_power_of_a_coordinate():
