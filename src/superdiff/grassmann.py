@@ -52,8 +52,8 @@ A map of Grassmann algebras and a substitution of coordinates
 (`superfn`) both send a monomial to the product of its factors' images:
 that one product of images is `_blade`, memoized per morphism and per
 plan.  Its key is read as packed fields: a mask of odd factors (fields
-one bit wide), packed exponents of even ones (`_WIDTH` bits), or, for
-`_Sparse.__pow__`, one field holding the whole exponent.
+one bit wide) or packed exponents of even ones (`_WIDTH` bits).  A power
+of any exponent is `_Sparse.__pow__`'s own loop, with no recursion.
 """
 
 from __future__ import annotations
@@ -352,11 +352,17 @@ class _Sparse:
         return _combination((_as_fraction(c),), (self,))
 
     def __pow__(self, exponent: int):
-        """By repeated squaring (`_blade` on one field): about 2 log2(exponent)
-        products."""
+        """By repeated squaring: about 2 log2(exponent) products."""
         if exponent < 0:
             raise ValueError("negative powers are not defined")
-        return _blade({0: self._one()}, (self,), exponent, operator.mul, exponent.bit_length())
+        result, base = self._one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -267,7 +267,8 @@ def _check_digits(k: int, num: int, den: int) -> None:
     """LimitError, before (num/den)^k is taken, when its numerator or
     denominator would have more digits than Python prints."""
     limit = _digit_limit()
-    if limit and k * math.log10(max(abs(num), den)) > limit:
+    # k may be past the float range: compare it with a float, never convert it
+    if limit and (size := math.log10(max(abs(num), den))) and k > limit / size:
         raise LimitError(f"a coefficient has more than {limit} digits to print")
 
 
@@ -732,7 +733,7 @@ def _substitution(
     n = len(th_images) if n is None else n
     inverse = block.headers.get("inverse")
     hint = None if inverse is None else _substitution(inverse, m, n)
-    images = [_placed(g, m, n) for g in x_images + th_images]
+    images = [placed(g, m, n) for g in x_images + th_images]
     body = UnderlyingMorphism(m, n, images[: len(x_images)], images[len(x_images) :])
     return body if hint is None else body.with_inverse(hint)
 
@@ -742,10 +743,10 @@ def _check_t_free(values: Sequence[Superfunction], offset: int, what: str) -> No
         raise ParseError(offset, (), f"{what} must be free of t generators")
 
 
-def _placed(value: Superfunction, m: int, n: int, p: int = 0) -> Superfunction:
-    """A block's value on its m|n with p external generators, of which it
-    uses none past p.  A coordinate past m|n is used in the text and no
-    image covers it: DimensionError names it."""
+def placed(value: Superfunction, m: int, n: int, p: int = 0) -> Superfunction:
+    """A block's value, or an operator's argument, on m|n with p external
+    generators, of which it uses none past p.  DimensionError names a
+    coordinate past m|n: it is used and no image covers it."""
     for label, used, count in (("x", value.m, m), ("th", value.n, n)):
         if used > count:
             raise DimensionError(f"{label}{used} is used but has no image")
@@ -789,7 +790,7 @@ def _morphism(
         if rank < dims.p:
             raise DimensionError(f"declared rank {rank} but images use t[{dims.p}]")
         pp = rank
-    images = [_placed(g, mm, nn, pp) for g in x_images + th_images]
+    images = [placed(g, mm, nn, pp) for g in x_images + th_images]
     return SuperMorphism._of(mm, nn, pp, images, inverse_hint=hint)
 
 
@@ -827,7 +828,7 @@ def _factored(tokens: Tokens) -> Factored:
         _check_t_free(field._coeffs, 0, "components")
     body = _substitution(phi0)
     m, n = body.m, body.n
-    clean = {key: field._map(lambda g: _placed(g, m, n), 0) for key, field in fields.items()}
+    clean = {key: field._map(lambda g: placed(g, m, n), 0) for key, field in fields.items()}
     rank = top.headers.get("p")
     return body, clean, _visible_rank(fields) if rank is None else rank
 

@@ -804,3 +804,36 @@ def test_parenthesised_power_past_the_digit_limit_is_refused_while_parsing(tmp_p
         capsys, "apply", identity, write(tmp_path, "f.txt", "(1 + th[1,2])^2147483647\n")
     )
     assert (code, out, err) == (0, "1 + 2147483647*th[1,2]\n", "")
+
+
+def test_power_of_a_four_hundred_digit_exponent(tmp_path, capsys):
+    # past the float range and any recursion per bit: a nilpotent value
+    # takes the power, a coordinate's power meets the exponent limit
+    identity = write(tmp_path, "id.txt", "x1 -> x1\nth1 -> th1\nth2 -> th2\n")
+    huge = 10**400 + 1
+    past = "limit exceeded: exponent 2147483648 exceeds the limit 2147483647\n"
+    cases = [
+        (f"(1 + th[1,2])^{huge}", (0, f"1 + {huge}*th[1,2]\n", "")),
+        (f"(th[1,2])^{huge}", (0, "0\n", "")),
+        (f"(-1)^{huge}*x1", (0, "-x1\n", "")),
+        (f"(x1)^{huge}", (6, "", past)),
+    ]
+    for text, expected in cases:
+        f = write(tmp_path, "f.txt", text + "\n")
+        assert run_cli(capsys, "apply", identity, f) == expected
+
+
+@pytest.mark.parametrize(
+    "operator, argument, name",
+    [
+        ("x1 -> x1\n", "x2 + th[1]\n", "x2"),
+        ("d/dx1\n", "x1*th[2]\n", "th2"),
+        ("th1 -> th1\n", "x1*th[2]\n", "x1"),
+    ],
+)
+def test_apply_names_an_argument_coordinate_without_image(
+    tmp_path, capsys, operator, argument, name
+):
+    op, f = write(tmp_path, "op.txt", operator), write(tmp_path, "f.txt", argument)
+    message = f"invalid input: {name} is used but has no image\n"
+    assert run_cli(capsys, "apply", op, f) == (4, "", message)

@@ -749,43 +749,24 @@ def test_power_is_the_repeated_product():
                 product = product * a
 
 
-def _earlier_power(a, exponent):
-    """The earlier `_Sparse.__pow__` loop: the result multiplied by the
-    squared base at each set bit, lowest first; kept as the reference for
-    `grassmann._blade` on one field."""
-    result, base = a._one(), a
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
-
-
-def test_power_matches_the_earlier_loop():
-    rng = random.Random(13)
+def test_power_of_any_exponent():
+    # far past 2**950 (where a recursion per bit would stop) and past the
+    # float range; each value squares to zero (a polynomial's only such is 0)
+    huge = 10**400
     third = Fraction(1, 3)
-    x1, x2 = Superfunction.coordinate(1, 2, 2, 1), Superfunction.coordinate(2, 2, 2, 1)
-    t1 = Superfunction.tau(1, 2, 2, 1)
-    # sparse enough that the 1500th power stays small
-    sparse = [
-        GrassmannElement.scalar(third, 4) + random_grassmann(rng, 4).soul(),
-        Polynomial(2, {(1, 2): Fraction(2, 3)}),
-        (x1 * x2).scale(third) + th(1, 2, 2, 1) * th(2, 2, 2, 1) * t1,
+    nilpotent = [
+        GrassmannElement.monomial((1, 2), 4, third),
+        Polynomial.const(0, 2),
+        th(1, 2, 2, 1) * th(2, 2, 2, 1) * Superfunction.tau(1, 2, 2, 1).scale(third),
     ]
-    dense = [
-        random_grassmann(rng, 4),
-        random_polynomial(rng, 2, degree=1, terms=3),
-        random_superfunction(rng, 2, 2, 1, degree=1, terms=3),
-    ]
-    for a in sparse + dense:
-        for k in range(41):
-            assert a**k == _earlier_power(a, k)
+    for soul in nilpotent:
+        one = soul._one()
+        assert soul**huge == soul * 0
+        assert (one + soul) ** huge == one + soul.scale(huge)
         with pytest.raises(ValueError, match="negative powers are not defined"):
-            a**-1
-    for a in sparse:
-        assert a**1500 == _earlier_power(a, 1500)
+            soul**-1
+    with pytest.raises(LimitError, match="exceeds the limit"):
+        Superfunction.coordinate(1, 1, 0, 0) ** huge
 
 
 def test_large_power_of_a_coordinate():
