@@ -221,8 +221,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
         op, kind = _load_point(kind, op, args).morphism, "morphism"
     if kind not in ("morphism", "derivation"):
         raise ParseError(0, (), f"cannot apply a {kind}")
-    if (f.m, f.n) != (op.m, op.n):
-        f = fmt.placed(f, op.m, op.n, f.p)
+    f = fmt.placed(f, op.m, op.n, f.p)
     target = max(f.p, op.p)
     op, f = op.lift(target), f.lift(target)
     result = op.apply_extended(f) if kind == "morphism" else op.apply(f)

@@ -327,8 +327,6 @@ def symmetrize_apply(ops: Sequence[PrefixedOp], f: Superfunction) -> Superfuncti
     which is folded into the field's coefficients up front.
     """
     fields = [_normalize_op(op) for op in ops]
-    if not fields:
-        return f
     values = []
     for order in permutations(range(len(fields))):
         value = f
@@ -440,7 +438,5 @@ def log_unipotent(phi: UnderlyingMorphism) -> SuperDerivation:
         _series(lambda f: phi.apply(f) - f, g, _log_coeff) - g
         for g in _coordinates(m, phi.n)
     ]
-    field = SuperDerivation._of(m, phi.n, 0, coeffs)
-    if field.parity() != 0:
-        raise ParityError("logarithm produced a field of mixed parity")
-    return field
+    # phi's images are parity-correct, so every series term is too
+    return SuperDerivation._of(m, phi.n, 0, coeffs)

@@ -36,8 +36,9 @@ class LimitError(SuperdiffError):
     """A result would pass an explicit size limit of the package.
 
     An exponent of an even coordinate above 2**31 - 1, in an input to a
-    product, derivative or substitution or in its result, is one (the
-    CLI exits 6).
+    product, derivative or substitution or in its result, is one; a
+    section basis of more than 2**16 coefficients is another (the CLI
+    exits 6).
     """
 
 

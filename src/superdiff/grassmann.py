@@ -144,7 +144,8 @@ def _pack(exps: Exponents) -> int:
 @lru_cache(maxsize=1 << 16)
 def _guard(m: int) -> int:
     """The guard bit of each of m fields: the bits no stored key has set."""
-    return sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(m))
+    # (2^(W m) - 1) / (2^W - 1) has a 1 at the bottom of each field
+    return ((1 << _WIDTH * m) - 1) // _FIELD << (_WIDTH - 1)
 
 
 @lru_cache(maxsize=1 << 16)

@@ -200,11 +200,13 @@ def certify_inverse(
     """Try to equip a substitution with an exactly verified inverse.
 
     Routes, in order: an already attached certificate; a user-supplied
-    candidate (checked on every coordinate); the identity; the affine
-    part inverted by rational linear algebra, times the inverse of the
-    unipotent remainder u = body o affine^-1, read as exp(-log u) with
-    one exponential series per coordinate.  That candidate is checked
-    by one `with_inverse` call, both composites on every coordinate.
+    candidate (checked on every coordinate); the affine part inverted
+    by rational linear algebra, times the inverse of the unipotent
+    remainder u = body o affine^-1, read as exp(-log u) with one
+    exponential series per coordinate (the identity takes this route:
+    its affine part is the identity and its log is zero).  That
+    candidate is checked by one `with_inverse` call, both composites on
+    every coordinate.
     Returns None when no route certifies -- which means "unknown",
     never "not invertible".
     """
@@ -215,8 +217,6 @@ def certify_inverse(
             return body.with_inverse(hint)
         except DomainError:
             pass  # a bad hint only disables this route
-    if body.is_identity():
-        return UnderlyingMorphism.identity(body.m, body.n)
     affine = body.affine_part()
     if affine is None:
         return None

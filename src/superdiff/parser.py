@@ -940,8 +940,8 @@ def format_polynomial(poly: Polynomial) -> str:
 
 
 def format_grassmann(a: GrassmannElement) -> str:
-    terms = sorted((_indices(mask), poly[0]) for mask, poly in a._data.items())
-    return _join_terms([_term_strings(num, a._den, (), (), key) for key, num in terms])
+    # the element's stored form is that of the ring on 0|0 with its generators as t's
+    return format_superfunction(Superfunction._stored((0, 0, a.n), a._data, a._den))
 
 
 def format_derivation(field: SuperDerivation) -> str:

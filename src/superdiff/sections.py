@@ -11,13 +11,14 @@ Lambda_p) x (odd fields).
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 from .derivation import SuperDerivation
-from .errors import DimensionError, ParityError
-from .grassmann import GrassmannMorphism
+from .errors import DimensionError, LimitError, ParityError
+from .grassmann import GrassmannMorphism, _mask, _pack
 from .morphism import _family_operator, subsets_of_rank
-from .superfn import Polynomial, Superfunction, map_external
+from .superfn import Superfunction, map_external
 
 IndexTuple = tuple[int, ...]
 
@@ -46,9 +47,23 @@ class LambdaSection:
 
 
 def _monomials_up_to(m: int, degree: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree <= degree, in graded lex order."""
-    exponents = product(range(degree + 1), repeat=m)
-    return sorted((e for e in exponents if sum(e) <= degree), key=lambda t: (sum(t), t))
+    """Exponent tuples of total degree <= degree, in graded lex order; each
+    variable extends only the tuples with degree left."""
+    exponents: list[tuple[int, ...]] = [()]
+    for _ in range(m):
+        exponents = [e + (k,) for e in exponents for k in range(degree - sum(e) + 1)]
+    return sorted(exponents, key=lambda t: (sum(t), t))
+
+
+# the most coefficients, fields times m + n, that `section_basis` holds
+_MAX_COEFFICIENTS = 1 << 16
+
+
+def _basis_size(m: int, n: int, p: int, degree: int) -> int:
+    """The length of `section_basis(m, n, p, degree)` (acceptance criterion
+    10): (m + n) C(m + degree, m) 2^(n + p - 1), or m C(m + degree, m) when
+    n + p = 0."""
+    return (m + n) * math.comb(m + degree, m) << max(n + p - 1, 0)
 
 
 def section_basis(m: int, n: int, p: int, degree: int) -> list[LambdaSection]:
@@ -57,32 +72,41 @@ def section_basis(m: int, n: int, p: int, degree: int) -> list[LambdaSection]:
     One basis element per (slot, monomial) pair: slots run over d/dx_1
     ... d/dx_m then d/dth_1 ... d/dth_n, and for each slot the coefficient
     monomials x^a th[K] t[J] run over deg(a) <= degree with len(K)+len(J)
-    matching the slot parity (even for d/dx, odd for d/dth).
+    matching the slot parity (even for d/dx, odd for d/dth).  LimitError,
+    before anything is built, past _MAX_COEFFICIENTS coefficients.
     """
     if degree < 0:
         raise DimensionError("degree bound must be nonnegative")
-    if m < 0 or n < 0:
+    if min(m, n, p) < 0:
         raise DimensionError("coordinate counts must be nonnegative")
-    exponents = _monomials_up_to(m, degree)
-    theta_sets, tau_sets = (subsets_of_rank(k, include_empty=True) for k in (n, p))
-    basis: list[LambdaSection] = []
-
-    def coefficient(exps, theta_key, tau_key) -> Superfunction:
-        return Superfunction.monomial(
-            m, n, p, Polynomial(m, {tuple(exps): 1}), theta_key, tau_key
+    # with m + n > 0 the count is at least (m + n)^2 and 2^(n + p - 1), so a
+    # shape past the limit on either is refused before the size is taken
+    if m + n and (
+        (m + n) ** 2 > _MAX_COEFFICIENTS
+        or n + p > _MAX_COEFFICIENTS.bit_length()
+        or (m + n) * _basis_size(m, n, p, degree) > _MAX_COEFFICIENTS
+    ):
+        raise LimitError(
+            f"the section basis for {m}|{n};{p} at degree {degree} has more than "
+            f"{_MAX_COEFFICIENTS} coefficients (fields times m + n)"
         )
-
+    exponents = [_pack(e) for e in _monomials_up_to(m, degree)]
     zero = Superfunction.zero(m, n, p)
-    for slot in range(m + n):
-        odd = int(slot >= m)  # a d/dth slot takes odd coefficients
-        for theta_key in theta_sets:
-            for tau_key in tau_sets:
-                if (len(theta_key) + len(tau_key)) % 2 != odd:
-                    continue
-                for exps in exponents:
-                    coeffs = [zero] * (m + n)
-                    coeffs[slot] = coefficient(exps, theta_key, tau_key)
-                    basis.append(LambdaSection(SuperDerivation._of(m, n, p, coeffs)))
+    basis: list[LambdaSection] = []
+    for odd, slots in ((0, range(m)), (1, range(m, m + n))):
+        # this parity's coefficients in (K, J, e) order, built only if a
+        # slot takes them, one object each, shared by all those slots
+        coefficients = [
+            Superfunction._stored((m, n, p), {_mask(K) | _mask(J) << n: {e: 1}}, 1)
+            for K, J in product(*(subsets_of_rank(k, include_empty=True) for k in (n, p)))
+            if (len(K) + len(J)) % 2 == odd
+            for e in exponents
+        ] if slots else []
+        for slot in slots:
+            for coefficient in coefficients:
+                coeffs = [zero] * (m + n)
+                coeffs[slot] = coefficient
+                basis.append(LambdaSection(SuperDerivation._of(m, n, p, coeffs)))
     return basis
 
 

@@ -837,3 +837,43 @@ def test_apply_names_an_argument_coordinate_without_image(
     op, f = write(tmp_path, "op.txt", operator), write(tmp_path, "f.txt", argument)
     message = f"invalid input: {name} is used but has no image\n"
     assert run_cli(capsys, "apply", op, f) == (4, "", message)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ("--m", "1", "--n", "0", "--p", "30", "--degree", "0"),
+        ("--m", "30", "--n", "0", "--p", "0", "--degree", "30"),
+    ],
+)
+def test_sections_past_the_limit_exit_6_at_once(capsys, shape):
+    m, n, p, degree = shape[1::2]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sections", *shape)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (6, "")
+    assert err == (
+        f"limit exceeded: the section basis for {m}|{n};{p} at degree {degree} "
+        "has more than 65536 coefficients (fields times m + n)\n"
+    )
+
+
+def test_sections_of_many_even_coordinates(capsys):
+    # 30 slots times 31 monomials of degree <= 1, listed without walking 2^30 tuples
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "sections", "--m", "30", "--n", "0", "--p", "0", "--degree", "1"
+    )
+    assert time.perf_counter() - start < 5.0
+    lines = out.splitlines()
+    assert (code, err, lines[0], len(lines)) == (0, "", "count: 930", 931)
+    assert lines[1:3] == ["d/dx1", "x30*d/dx1"] and lines[-1] == "x1*d/dx30"
+
+
+def test_apply_to_a_coordinate_of_large_index(tmp_path, capsys):
+    # the exponent guard of 300000 fields is one closed form, not a sum
+    start = time.perf_counter()
+    one = write(tmp_path, "one.txt", "x1 -> x1\n")
+    code, out, err = run_cli(capsys, "apply", one, write(tmp_path, "f.txt", "x300000\n"))
+    assert time.perf_counter() - start < 5.0
+    assert (code, out, err) == (4, "", "invalid input: x300000 is used but has no image\n")

@@ -599,3 +599,23 @@ def test_pushforward_needs_certificate():
     X = SuperDerivation.d_dx(1, 1, 1, 0)
     with pytest.raises(InvertibilityError):
         pushforward(stripped, X)
+
+
+def test_symmetrize_apply_of_no_operators_is_the_argument():
+    rng = random.Random(77)
+    functions = [random_superfunction(rng, 2, 2, 1, 2) for _ in range(5)]
+    for f in [Superfunction.zero(2, 2, 1), *functions]:
+        assert symmetrize_apply([], f) == f
+
+
+def test_logarithm_of_a_parity_correct_unipotent_map_is_even():
+    # phi - id preserves parity, so every series term, and the logarithm, is even
+    rng = random.Random(2021)
+    logs = []
+    for m, n in ((1, 2), (2, 2), (3, 1), (1, 3), (2, 3)):
+        for _ in range(6):
+            logs.append(log_unipotent(exp_nilpotent(random_filtration_field(rng, m, n))))
+            body = random_body(rng, m, n)
+            logs.append(log_unipotent(body.compose(body.affine_part().inverse)))
+    assert all(field.parity() == 0 for field in logs)
+    assert sum(not field.is_zero() for field in logs) >= 40

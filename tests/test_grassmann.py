@@ -10,6 +10,7 @@ from superdiff import (
     merge_indices,
 )
 from superdiff.errors import DimensionError, ParityError
+from superdiff.grassmann import _WIDTH, _guard
 from superdiff.sampling import random_grassmann, random_grassmann_morphism
 
 
@@ -255,3 +256,9 @@ def test_apply_is_multiplicative_on_generated_ranks():
         assert f.apply(a) == _chain_apply(f, a)
 
     check()
+
+
+def test_guard_closed_form_matches_the_sum_of_guard_bits():
+    for m in range(300):
+        expected = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(m))
+        assert _guard(m) == expected, m

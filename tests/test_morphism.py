@@ -663,3 +663,20 @@ def test_expand_factored_refuses_a_bad_family():
     assert expand_factored(body, {(1,): SuperDerivation.zero(1, 1)}, 2) == expand_factored(
         body, {}, 2
     )
+
+
+def _identity_route(body):
+    """The earlier first route of `certify_inverse` for an identity body,
+    kept as the reference for the affine route that replaced it."""
+    return UnderlyingMorphism.identity(body.m, body.n) if body.is_identity() else None
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 2), (2, 2), (3, 1)])
+def test_identity_body_certifies_as_the_identity_route_did(m, n):
+    from superdiff.parser import format_underlying
+
+    body = UnderlyingMorphism._of(m, n, _coordinates(m, n))
+    assert body.inverse is None
+    old, new = _identity_route(body), certify_inverse(body)
+    assert new == old and new.inverse == old.inverse and new.inverse.inverse is new
+    assert format_underlying(new) == format_underlying(old)

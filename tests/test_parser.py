@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from superdiff import Polynomial, SuperDerivation, Superfunction
+from superdiff import GrassmannElement, Polynomial, SuperDerivation, Superfunction
 from superdiff import parser as fmt
 from superdiff.errors import DimensionError, LimitError, ParseError
 from superdiff.sampling import (
@@ -948,3 +948,21 @@ def test_lexer_long_integers_match_the_reference(spelling):
     assert mine[:2] == (
         LimitError, f"integer at byte {offset} has more than {DIGIT_LIMIT} digits"
     )
+
+
+def _stored_loop_grassmann(a):
+    """The earlier `format_grassmann`, its own sort and term loop over the
+    stored form, kept as the reference for the superfunction printer."""
+    terms = sorted((fmt._indices(mask), poly[0]) for mask, poly in a._data.items())
+    return fmt._join_terms([fmt._term_strings(num, a._den, (), (), key) for key, num in terms])
+
+
+def test_grassmann_printer_matches_the_stored_loop():
+    rng = random.Random(4242)
+    for n in range(6):
+        elements = [GrassmannElement.zero(n), GrassmannElement.scalar(Fraction(-3, 4), n)]
+        elements += [random_grassmann(rng, n, terms=rng.randrange(1, 7)) for _ in range(40)]
+        for a in elements:
+            assert fmt.format_grassmann(a) == _stored_loop_grassmann(a)
+    assert fmt.format_grassmann(GrassmannElement.zero(3)) == "0"
+    assert fmt.format_grassmann(GrassmannElement.scalar(Fraction(-3, 4), 0)) == "-3/4"

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations, product
 
 import pytest
@@ -14,8 +15,8 @@ from superdiff import (
     section_basis,
     skeleton_decompose,
 )
-from superdiff.errors import DimensionError, ParityError
-from superdiff.sections import _monomials_up_to
+from superdiff.errors import DimensionError, LimitError, ParityError
+from superdiff.sections import _MAX_COEFFICIENTS, _basis_size, _monomials_up_to
 from superdiff.sampling import (
     random_derivation,
     random_grassmann_morphism,
@@ -86,11 +87,10 @@ def _recursive_monomials_up_to(m, degree):
 
 
 def test_monomials_match_the_recursive_reference():
-    for m in range(5):
-        for degree in range(5):
-            monomials = _monomials_up_to(m, degree)
-            assert monomials == _recursive_monomials_up_to(m, degree)
-            assert len(monomials) == monomial_count(m, degree)
+    for m, degree in [*product(range(5), range(5)), (30, 1), (12, 3)]:
+        monomials = _monomials_up_to(m, degree)
+        assert monomials == _recursive_monomials_up_to(m, degree)
+        assert len(monomials) == monomial_count(m, degree)
 
 
 def _two_loop_section_basis(m, n, p, degree):
@@ -251,3 +251,53 @@ def test_sections_act_on_functions():
     g = random_superfunction(rng, 2, 2, 2, degree=1, parity=0)
     # even operator: ordinary Leibniz on an even first factor
     assert sec.apply(g * f) == sec.apply(g) * f + g * sec.apply(f)
+
+
+def test_basis_size_is_the_closed_form_of_criterion_10():
+    for m, n, p, degree in product(range(3), range(3), range(4), range(3)):
+        assert _basis_size(m, n, p, degree) == len(section_basis(m, n, p, degree))
+
+
+@pytest.mark.parametrize(
+    "m, n, p, degree",
+    [
+        (1, 0, 30, 0),
+        (30, 0, 0, 30),
+        (0, 30, 0, 0),
+        (257, 0, 0, 0),
+        (1, 0, 0, _MAX_COEFFICIENTS),
+        (1, 1, 16, 0),
+        (10**9, 0, 0, 10**9),
+    ],
+)
+def test_basis_past_the_limit_is_refused_before_it_is_built(monkeypatch, m, n, p, degree):
+    def unreachable(*args):
+        raise AssertionError("the basis was started")
+
+    monkeypatch.setattr("superdiff.sections._monomials_up_to", unreachable)
+    message = (
+        f"the section basis for {m}|{n};{p} at degree {degree} has more than "
+        f"{_MAX_COEFFICIENTS} coefficients (fields times m + n)"
+    )
+    with pytest.raises(LimitError, match=re.escape(message)):
+        section_basis(m, n, p, degree)
+
+
+@pytest.mark.parametrize("m, n, p, degree", [(256, 0, 0, 0), (0, 1, 16, 0)])
+def test_basis_at_the_limit_is_built(m, n, p, degree):
+    basis = section_basis(m, n, p, degree)
+    assert len(basis) * (m + n) == _MAX_COEFFICIENTS
+    assert len(basis) == _basis_size(m, n, p, degree)
+
+
+def test_basis_without_slots_lists_no_blocks():
+    # no field has a slot, so the 2^p external blocks are never listed
+    assert section_basis(0, 0, 10**9, 10**9) == []
+
+
+def test_parity_coefficients_are_shared_across_slots():
+    basis = section_basis(2, 2, 3, 2)
+    per_slot = len(basis) // 4
+    x1, x2 = (basis[k * per_slot].field._coeffs[k] for k in range(2))
+    th1, th2 = (basis[(2 + k) * per_slot].field._coeffs[2 + k] for k in range(2))
+    assert x1 is x2 and th1 is th2 and x1 is not th1
