@@ -37,8 +37,8 @@ class LimitError(SuperdiffError):
 
     An exponent of an even coordinate above 2**31 - 1, in an input to a
     product, derivative or substitution or in its result, is one; a
-    section basis of more than 2**16 coefficients is another (the CLI
-    exits 6).
+    section basis of more than 2**16 coefficients is another, and an x,
+    th or t index above 2**20 in a text a third (the CLI exits 6).
     """
 
 

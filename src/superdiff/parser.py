@@ -35,18 +35,37 @@ token kinds that were acceptable.
 One regex pass tokenizes a document and finds the dimensions its
 indices need and its kind (`Tokens`): "factored" if it names phi0, else
 "morphism" if it has an arrow, else "factored" if an X precedes `[`,
-else "derivation" if it has d/dx or d/dth, else "superfunction".  A th
-or t index list as the printers spell it (no spaces, increasing indices
-without leading zeros, within the digit limit) is one `th`/`t` token
-whose value is the index tuple; other spellings lex into `[`, ints,
-commas and `]` for `parse_index_list`.  One statement loop then reads
-the tokens; every statement fault comes before any dimension fault.
+else "derivation" if it has d/dx or d/dth, else "superfunction".  An x,
+th or t index past MAX_INDEX (2^20), in any spelling (d/dx, d/dth and
+X[...] too), raises LimitError once the pass ends, before any dimension
+is built from it.
 
-The parser reads into the stored form of `grassmann`.  One loop reads a
-product's monomial atoms (numbers, x, th, t, and their powers) and folds
-them as they come into one term in that layout: a numerator and a
-denominator, packed exponents and an odd mask, each product's sign from
-the kernel's memo.  The guard bits are checked after every power and
+A product spelled as the printers spell it is one token:
+`[num[/den]*]x<i>[^k]*...[*th[K]][*t[J]]`, at least one generator, x
+indices and index lists increasing, no number 0 or with a leading zero,
+at most 6 digits to an index, 9 to an exponent and 18 to a coefficient,
+so that no limit applies to it.  It counts only as a whole term: after
+no `^`, `/` or `*`, outside the brackets of a th, t or X index list, and
+before a term boundary (`+`, `-`, newline, `;`, `)`, `}`, `,`, `]` or
+the end), never before `->`.  The token keeps its first atom's kind
+(int, xvar, th or t), so every message that names a token kind reads as
+for the atoms; its value (`_Product`) holds the coefficient and the
+generators, decoded once per spelling by a bounded memo (`_generators`).
+Any other spelling lexes atom by atom.  A th or t index list as the
+printers spell it (no spaces, increasing indices without leading zeros,
+within the digit limit) is one `th`/`t` token whose value is the index
+tuple; other spellings lex into `[`, ints, commas and `]` for
+`parse_index_list`.  One statement loop then reads the tokens; every
+statement fault comes before any dimension fault.
+
+The parser reads into the stored form of `grassmann`.  A product token
+is a whole term, read off the token in that layout: a numerator and a
+denominator, packed exponents and an odd mask; where it is read as
+anything else (an index, a header's value, a left side), or where the
+dimensions would not cover it, its atoms take its place.  One loop reads
+any other product's monomial atoms (numbers, x, th, t, and their powers)
+and folds them as they come into one term, each product's sign from the
+kernel's memo.  The guard bits are checked after every power and
 product, so an exponent past the limit raises LimitError and never
 carries into the next field.  The monomial terms of a sum go straight
 into one stored form over the lcm of their denominators; parenthesised
@@ -57,7 +76,9 @@ Printers emit one canonical spelling per object (terms sorted, signs
 absorbed into the joining operator, coefficient 1 suppressed); parsing
 a canonical string and printing the result reproduces it byte for byte.
 They read the stored numerators and denominator directly, each
-coefficient reduced by one gcd.  An integer with more digits than
+coefficient reduced by one gcd; each monomial's order key and text
+(`x1^2*th[1,2]*t[3]`) come from one bounded memo keyed by (m, n, mask,
+packed exponents), `_monomial`.  An integer with more digits than
 Python converts to or from text (`sys.get_int_max_str_digits`, 4300 by
 default) raises LimitError, in the tokenizer and in the printers; a
 number raised to a power is refused by the printers' message as soon as
@@ -73,6 +94,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .derivation import SuperDerivation, _combine
@@ -113,45 +135,94 @@ class Tokens(list):
 # Whitespace before a token is skipped inside the match; a character that
 # starts no token is matched as `bad`, the end of the text as `end`.  The
 # alternatives come roughly in order of frequency; `tokenize` tells them
-# apart by `lastindex`.
-_TOKEN_RE = re.compile(
-    r"""
-    [ \t\r]*
-    (?: ([*\[\],+/^();:{}]|-(?!>))   # 1 punctuation: its own kind and value
-      | (th|t)\[((?:[1-9][0-9]*|0)(?:,(?:[1-9][0-9]*|0))*)\]  # 2 th or t, 3 its index list
-      | (\d+)                       # 4 int
-      | x(\d+)                      # 5 xvar
-      | (th)(\d+)?                  # 6 th, 7 thvar
-      | (t)(?:(\d+)|\b)             # 8 t, 9 tvar
-      | (\n)                        # 10 newline
-      | (->)                        # 11 arrow
-      | d/d(?:x(\d+)|th(\d+))       # 12 d_dx, 13 d_dth
-      | ([A-Za-z_][A-Za-z0-9_]*)    # 14 ident
-      | ()\Z                        # 15 end
-      | (.)                         # 16 bad
+# apart by `lastindex`.  A product (1) is a term as the printers spell it
+# (see the module docstring), where <products> allows one.  No index in it
+# has more than 6 digits, no exponent more than 9 and no coefficient more
+# than 18, so no limit applies to it.
+_TOKEN_SOURCE = r"""
+    <products> [ \t\r]*
+    ( (?:([1-9][0-9]{0,17})(?:/([1-9][0-9]{0,17}))?\*)?   # 1 product: 2 numerator, 3 denominator
+      ( <x>(?:\*<x>)*(?:\*th\[<list>\])?(?:\*t\[<list>\])?   # 4 its generators
+      | th\[<list>\](?:\*t\[<list>\])? | t\[<list>\] )
+    ) (?=[ \t\r]*(?:[+\n;)},\]]|-(?!>)|\Z))
+  | [ \t\r]*
+    (?: ([*\[\],+/^();:{}]|-(?!>))   # 5 punctuation: its own kind and value
+      | (th|t)\[((?:[1-9][0-9]*|0)(?:,(?:[1-9][0-9]*|0))*)\]  # 6 th or t, 7 its index list
+      | (\d+)                       # 8 int
+      | x(\d+)                      # 9 xvar
+      | (th)(\d+)?                  # 10 th, 11 thvar
+      | (t)(?:(\d+)|\b)             # 12 t, 13 tvar
+      | (\n)                        # 14 newline
+      | (->)                        # 15 arrow
+      | d/d(?:x(\d+)|th(\d+))       # 16 d_dx, 17 d_dth
+      | ([A-Za-z_][A-Za-z0-9_]*)    # 18 ident
+      | ()\Z                        # 19 end
+      | (.)                         # 20 bad
     )
-    """,
-    re.VERBOSE,
-)
+""".replace("<x>", r"x<index>(?:\^[1-9][0-9]{0,8})?").replace("<list>", r"<index>(?:,<index>)*")
+_TOKEN_SOURCE = _TOKEN_SOURCE.replace("<index>", "[1-9][0-9]{0,5}")
+# a product follows no ^, / or *; the atom pattern has the same groups and no product
+_TOKEN_RE = re.compile(_TOKEN_SOURCE.replace("<products>", r"(?<![\^/*])"), re.VERBOSE)
+_ATOM_RE = re.compile(_TOKEN_SOURCE.replace("<products>", "(?!)"), re.VERBOSE)
 
 # The tokens whose value is an index: kind, the slot of `Tokens.seen` it
 # raises and the length of the name before the digits.
 _INDEXED = {
-    5: ("xvar", 0, 1), 7: ("thvar", 1, 2), 9: ("tvar", 2, 1),
-    12: ("d_dx", 0, 4), 13: ("d_dth", 1, 5),
+    9: ("xvar", 0, 1), 11: ("thvar", 1, 2), 13: ("tvar", 2, 1),
+    16: ("d_dx", 0, 4), 17: ("d_dth", 1, 5),
 }
 # The tokens whose value is their text: kind, and the slot of `Tokens.seen`
 # that the indices of a following `[` raise (0: none; None: unchanged).
 _WORDS = {
-    6: ("th", 1), 8: ("t", 2), 10: ("newline", None), 11: ("arrow", None), 14: ("ident", 0),
-    15: ("end", None),
+    10: ("th", 1), 12: ("t", 2), 14: ("newline", None), 15: ("arrow", None), 18: ("ident", 0),
+    19: ("end", None),
 }
 
+# Every x, th and t index (of d/dx, d/dth and X[...] too) is at most this.
+MAX_INDEX = 1 << 20
 
-def tokenize(text: str) -> Tokens:
+
+@lru_cache(maxsize=1 << 16)
+def _generators(spelling: str) -> Optional[tuple]:
+    """(kind of the first atom, (largest x, th and t index), packed
+    exponents, th mask, t mask) of a product's generators, or None when
+    its x indices or an index list do not increase."""
+    key, x, masks = 0, 0, {"th": 0, "t": 0}
+    for part in spelling.split("*"):
+        name, _, digits = part.partition("[")
+        if digits:
+            indices = tuple(map(int, digits[:-1].split(",")))
+            if not all(map(int.__lt__, indices, indices[1:])):
+                return None
+            masks[name] = _mask(indices)
+        else:
+            index, _, exponent = part[1:].partition("^")
+            if int(index) <= x:
+                return None
+            x = int(index)
+            key += int(exponent or 1) << _WIDTH * (x - 1)
+    theta, tau = masks["th"], masks["t"]
+    top = (x, theta.bit_length(), tau.bit_length())
+    return "xvar" if x else "th" if theta else "t", top, key, theta, tau
+
+
+class _Product(tuple):
+    """A product token's value: its numerator and denominator as written,
+    the `_generators` of its spelling, and the spelling."""
+
+    __slots__ = ()
+
+    def atoms(self, offset: int) -> list[Token]:
+        """The tokens of the product lexed atom by atom, from `offset` on."""
+        return [Token(k, v, at + offset) for k, v, at in tokenize(self[3], products=False)[:-1]]
+
+
+def tokenize(text: str, products: bool = True) -> Tokens:
     """The tokens of `text`, in one pass that also records `Tokens.seen`
     and `Tokens.document`.  An index inside brackets belongs to the
-    nearest th, t or X before the `[`."""
+    nearest th, t or X before the `[`.  A product as the printers spell
+    it is one token (see the module docstring) unless `products` is False;
+    LimitError names an index past MAX_INDEX."""
     tokens = Tokens()
     append = tokens.append
     new = tuple.__new__  # a Token, without NamedTuple's Python-level __new__
@@ -159,12 +230,35 @@ def tokenize(text: str) -> Tokens:
     owner = pending = 0  # the slot of `seen` that the open bracket's indices raise
     kinds = set()  # of the tokens other than punctuation and int, and "X["
     phi0 = False
+    lexer = pattern = _TOKEN_RE if products else _ATOM_RE
+    end = 0  # of the last match
     try:
-        for match in _TOKEN_RE.finditer(text):
+        while True:
+            match = pattern.match(text, end)
+            pattern = lexer
             i = match.lastindex
-            pos = match.start(i)
+            pos, end = match.start(i), match.end()
             if i == 1:
-                op = match.group(1)
+                generators = _generators(match.group(4))
+                if generators is None or owner:  # atom by atom, and each int of a list
+                    pattern, end = _ATOM_RE, match.start()
+                    continue
+                kind, (x, th, t), _, theta, tau = generators
+                num, den = match.group(2, 3)
+                if num:
+                    kind = "int"
+                if x > seen[0]:
+                    seen[0] = x
+                if th > seen[1]:
+                    seen[1] = th
+                if t > seen[2]:
+                    seen[2] = t
+                if theta or tau:  # as its index list would
+                    pending = 0
+                product = new(_Product, (int(num or 1), int(den or 1), generators, match.group(1)))
+                append(new(Token, (kind, product, pos)))
+            elif i == 5:
+                op = match.group(5)
                 if op == "[":
                     owner, pending = pending, 0
                     if tokens and tokens[-1][1] == "X":
@@ -172,9 +266,9 @@ def tokenize(text: str) -> Tokens:
                 elif op == "]":
                     owner = 0
                 append(new(Token, (op, op, pos)))
-            elif i == 3:
-                name, digits = match.group(2, 3)
-                pos, slot, parts = match.start(2), 1 if name == "th" else 2, digits.split(",")
+            elif i == 7:
+                name, digits = match.group(6, 7)
+                pos, slot, parts = match.start(6), 1 if name == "th" else 2, digits.split(",")
                 owner = pending = 0
                 try:
                     key = tuple(map(int, parts))
@@ -193,8 +287,8 @@ def tokenize(text: str) -> Tokens:
                     append(new(Token, ("int", int(part), pos)))
                     pos += len(part)
                 append(new(Token, ("]", "]", pos)))
-            elif i == 4:
-                value = int(match.group(4))
+            elif i == 8:
+                value = int(match.group(8))
                 if owner and value > seen[owner]:
                     seen[owner] = value
                 append(new(Token, ("int", value, pos)))
@@ -205,7 +299,7 @@ def tokenize(text: str) -> Tokens:
                 seen[slot] = max(seen[slot], value)
                 kinds.add(kind)
                 append(new(Token, (kind, value, pos)))
-            elif i == 16:
+            elif i == 20:
                 raise ParseError(pos, (), f"unexpected character {text[pos]!r}")
             else:
                 word = match.group(i) or None  # the end token has no text
@@ -215,12 +309,15 @@ def tokenize(text: str) -> Tokens:
                 kinds.add(kind)
                 phi0 = phi0 or word == "phi0"
                 append(new(Token, (kind, word, pos)))
-                if i == 15:  # the end, which one more empty match would repeat
+                if i == 19:  # the end, which one more match would repeat
                     break
     except ValueError:  # from int(); sys.get_int_max_str_digits exists where it is raised
         raise LimitError(
             f"integer at byte {pos} has more than {sys.get_int_max_str_digits()} digits"
         ) from None
+    for label, top in zip(("x", "th", "t"), seen):
+        if top > MAX_INDEX:
+            raise LimitError(f"{label} index {top} exceeds the limit {MAX_INDEX}")
     tokens.seen = Dimensions(*seen)
     tokens.document = (
         "factored" if phi0 else "morphism" if "arrow" in kinds
@@ -286,6 +383,9 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
+        if type(tok.value) is _Product:  # read where no term may start: atom by atom
+            self.tokens[self.pos : self.pos + 1] = tok.value.atoms(tok.offset)
+            tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -358,6 +458,14 @@ class _Parser:
         next parenthesis or the end."""
         tokens = self.tokens
         m, n, p = self.dims
+        pos = self.pos
+        value: Any = tokens[pos].value
+        if type(value) is _Product:  # a whole term, no factor of which can pass a limit
+            num, den, (_, (x, th, t), key, theta, tau), _ = value
+            if x <= m and th <= n and t <= p:
+                self.pos = pos + 1
+                return num, den, key, theta | tau << n
+            tokens[pos : pos + 1] = value.atoms(tokens[pos].offset)  # each names its index
         guard = _guard(m)
         num, den, key, mask = 1, 1, 0, 0  # the run folded so far
         ran = False  # whether the run has a factor
@@ -365,8 +473,6 @@ class _Parser:
         operator: Optional[SuperDerivation] = None
         fault: Optional[Exception] = None
         folding: Optional[LimitError] = None  # the run's fault
-        value: Any
-        pos = self.pos
         while True:
             kind, value, offset = tokens[pos]
             pos += 1
@@ -875,30 +981,6 @@ def _magnitude(num: int, den: int) -> str:
         ) from None
 
 
-def _term_strings(
-    num: int, den: int, exps: tuple[int, ...], theta_key: IndexTuple, tau_key: IndexTuple
-) -> tuple[int, str]:
-    """(sign, body) for the term num/den * x^exps * th[K] * t[J], sign
-    split off for joining."""
-    sign = -1 if num < 0 else 1
-    magnitude = _magnitude(num, den)
-    parts: list[str] = []
-    if magnitude != "1":
-        parts.append(magnitude)
-    for i, e in enumerate(exps, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    if theta_key:
-        parts.append("th[" + ",".join(str(j) for j in theta_key) + "]")
-    if tau_key:
-        parts.append("t[" + ",".join(str(k) for k in tau_key) + "]")
-    if not parts:
-        parts.append(magnitude)
-    return sign, "*".join(parts)
-
-
 def _join_terms(terms: list[tuple[int, str]]) -> str:
     if not terms:
         return "0"
@@ -916,18 +998,37 @@ def _monomial_order(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), tuple(-e for e in exps))
 
 
+@lru_cache(maxsize=1 << 16)
+def _monomial(m: int, n: int, mask: int, key: int) -> tuple[tuple, str]:
+    """(`_monomial_order`, text) of the monomial x^e th[K] t[J] of m|n
+    with packed exponents `key` and odd mask `mask`: `x1^2*th[1,2]*t[3]`,
+    or "" for 1."""
+    exps = _unpack(key, m)
+    parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, start=1) if e]
+    for name, indices in (("th", _indices(mask & ((1 << n) - 1))), ("t", _indices(mask >> n))):
+        if indices:
+            parts.append(f"{name}[{','.join(map(str, indices))}]")
+    return _monomial_order(exps), "*".join(parts)
+
+
 def _superfunction_terms(f: Superfunction) -> list[tuple[int, str]]:
-    """The terms of f in canonical order, read from its stored numerators:
-    blocks by (th tuple, t tuple), then exponents by `_monomial_order`."""
+    """(sign, body) for each term of f in canonical order, read from its
+    stored numerators: blocks by (th tuple, t tuple), then exponents by
+    `_monomial_order`; the coefficient 1 is left out, the sign split off
+    for joining."""
     m, n, den = f.m, f.n, f._den
     theta = (1 << n) - 1
     blocks = sorted(((_indices(mask & theta), _indices(mask >> n)), mask) for mask in f._data)
     out: list[tuple[int, str]] = []
-    for (theta_key, tau_key), mask in blocks:
-        coeffs = [(_unpack(e, m), c) for e, c in f._data[mask].items()]
-        coeffs.sort(key=lambda term: _monomial_order(term[0]))
-        for exps, num in coeffs:
-            out.append(_term_strings(num, den, exps, theta_key, tau_key))
+    for _, mask in blocks:
+        terms = sorted([_monomial(m, n, mask, key) + (num,) for key, num in f._data[mask].items()])
+        for _, text, num in terms:
+            magnitude = _magnitude(num, den)
+            if not text:
+                text = magnitude
+            elif magnitude != "1":
+                text = f"{magnitude}*{text}"
+            out.append((-1 if num < 0 else 1, text))
     return out
 
 

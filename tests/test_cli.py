@@ -877,3 +877,45 @@ def test_apply_to_a_coordinate_of_large_index(tmp_path, capsys):
     code, out, err = run_cli(capsys, "apply", one, write(tmp_path, "f.txt", "x300000\n"))
     assert time.perf_counter() - start < 5.0
     assert (code, out, err) == (4, "", "invalid input: x300000 is used but has no image\n")
+
+
+ONES = "1" * 46
+
+
+@pytest.mark.parametrize(
+    "verb, operator, argument, label, index",
+    [
+        ("apply", "x1 -> x1\n", "th99999999999\n", "th", "99999999999"),
+        ("apply", "x1 -> x1\n", "x1*t1111111111111111111111\n", "t", "1111111111111111111111"),
+        ("apply", "x1 -> x1\n", "th[99999999999999999999]\n", "th", "9" * 20),
+        ("apply", "x1 -> x1\n", f"th{ONES}[1]\n", "th", ONES),
+        ("apply", f"th{ONES}[1]*d/dx1\n", "x1\n", "th", ONES),
+        ("apply", "x1 -> x1\n", "d/dx1048577\n", "x", "1048577"),
+        ("factorize", "x1 -> x1 + t[99999999999]\n", None, "t", "99999999999"),
+        (
+            "expand",
+            f"p: 1\nphi0: {{ x1 -> x1 }}\nX[1]: th{ONES}[1]*d/dx1\n",
+            None,
+            "th",
+            ONES,
+        ),
+        ("expand", "p: 1\nphi0: { x1 -> x1 }\nX[1048577]: d/dx1\n", None, "t", "1048577"),
+    ],
+)
+def test_exit_code_index_limit(tmp_path, capsys, verb, operator, argument, label, index):
+    # an index past 2^20 is refused by the tokenizer, before any dimension
+    # is built from it
+    files = [write(tmp_path, "op.txt", operator)]
+    if argument is not None:
+        files.append(write(tmp_path, "f.txt", argument))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, *files)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (6, "")
+    assert err == f"limit exceeded: {label} index {index} exceeds the limit 1048576\n"
+
+
+def test_apply_to_a_coordinate_at_the_index_limit(tmp_path, capsys):
+    one = write(tmp_path, "one.txt", "x1 -> x1\n")
+    code, out, err = run_cli(capsys, "apply", one, write(tmp_path, "f.txt", "x1048576\n"))
+    assert (code, out, err) == (4, "", "invalid input: x1048576 is used but has no image\n")

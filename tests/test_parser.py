@@ -1,13 +1,18 @@
+import io
 import random
 import re
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from superdiff import GrassmannElement, Polynomial, SuperDerivation, Superfunction
+from superdiff import cli
 from superdiff import parser as fmt
-from superdiff.errors import DimensionError, LimitError, ParseError
+from superdiff.errors import DimensionError, LimitError, ParseError, SuperdiffError
 from superdiff.sampling import (
     random_derivation,
     random_grassmann,
@@ -23,17 +28,39 @@ def roundtrip_sf(text):
 
 def test_tokenizer_offsets():
     tokens = fmt.tokenize("x1 + th[2]*t[1]")
-    kinds = [(t.kind, t.offset) for t in tokens]
-    assert kinds[0] == ("xvar", 0)
-    assert kinds[1] == ("+", 3)
-    assert kinds[2] == ("th", 5)
-    assert tokens[-1].kind == "end"
+    assert [(t.kind, t.offset) for t in tokens] == [("xvar", 0), ("+", 3), ("th", 5), ("end", 15)]
+    # a term as the printers spell it is one token of its first atom's kind:
+    # numerator, denominator, (kind, (largest x, th and t index), packed
+    # exponents, th mask, t mask) and the spelling
+    assert tokens[0].value == (1, 1, ("xvar", (1, 0, 0), 1, 0, 0), "x1")
+    assert tokens[2].value == (1, 1, ("th", (0, 2, 1), 0, 0b10, 0b1), "th[2]*t[1]")
+    assert tokens[2].value.atoms(5) == [("th", (2,), 5), ("*", "*", 10), ("t", (1,), 11)]
     assert [(t.kind, t.offset) for t in fmt.tokenize("x1 \t\r\n ")] == [
         ("xvar", 0), ("newline", 5), ("end", 7)
     ]
     with pytest.raises(ParseError, match="at byte 6: unexpected character '@'") as info:
         fmt.tokenize("x1 \t\r @")
     assert info.value.offset == 6
+
+
+def test_product_tokens_read_where_no_term_starts_split_into_atoms():
+    # an X header's list, a header's value and a left side read the atoms
+    assert _outcome(lambda: fmt.parse_any("X[2*x1]: d/dx1")) == (
+        ParseError, "at byte 3: expected ], found *"
+    )
+    assert _outcome(lambda: fmt.parse_any("p: 2*x1\nx1 -> x1")) == (
+        ParseError, "at byte 4: expected a coordinate on the left of ->, found *"
+    )
+    assert _outcome(lambda: fmt.parse_any("x1 -> x1\nx1*th[1]\n->")) == (
+        ParseError, "at byte 9: duplicate image assignment"
+    )
+    assert _outcome(lambda: fmt.parse_any("x1 -> x1\nx2*th[1]; x1")) == (
+        ParseError, "at byte 11: expected arrow, found *"
+    )
+    # dimensions that do not cover a product: each atom checks its own index
+    parser = fmt._Parser(fmt.tokenize("x1*x2*th[1]"), fmt.Dimensions(1, 1, 0))
+    with pytest.raises(DimensionError, match="^variable index 2 out of range 1..1$"):
+        parser.parse_term()
 
 
 def test_expression_basics():
@@ -673,6 +700,10 @@ def test_printers_match_the_terms_view(monkeypatch, m, n, p):
         )
 
     printed = outputs()
+    coefficients = functions + [g for field in fields for g in field._coeffs]
+    assert [fmt._superfunction_terms(f) for f in coefficients] == [
+        _per_term_superfunction_terms(f) for f in coefficients
+    ]
     monkeypatch.setattr(fmt, "_superfunction_terms", _reference_superfunction_terms)
     monkeypatch.setattr(fmt, "format_grassmann", _reference_grassmann)
     assert printed == outputs()
@@ -754,8 +785,10 @@ def _reference_fold(text, tokens):
     """`tokens` with each th or t index list in the printers' spelling
     merged into one token at the name's offset, its value the index tuple:
     the name, `[`, strictly increasing ints with commas between them and
-    `]`, at adjacent offsets and each int spelled as `str` prints it."""
-    folded, i = [], 0
+    `]`, at adjacent offsets and each int spelled as `str` prints it.
+    Then each printed monomial outside the brackets of an index list (whose
+    ints raise a dimension) is merged into one token (`_reference_product`)."""
+    lists, i = [], 0
     while i < len(tokens):
         name, j, ints = tokens[i], i + 1, []
         if name.kind in ("th", "t"):
@@ -765,19 +798,108 @@ def _reference_fold(text, tokens):
         spelling = f"{name.kind}[{','.join(map(str, ints))}]"
         increasing = ints and ints == sorted(set(ints))
         if increasing and tokens[j].kind == "]" and text.startswith(spelling, name.offset):
-            folded.append(fmt.Token(name.kind, tuple(ints), name.offset))
+            lists.append(fmt.Token(name.kind, tuple(ints), name.offset))
             i = j + 1
         else:
-            folded.append(name)
+            lists.append(name)
             i += 1
+    inside = _reference_walk(tokens)[1]
+    folded, i = [], 0
+    while i < len(lists):
+        product = lists[i].offset not in inside and _reference_product(text, lists, i)
+        folded.append(product[0] if product else lists[i])
+        i = product[1] if product else i + 1
     return folded
 
 
+_TERM_BOUNDARY = ("+", "-", "newline", ";", ")", "}", ",", "]", "end")
+_GENERATOR_ORDER = {"xvar": 0, "th": 1, "t": 2}
+
+
+def _reference_product(text, tokens, i):
+    """(token, index after it) of the printed monomial at tokens[i], or None.
+
+    A printed monomial is an optional coefficient `num[/den]*`, then x<i>
+    atoms with optional `^k` and increasing indices, then th[K], then
+    t[J], joined by `*`, at least one generator; no number is 0, a
+    coefficient has at most 18 digits, an index at most 6 and an exponent
+    at most 9; it is spelled as the printers spell it, follows no `^`,
+    `/` or `*`, and comes before a term boundary."""
+    if i and tokens[i - 1].kind in ("^", "/", "*"):
+        return None
+    j, num, den, parts, generators = i, 1, 1, [], []
+    if tokens[j].kind == "int":
+        num, j = tokens[j].value, j + 1
+        coefficient = str(num)
+        if tokens[j].kind == "/" and tokens[j + 1].kind == "int":
+            den, j = tokens[j + 1].value, j + 2
+            coefficient += f"/{den}"
+        if tokens[j].kind != "*" or not (0 < num < 10**18 and 0 < den < 10**18):
+            return None
+        parts.append(coefficient)
+        j += 1
+    while tokens[j].kind in _GENERATOR_ORDER and (
+        tokens[j].kind == "xvar" or type(tokens[j].value) is tuple
+    ):
+        kind, value, exponent = tokens[j].kind, tokens[j].value, None
+        if kind == "xvar" and tokens[j + 1].kind == "^" and tokens[j + 2].kind == "int":
+            exponent, j = tokens[j + 2].value, j + 2
+        generators.append((kind, value, 1 if exponent is None else exponent))
+        if kind == "xvar":
+            parts.append(f"x{value}" + ("" if exponent is None else f"^{exponent}"))
+        else:
+            parts.append(f"{kind}[{','.join(map(str, value))}]")
+        j += 1
+        if not (tokens[j].kind == "*" and tokens[j + 1].kind in _GENERATOR_ORDER):
+            break
+        j += 1
+    kinds = [_GENERATOR_ORDER[kind] for kind, _, _ in generators]
+    indices = [k for kind, value, _ in generators for k in ([value] if kind == "xvar" else value)]
+    x_indices = [value for kind, value, _ in generators if kind == "xvar"]
+    spelling = "*".join(parts)
+    if not (
+        generators
+        and kinds == sorted(kinds)
+        and kinds.count(1) <= 1
+        and kinds.count(2) <= 1
+        and x_indices == sorted(set(x_indices))
+        and all(0 < k < 10**6 for k in indices)
+        and all(0 < e < 10**9 for _, _, e in generators)
+        and text.startswith(spelling, tokens[i].offset)
+        and tokens[j].kind in _TERM_BOUNDARY
+    ):
+        return None
+    key = sum(e << 32 * (value - 1) for kind, value, e in generators if kind == "xvar")
+    lists = generators[len(x_indices) :]
+    masks = {kind: sum(1 << (k - 1) for k in value) for kind, value, _ in lists}
+    top = (max(x_indices, default=0),) + tuple(
+        max([value[-1] for kind, value, _ in generators if kind == name], default=0)
+        for name in ("th", "t")
+    )
+    summary = (generators[0][0], top, key, masks.get("th", 0), masks.get("t", 0))
+    kind = "int" if len(parts) > len(generators) else generators[0][0]
+    return fmt.Token(kind, (num, den, summary, spelling), tokens[i].offset), j
+
+
 def _reference_dimensions(tokens):
-    """The largest x, th and t index, by a second walk over the tokens."""
+    """The largest x, th and t index, by a second walk over the tokens;
+    LimitError past the index limit."""
+    seen = _reference_walk(tokens)[0]
+    for label, top in zip(("x", "th", "t"), seen):
+        if top > 1 << 20:
+            raise LimitError(f"{label} index {top} exceeds the limit 1048576")
+    return seen
+
+
+def _reference_walk(tokens):
+    """The largest x, th and t index, and the offsets of the tokens inside
+    the brackets of a th, t or X index list."""
     seen_m = seen_n = seen_p = 0
     bracket_owner = pending = None
+    inside = set()
     for tok in tokens:
+        if bracket_owner:
+            inside.add(tok.offset)
         if tok.kind in ("xvar", "d_dx"):
             seen_m = max(seen_m, tok.value)
         elif tok.kind in ("thvar", "d_dth"):
@@ -799,7 +921,7 @@ def _reference_dimensions(tokens):
             seen_n = max(seen_n, tok.value)
         elif tok.kind == "int" and bracket_owner == "p":
             seen_p = max(seen_p, tok.value)
-    return (seen_m, seen_n, seen_p)
+    return (seen_m, seen_n, seen_p), inside
 
 
 def _reference_document(tokens):
@@ -909,6 +1031,25 @@ LEXER_EDGE_CASES = [
     "t[0]",
     "th[01,2]",
     "th[1]^2",
+    # printed monomials, and spellings next to them that lex atom by atom
+    "2^20000*x1",
+    "x1/2*x2",
+    "x1 x2",
+    "th[2,1]*x1",
+    "x1*(x2)",
+    "x1^2^3",
+    "1/0*x1",
+    "01*x1",
+    "x01",
+    "x1 -> x1",
+    "t[1] -> t[1,2]",
+    "1234567890123456789*x1 - 123456789012345678/99*x2^999999999*th[1]*t[2]",
+    "6/4*x1^2*x3*th[1,3]*t[2,5] + 3*th[2]\n- t[1] ; 1/2*x2}x1)x1,x1]",
+    "x2*x1 + x1*x1 + x1^0 + x1^1 + th[1]*x1 + t[1]*th[1] + th[1]*th[2] + x1 *x2",
+    "x999999 + x1000000*x1 + x1^1000000000 + th[999999,1000000] + t[1234567]",
+    "x1*x2\t\r\n(x1)x2*x3 + X[x1*th[1], 3] + th x1, [7]",
+    "th[x999^999999991] + X[2/9*x1^5, x3] + t[3*th[1]] + th[1,x2^4*t[1], 4]",
+    "d/dx1*x1 + x1*d/dx1 - x1-x2->x3 - x1 ->x2",
 ]
 
 
@@ -950,11 +1091,50 @@ def test_lexer_long_integers_match_the_reference(spelling):
     )
 
 
+def _term_strings(num, den, exps, theta_key, tau_key):
+    """(sign, body) for the term num/den * x^exps * th[K] * t[J], built
+    term by term from the stored numerator: the printers' earlier builder."""
+    sign = -1 if num < 0 else 1
+    magnitude = fmt._magnitude(num, den)
+    parts = []
+    if magnitude != "1":
+        parts.append(magnitude)
+    for i, e in enumerate(exps, start=1):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    if theta_key:
+        parts.append("th[" + ",".join(str(j) for j in theta_key) + "]")
+    if tau_key:
+        parts.append("t[" + ",".join(str(k) for k in tau_key) + "]")
+    if not parts:
+        parts.append(magnitude)
+    return sign, "*".join(parts)
+
+
+def _per_term_superfunction_terms(f):
+    """The earlier `_superfunction_terms`: each term's exponents, order
+    key and text built anew from the stored form."""
+    m, n, den = f.m, f.n, f._den
+    theta = (1 << n) - 1
+    blocks = sorted(
+        ((fmt._indices(mask & theta), fmt._indices(mask >> n)), mask) for mask in f._data
+    )
+    out = []
+    for (theta_key, tau_key), mask in blocks:
+        coeffs = [(fmt._unpack(e, m), c) for e, c in f._data[mask].items()]
+        coeffs.sort(key=lambda term: fmt._monomial_order(term[0]))
+        for exps, num in coeffs:
+            out.append(_term_strings(num, den, exps, theta_key, tau_key))
+    return out
+
+
 def _stored_loop_grassmann(a):
     """The earlier `format_grassmann`, its own sort and term loop over the
     stored form, kept as the reference for the superfunction printer."""
     terms = sorted((fmt._indices(mask), poly[0]) for mask, poly in a._data.items())
-    return fmt._join_terms([fmt._term_strings(num, a._den, (), (), key) for key, num in terms])
+    return fmt._join_terms([_term_strings(num, a._den, (), (), key) for key, num in terms])
 
 
 def test_grassmann_printer_matches_the_stored_loop():
@@ -966,3 +1146,86 @@ def test_grassmann_printer_matches_the_stored_loop():
             assert fmt.format_grassmann(a) == _stored_loop_grassmann(a)
     assert fmt.format_grassmann(GrassmannElement.zero(3)) == "0"
     assert fmt.format_grassmann(GrassmannElement.scalar(Fraction(-3, 4), 0)) == "-3/4"
+
+
+# -- canonical texts with pieces spliced in ------------------------------------
+
+SPLICES = [
+    "^", "^2", "/0", "/3", "*(", ")", "th[2,1]", "x0", "->", " ", "\n", "\t", ";", "*", "-",
+    "9" * 30, "1" * 5001, "x99999999999", "th[99999999999]", "t1111111111111111111111",
+    "x1048577", "d/dx2", "*x1", "x1^2147483648",
+]
+PRINTERS = {
+    "factored": lambda value: fmt.format_factored(*value),
+    "morphism": fmt.format_morphism,
+    "grassmann_morphism": fmt.format_grassmann_morphism,
+}
+
+
+def _mutation_sources():
+    """Canonical texts of sampled points, factored forms, fields and a
+    Grassmann map."""
+    rng = random.Random(2024)
+    texts = [fmt.format_grassmann_morphism(random_grassmann_morphism(rng, 3, 3))]
+    for m, n, p in ((1, 1, 1), (2, 2, 2)):
+        point = random_point(rng, m, n, p, degree=1)
+        texts.append(fmt.format_morphism(point.morphism))
+        texts.append(fmt.format_factored(point.body, point.fields, point.p))
+        texts.append(fmt.format_derivation(random_derivation(rng, m, n, p, degree=2)))
+    return texts
+
+
+def _parsed(text):
+    """What `parse_any` makes of `text`, printed: (kind, canonical text),
+    or the type, message and offset of its fault."""
+    try:
+        kind, value = fmt.parse_any(text)
+        printer = PRINTERS.get(kind) or (
+            fmt.format_derivation
+            if isinstance(value, SuperDerivation)
+            else fmt.format_superfunction
+        )
+        return kind, printer(value)
+    except SuperdiffError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def _reference_tokens(text):
+    """The reference's token stream, atom by atom, with its dimensions and kind."""
+    tokens = fmt.Tokens(_reference_tokenize(text))
+    tokens.seen = fmt.Dimensions(*_reference_dimensions(tokens))
+    tokens.document = _reference_document(tokens)
+    return tokens
+
+
+def test_mutated_canonical_texts_parse_like_their_atoms_and_exit_cleanly(tmp_path):
+    # A parenthesised power is left out above 50: `(x1 + 1)^k` computes
+    # every binomial coefficient before any limit applies (an open fault).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    sources = _mutation_sources()
+    operator, function = tmp_path / "operator.txt", tmp_path / "function.txt"
+    function.write_text("x1^2*th[1] + 2\n")
+    splices = st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.sampled_from(SPLICES)), min_size=1, max_size=3
+    )
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.sampled_from(sources), splices)
+    def check(text, splices):
+        for where, piece in splices:
+            where %= len(text) + 1
+            text = text[:where] + piece + text[where:]
+        powers = re.findall(r"\)[ \t\r]*\^[ \t\r]*(\d+)", text)
+        hypothesis.assume(all(len(k) < 3 and int(k) <= 50 for k in powers))
+        mine = _parsed(text)
+        with mock.patch.object(fmt, "tokenize", _reference_tokens):
+            assert mine == _parsed(text)
+        operator.write_text(text)
+        start = time.perf_counter()
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["apply", str(operator), str(function)])
+        assert code in (0, 1, 2, 3, 4, 6), err.getvalue()
+        assert time.perf_counter() - start < 10.0
+
+    check()
