@@ -43,20 +43,21 @@ is built from it.
 A product spelled as the printers spell it is one token:
 `[num[/den]*]x<i>[^k]*...[*th[K]][*t[J]]`, at least one generator, x
 indices and index lists increasing, no number 0 or with a leading zero,
-at most 6 digits to an index, 9 to an exponent and 18 to a coefficient,
-so that no limit applies to it.  It counts only as a whole term: after
-no `^`, `/` or `*`, outside the brackets of a th, t or X index list, and
-before a term boundary (`+`, `-`, newline, `;`, `)`, `}`, `,`, `]` or
-the end), never before `->`.  The token keeps its first atom's kind
-(int, xvar, th or t), so every message that names a token kind reads as
-for the atoms; its value (`_Product`) holds the coefficient and the
-generators, decoded once per spelling by a bounded memo (`_generators`).
-Any other spelling lexes atom by atom.  A th or t index list as the
-printers spell it (no spaces, increasing indices without leading zeros,
-within the digit limit) is one `th`/`t` token whose value is the index
-tuple; other spellings lex into `[`, ints, commas and `]` for
-`parse_index_list`.  One statement loop then reads the tokens; every
-statement fault comes before any dimension fault.
+at most 3 digits to an index, 9 to an exponent and 18 to a coefficient,
+so that no limit applies to it and its packed exponents take at most
+4 KB.  It counts only as a whole term: after no `^`, `/` or `*`, outside
+the brackets of a th, t or X index list, and before a term boundary
+(`+`, `-`, newline, `;`, `)`, `}`, `,`, `]` or the end), never before
+`->`.  The token keeps its first atom's kind (int, xvar, th or t), so
+every message that names a token kind reads as for the atoms; its value
+(`_Product`) holds the coefficient and the generators (`_generators`),
+decoded once per spelling of the text.  Any other spelling lexes atom
+by atom.  A th or t index list as the printers spell it (no spaces,
+increasing indices without leading zeros, within the digit limit) is
+one `th`/`t` token whose value is the index tuple; other spellings lex
+into `[`, ints, commas and `]` for `parse_index_list`.  One statement
+loop then reads the tokens; every statement fault comes before any
+dimension fault.
 
 The parser reads into the stored form of `grassmann`.  A product token
 is a whole term, read off the token in that layout: a numerator and a
@@ -76,9 +77,8 @@ Printers emit one canonical spelling per object (terms sorted, signs
 absorbed into the joining operator, coefficient 1 suppressed); parsing
 a canonical string and printing the result reproduces it byte for byte.
 They read the stored numerators and denominator directly, each
-coefficient reduced by one gcd; each monomial's order key and text
-(`x1^2*th[1,2]*t[3]`) come from one bounded memo keyed by (m, n, mask,
-packed exponents), `_monomial`.  An integer with more digits than
+coefficient reduced by one gcd; each block's th and t text, and each
+even monomial's order key and text, are built once per superfunction.  An integer with more digits than
 Python converts to or from text (`sys.get_int_max_str_digits`, 4300 by
 default) raises LimitError, in the tokenizer and in the printers; a
 number raised to a power is refused by the printers' message as soon as
@@ -94,7 +94,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .derivation import SuperDerivation, _combine
@@ -137,8 +136,8 @@ class Tokens(list):
 # alternatives come roughly in order of frequency; `tokenize` tells them
 # apart by `lastindex`.  A product (1) is a term as the printers spell it
 # (see the module docstring), where <products> allows one.  No index in it
-# has more than 6 digits, no exponent more than 9 and no coefficient more
-# than 18, so no limit applies to it.
+# has more than 3 digits, no exponent more than 9 and no coefficient more
+# than 18, so no limit applies to it and its packed key stays small.
 _TOKEN_SOURCE = r"""
     <products> [ \t\r]*
     ( (?:([1-9][0-9]{0,17})(?:/([1-9][0-9]{0,17}))?\*)?   # 1 product: 2 numerator, 3 denominator
@@ -160,7 +159,7 @@ _TOKEN_SOURCE = r"""
       | (.)                         # 20 bad
     )
 """.replace("<x>", r"x<index>(?:\^[1-9][0-9]{0,8})?").replace("<list>", r"<index>(?:,<index>)*")
-_TOKEN_SOURCE = _TOKEN_SOURCE.replace("<index>", "[1-9][0-9]{0,5}")
+_TOKEN_SOURCE = _TOKEN_SOURCE.replace("<index>", "[1-9][0-9]{0,2}")
 # a product follows no ^, / or *; the atom pattern has the same groups and no product
 _TOKEN_RE = re.compile(_TOKEN_SOURCE.replace("<products>", r"(?<![\^/*])"), re.VERBOSE)
 _ATOM_RE = re.compile(_TOKEN_SOURCE.replace("<products>", "(?!)"), re.VERBOSE)
@@ -182,7 +181,6 @@ _WORDS = {
 MAX_INDEX = 1 << 20
 
 
-@lru_cache(maxsize=1 << 16)
 def _generators(spelling: str) -> Optional[tuple]:
     """(kind of the first atom, (largest x, th and t index), packed
     exponents, th mask, t mask) of a product's generators, or None when
@@ -214,15 +212,20 @@ class _Product(tuple):
 
     def atoms(self, offset: int) -> list[Token]:
         """The tokens of the product lexed atom by atom, from `offset` on."""
-        return [Token(k, v, at + offset) for k, v, at in tokenize(self[3], products=False)[:-1]]
+        return [Token(k, v, at + offset) for k, v, at in _tokenize(self[3], _ATOM_RE)[:-1]]
 
 
-def tokenize(text: str, products: bool = True) -> Tokens:
+def tokenize(text: str) -> Tokens:
     """The tokens of `text`, in one pass that also records `Tokens.seen`
     and `Tokens.document`.  An index inside brackets belongs to the
     nearest th, t or X before the `[`.  A product as the printers spell
-    it is one token (see the module docstring) unless `products` is False;
-    LimitError names an index past MAX_INDEX."""
+    it is one token (see the module docstring); LimitError names an index
+    past MAX_INDEX."""
+    return _tokenize(text, _TOKEN_RE)
+
+
+def _tokenize(text: str, lexer: re.Pattern) -> Tokens:
+    """`tokenize` with `lexer`: `_TOKEN_RE`, or `_ATOM_RE` for no products."""
     tokens = Tokens()
     append = tokens.append
     new = tuple.__new__  # a Token, without NamedTuple's Python-level __new__
@@ -230,8 +233,9 @@ def tokenize(text: str, products: bool = True) -> Tokens:
     owner = pending = 0  # the slot of `seen` that the open bracket's indices raise
     kinds = set()  # of the tokens other than punctuation and int, and "X["
     phi0 = False
-    lexer = pattern = _TOKEN_RE if products else _ATOM_RE
+    pattern = lexer
     end = 0  # of the last match
+    decoded: dict[str, Optional[tuple]] = {}  # `_generators` of each product spelling
     try:
         while True:
             match = pattern.match(text, end)
@@ -239,20 +243,18 @@ def tokenize(text: str, products: bool = True) -> Tokens:
             i = match.lastindex
             pos, end = match.start(i), match.end()
             if i == 1:
-                generators = _generators(match.group(4))
-                if generators is None or owner:  # atom by atom, and each int of a list
+                spelling = match.group(4)
+                if not owner and spelling not in decoded:
+                    decoded[spelling] = _generators(spelling)
+                generators = None if owner else decoded[spelling]
+                if generators is None:  # atom by atom, and each int of a list
                     pattern, end = _ATOM_RE, match.start()
                     continue
-                kind, (x, th, t), _, theta, tau = generators
+                kind, top, _, theta, tau = generators
                 num, den = match.group(2, 3)
                 if num:
                     kind = "int"
-                if x > seen[0]:
-                    seen[0] = x
-                if th > seen[1]:
-                    seen[1] = th
-                if t > seen[2]:
-                    seen[2] = t
+                seen[:] = map(max, seen, top)
                 if theta or tau:  # as its index list would
                     pending = 0
                 product = new(_Product, (int(num or 1), int(den or 1), generators, match.group(1)))
@@ -998,31 +1000,34 @@ def _monomial_order(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), tuple(-e for e in exps))
 
 
-@lru_cache(maxsize=1 << 16)
-def _monomial(m: int, n: int, mask: int, key: int) -> tuple[tuple, str]:
-    """(`_monomial_order`, text) of the monomial x^e th[K] t[J] of m|n
-    with packed exponents `key` and odd mask `mask`: `x1^2*th[1,2]*t[3]`,
-    or "" for 1."""
-    exps = _unpack(key, m)
-    parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, start=1) if e]
-    for name, indices in (("th", _indices(mask & ((1 << n) - 1))), ("t", _indices(mask >> n))):
-        if indices:
-            parts.append(f"{name}[{','.join(map(str, indices))}]")
-    return _monomial_order(exps), "*".join(parts)
-
-
 def _superfunction_terms(f: Superfunction) -> list[tuple[int, str]]:
     """(sign, body) for each term of f in canonical order, read from its
     stored numerators: blocks by (th tuple, t tuple), then exponents by
     `_monomial_order`; the coefficient 1 is left out, the sign split off
-    for joining."""
+    for joining.  Each block's th and t text, and each even monomial of f,
+    is spelled once."""
     m, n, den = f.m, f.n, f._den
     theta = (1 << n) - 1
     blocks = sorted(((_indices(mask & theta), _indices(mask >> n)), mask) for mask in f._data)
+    spelled: dict[int, tuple[tuple, str]] = {}
     out: list[tuple[int, str]] = []
-    for _, mask in blocks:
-        terms = sorted([_monomial(m, n, mask, key) + (num,) for key, num in f._data[mask].items()])
+    for keys, mask in blocks:
+        odd = "*".join(
+            f"{name}[{','.join(map(str, key))}]" for name, key in zip(("th", "t"), keys) if key
+        )
+        terms = []
+        for key, num in f._data[mask].items():
+            if key not in spelled:
+                exps = _unpack(key, m)
+                text = "*".join(
+                    f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(exps, start=1) if e
+                )
+                spelled[key] = _monomial_order(exps), text
+            terms.append(spelled[key] + (num,))
+        terms.sort()
         for _, text, num in terms:
+            if odd:
+                text = f"{text}*{odd}" if text else odd
             magnitude = _magnitude(num, den)
             if not text:
                 text = magnitude

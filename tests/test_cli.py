@@ -910,7 +910,7 @@ def test_exit_code_index_limit(tmp_path, capsys, verb, operator, argument, label
         files.append(write(tmp_path, "f.txt", argument))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, verb, *files)
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 5.0
     assert (code, out) == (6, "")
     assert err == f"limit exceeded: {label} index {index} exceeds the limit 1048576\n"
 

@@ -3,6 +3,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from unittest import mock
@@ -702,7 +703,7 @@ def test_printers_match_the_terms_view(monkeypatch, m, n, p):
     printed = outputs()
     coefficients = functions + [g for field in fields for g in field._coeffs]
     assert [fmt._superfunction_terms(f) for f in coefficients] == [
-        _per_term_superfunction_terms(f) for f in coefficients
+        _reference_superfunction_terms(f) for f in coefficients
     ]
     monkeypatch.setattr(fmt, "_superfunction_terms", _reference_superfunction_terms)
     monkeypatch.setattr(fmt, "format_grassmann", _reference_grassmann)
@@ -822,7 +823,7 @@ def _reference_product(text, tokens, i):
     A printed monomial is an optional coefficient `num[/den]*`, then x<i>
     atoms with optional `^k` and increasing indices, then th[K], then
     t[J], joined by `*`, at least one generator; no number is 0, a
-    coefficient has at most 18 digits, an index at most 6 and an exponent
+    coefficient has at most 18 digits, an index at most 3 and an exponent
     at most 9; it is spelled as the printers spell it, follows no `^`,
     `/` or `*`, and comes before a term boundary."""
     if i and tokens[i - 1].kind in ("^", "/", "*"):
@@ -863,7 +864,7 @@ def _reference_product(text, tokens, i):
         and kinds.count(1) <= 1
         and kinds.count(2) <= 1
         and x_indices == sorted(set(x_indices))
-        and all(0 < k < 10**6 for k in indices)
+        and all(0 < k < 10**3 for k in indices)
         and all(0 < e < 10**9 for _, _, e in generators)
         and text.startswith(spelling, tokens[i].offset)
         and tokens[j].kind in _TERM_BOUNDARY
@@ -1050,6 +1051,8 @@ LEXER_EDGE_CASES = [
     "x1*x2\t\r\n(x1)x2*x3 + X[x1*th[1], 3] + th x1, [7]",
     "th[x999^999999991] + X[2/9*x1^5, x3] + t[3*th[1]] + th[1,x2^4*t[1], 4]",
     "d/dx1*x1 + x1*d/dx1 - x1-x2->x3 - x1 ->x2",
+    "x999*th[999] + 2/3*x998^2*x999*t[1,999] + x1000 + x1*x1000 + th[1,1000] + t[1000]",
+    "th[x999999] + X[x999998] + th[x999, x1000] + t[1,x999999*th[2]]",
 ]
 
 
@@ -1057,6 +1060,27 @@ LEXER_EDGE_CASES = [
 def test_lexer_matches_the_reference_on_edge_cases(text):
     mine, reference = _lexed(text)
     assert mine == reference
+
+
+def test_texts_refused_at_once_build_no_packed_key_of_a_long_index():
+    # an index of more than 3 digits lexes atom by atom, so the tokenizer
+    # builds no x<index> key (4 MB at x999999) for a text the parser then
+    # refuses before its terms, or for products inside an index list; the
+    # 12 MiB of the first are the parser's own at m = 999199
+    products = [f"x{999000 + k}" for k in range(200)]
+    texts = {
+        ") + " + " + ".join(products): "at byte 0: expected an atom, found )",
+        "th[" + ",".join(products) + "]": "at byte 3: expected int, found xvar",
+    }
+    for text, message in texts.items():
+        tracemalloc.start()
+        try:
+            outcome = _outcome(lambda: fmt.parse_superfunction(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome == (ParseError, message)
+        assert peak < 32 << 20
 
 
 @pytest.mark.parametrize(
@@ -1091,50 +1115,13 @@ def test_lexer_long_integers_match_the_reference(spelling):
     )
 
 
-def _term_strings(num, den, exps, theta_key, tau_key):
-    """(sign, body) for the term num/den * x^exps * th[K] * t[J], built
-    term by term from the stored numerator: the printers' earlier builder."""
-    sign = -1 if num < 0 else 1
-    magnitude = fmt._magnitude(num, den)
-    parts = []
-    if magnitude != "1":
-        parts.append(magnitude)
-    for i, e in enumerate(exps, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    if theta_key:
-        parts.append("th[" + ",".join(str(j) for j in theta_key) + "]")
-    if tau_key:
-        parts.append("t[" + ",".join(str(k) for k in tau_key) + "]")
-    if not parts:
-        parts.append(magnitude)
-    return sign, "*".join(parts)
-
-
-def _per_term_superfunction_terms(f):
-    """The earlier `_superfunction_terms`: each term's exponents, order
-    key and text built anew from the stored form."""
-    m, n, den = f.m, f.n, f._den
-    theta = (1 << n) - 1
-    blocks = sorted(
-        ((fmt._indices(mask & theta), fmt._indices(mask >> n)), mask) for mask in f._data
-    )
-    out = []
-    for (theta_key, tau_key), mask in blocks:
-        coeffs = [(fmt._unpack(e, m), c) for e, c in f._data[mask].items()]
-        coeffs.sort(key=lambda term: fmt._monomial_order(term[0]))
-        for exps, num in coeffs:
-            out.append(_term_strings(num, den, exps, theta_key, tau_key))
-    return out
-
-
 def _stored_loop_grassmann(a):
     """The earlier `format_grassmann`, its own sort and term loop over the
     stored form, kept as the reference for the superfunction printer."""
     terms = sorted((fmt._indices(mask), poly[0]) for mask, poly in a._data.items())
-    return fmt._join_terms([_term_strings(num, a._den, (), (), key) for key, num in terms])
+    return fmt._join_terms(
+        [_reference_term_strings(Fraction(num, a._den), (), (), key) for key, num in terms]
+    )
 
 
 def test_grassmann_printer_matches_the_stored_loop():
@@ -1153,7 +1140,7 @@ def test_grassmann_printer_matches_the_stored_loop():
 SPLICES = [
     "^", "^2", "/0", "/3", "*(", ")", "th[2,1]", "x0", "->", " ", "\n", "\t", ";", "*", "-",
     "9" * 30, "1" * 5001, "x99999999999", "th[99999999999]", "t1111111111111111111111",
-    "x1048577", "d/dx2", "*x1", "x1^2147483648",
+    "x1048577", "d/dx2", "*x1", "x1^2147483648", "x999", "x1000*th[1000]",
 ]
 PRINTERS = {
     "factored": lambda value: fmt.format_factored(*value),
